@@ -1,14 +1,15 @@
-// Annotated synchronization primitives: thin wrappers over std::mutex,
-// std::shared_mutex, and std::condition_variable that carry the Clang
-// thread-safety capability attributes (common/thread_annotations.h).
+// Annotated synchronization primitives: thin wrappers over std::mutex
+// and std::condition_variable that carry the Clang thread-safety
+// capability attributes (common/thread_annotations.h), plus a
+// writer-preferring reader/writer mutex built from the two.
 //
 // The standard library types compile fine but are INVISIBLE to the
 // compile-time analysis (libstdc++ ships them without capability
 // attributes), so concurrent code in this repo uses these wrappers
 // instead — tools/paleo_lint.py rejects raw std::mutex members outside
-// this file. The wrappers add no state and no indirection: every method
-// is a one-line inline forward, so the generated code is identical to
-// using the std types directly.
+// this file. Mutex and CondVar add no state and no indirection: every
+// method is a one-line inline forward, so the generated code is
+// identical to using the std types directly.
 //
 // Condition waits keep std::condition_variable underneath (not
 // condition_variable_any) via the adopt_lock trick: CondVar::Wait is
@@ -29,7 +30,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -52,19 +52,56 @@ class CAPABILITY("mutex") Mutex {
 };
 
 /// \brief Reader/writer mutex carrying the "shared_mutex" capability.
+///
+/// Writer-preferring: once a writer waits, new readers queue behind it.
+/// std::shared_mutex gives no such guarantee (glibc's rwlock prefers
+/// readers); with it, readers whose shared sections overlap, such as
+/// back-to-back metric scrapes, kept registration waiting indefinitely.
+/// Not recursive: a thread holding the shared lock must not take it
+/// again while a writer may be waiting.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
+  void Lock() ACQUIRE() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++writers_waiting_;
+    writer_cv_.wait(lock, [this] { return !writer_ && readers_ == 0; });
+    --writers_waiting_;
+    writer_ = true;
+  }
+  void Unlock() RELEASE() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      writer_ = false;
+    }
+    writer_cv_.notify_one();
+    reader_cv_.notify_all();
+  }
+  void LockShared() ACQUIRE_SHARED() {
+    std::unique_lock<std::mutex> lock(mu_);
+    reader_cv_.wait(lock,
+                    [this] { return !writer_ && writers_waiting_ == 0; });
+    ++readers_;
+  }
+  void UnlockShared() RELEASE_SHARED() {
+    bool wake_writer = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      wake_writer = --readers_ == 0 && writers_waiting_ > 0;
+    }
+    if (wake_writer) writer_cv_.notify_one();
+  }
 
  private:
-  std::shared_mutex mu_;
+  std::mutex mu_;
+  std::condition_variable reader_cv_;
+  std::condition_variable writer_cv_;
+  int readers_ = 0;          // holders of the shared lock
+  int writers_waiting_ = 0;  // writers blocked in Lock()
+  bool writer_ = false;      // a writer holds the lock
 };
 
 /// \brief RAII exclusive lock (std::lock_guard with annotations).

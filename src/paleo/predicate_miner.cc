@@ -5,6 +5,9 @@
 #include <limits>
 #include <unordered_map>
 
+#include "engine/selection_bitmap.h"
+#include "engine/selection_kernels.h"
+
 namespace paleo {
 
 namespace {
@@ -13,28 +16,12 @@ namespace {
 struct LevelEntry {
   Predicate predicate;
   TupleSet rows;
+  /// `rows` as a bitmap over R' rows, for entries whose level is still
+  /// extended (the atoms always are).
+  SelectionBitmap bits;
   int max_column;  // largest column index among the atoms
   int covered;
 };
-
-/// Coverage bitmap of a tuple set.
-std::vector<uint64_t> CoverageBitmap(const TupleSet& rows,
-                                     const std::vector<uint32_t>& row_entity,
-                                     int num_entities) {
-  std::vector<uint64_t> bits((static_cast<size_t>(num_entities) + 63) / 64,
-                             0);
-  for (RowId r : rows) {
-    uint32_t e = row_entity[r];
-    bits[e >> 6] |= (uint64_t{1} << (e & 63));
-  }
-  return bits;
-}
-
-int Popcount(const std::vector<uint64_t>& bits) {
-  int n = 0;
-  for (uint64_t w : bits) n += __builtin_popcountll(w);
-  return n;
-}
 
 }  // namespace
 
@@ -205,13 +192,25 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
   }
 
   // ---- Levels 2..max: column-increasing extension ----
+  // Entries are intersected as word bitmaps over R' rows: AND, then a
+  // popcount for the size bar. Only an extension that passes it is
+  // turned back into a sorted tuple set for the coverage count.
+  if (options_.max_predicate_size >= 2) {
+    for (LevelEntry& atom : level1) {
+      atom.bits = SelectionBitmap(slice.num_rows());
+      for (RowId r : atom.rows) atom.bits.Set(r);
+    }
+  }
   std::vector<std::vector<LevelEntry>> levels;
   levels.push_back(std::move(level1));
+  SelectionBitmap and_bits;
+  TupleSet and_rows;
+  std::vector<uint64_t> scratch;
   for (int size = 2;
        size <= options_.max_predicate_size && !gate.exhausted(); ++size) {
+    const bool extended_further = size < options_.max_predicate_size;
     const std::vector<LevelEntry>& prev = levels.back();
     std::vector<LevelEntry> next;
-    std::vector<uint64_t> scratch;
     for (const LevelEntry& base : prev) {
       if (gate.exhausted()) break;
       for (const LevelEntry& atom : levels[0]) {
@@ -223,16 +222,20 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
         // generated exactly once and same-column conflicts are
         // impossible.
         if (atom.max_column <= base.max_column) continue;
-        TupleSet rows = IntersectSorted(base.rows, atom.rows);
-        if (static_cast<int>(rows.size()) < required) continue;
-        int covered = CountCoveredEntities(rows, row_entity, m, &scratch);
+        and_bits = base.bits;
+        and_bits.AndWith(atom.bits);
+        if (static_cast<int>(and_bits.CountSet()) < required) continue;
+        and_rows.clear();
+        if (!CollectSelectedRows(and_bits, &gate, &and_rows)) break;
+        int covered = CountCoveredEntities(and_rows, row_entity, m, &scratch);
         if (covered < required) continue;
         auto extended =
             base.predicate.And(atom.predicate.atoms().front());
         if (!extended.ok()) continue;  // unreachable by construction
         LevelEntry entry;
         entry.predicate = std::move(extended).value();
-        entry.rows = std::move(rows);
+        entry.rows = and_rows;
+        if (extended_further) entry.bits = and_bits;
         entry.max_column = atom.max_column;
         entry.covered = covered;
         next.push_back(std::move(entry));
@@ -283,8 +286,8 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
       if (group_id < 0) {
         group_id = static_cast<int>(result.groups.size());
         PredicateGroup group;
-        group.coverage = CoverageBitmap(entry.rows, row_entity, m);
-        group.covered_entities = Popcount(group.coverage);
+        group.covered_entities =
+            CountCoveredEntities(entry.rows, row_entity, m, &group.coverage);
         group.rows = std::move(entry.rows);
         result.groups.push_back(std::move(group));
         groups_by_hash[hash].push_back(group_id);

@@ -77,17 +77,25 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
 
   // ---- Candidate column pre-selection (catalog-based) ----
 
+  // The distinct-count check is sound only where every value of L is a
+  // value the column holds: max, min and unaggregated criteria. An
+  // average, like a sum, takes values the column never holds.
+  auto too_few_distinct = [&](AggFn agg, const ColumnStats& stats) {
+    bool sound =
+        agg == AggFn::kMax || agg == AggFn::kMin || agg == AggFn::kNone;
+    return sound && stats.distinct_count <
+                        static_cast<int64_t>(distinct_input.size());
+  };
+
   // Algorithm 2: min/max/distinct checks, then top-entity intersection.
-  auto top_entity_columns = [&]() {
+  auto top_entity_columns = [&](AggFn agg) {
     std::vector<int> out;
     if (catalog_ == nullptr) return out;
     for (int c : measures) {
       const ColumnStats& stats = catalog_->column_stats(c);
       if (stats.max < input_max) continue;
       if (stats.min > input_min) continue;
-      if (stats.distinct_count <
-          static_cast<int64_t>(distinct_input.size()))
-        continue;
+      if (too_few_distinct(agg, stats)) continue;
       if (catalog_->top_entities(c).CountIntersection(input_entity_codes) >
           0) {
         out.push_back(c);
@@ -124,9 +132,9 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
   };
 
   // Fallback column set: all measures passing the simple checks. The
-  // min/max/distinct filters are sound for max/avg/none criteria but
-  // not for sums (aggregated values exceed single-tuple ranges), so
-  // sums skip them.
+  // min/max filters are sound for max/avg/none criteria but not for
+  // sums (aggregated values exceed single-tuple ranges), so sums skip
+  // them; the distinct filter applies where it is sound (above).
   auto fallback_columns = [&](AggFn agg) {
     std::vector<int> out;
     bool filter = agg == AggFn::kMax || agg == AggFn::kAvg ||
@@ -136,9 +144,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
         const ColumnStats& stats = catalog_->column_stats(c);
         if (agg != AggFn::kMin && stats.max < input_max) continue;
         if (agg != AggFn::kMin && stats.min > input_min) continue;
-        if (stats.distinct_count <
-            static_cast<int64_t>(distinct_input.size()))
-          continue;
+        if (too_few_distinct(agg, stats)) continue;
       }
       out.push_back(c);
     }
@@ -162,6 +168,67 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
   }
 
   const std::vector<uint32_t>& row_entity = rprime_.row_entity();
+  const std::vector<std::string>& names = rprime_.entity_names();
+  auto precedes = [ascending](double a, double b) {
+    return ascending ? a < b : a > b;
+  };
+
+  // Complete mode keeps a criterion only when its ranked list is
+  // InstanceEquals to L, and that test begins by comparing the lengths
+  // and then the leading values. Both are known in O(m) before any sort
+  // (the length is the number of ranked items, the leading value their
+  // extremum in the ranking direction), so a criterion failing either
+  // is rejected here; survivors take the full test. A NaN breaks the
+  // sort's strict weak order, so the sorted list need not lead with the
+  // extremum, and criteria with a NaN value skip this check.
+  const double input_lead = input.entry(0).value;
+  auto rejected_early = [&](size_t ranked_size, double lead, bool saw_nan) {
+    return assume_complete && !saw_nan &&
+           (ranked_size != k ||
+            !ValuesClose(lead, input_lead, options_.rel_eps));
+  };
+
+  // Per-evaluation buffers, allocated once for the whole walk.
+  std::vector<AggState> states(static_cast<size_t>(m));
+  std::vector<double> per_entity(static_cast<size_t>(m));
+  std::vector<int64_t> counts(static_cast<size_t>(m));
+  std::vector<std::pair<double, int>> ranked_entities;
+  std::vector<std::pair<double, RowId>> ranked_rows;
+  // The two-column stage's column-wise copy of one tuple set.
+  std::vector<uint32_t> row_e;
+  std::vector<std::vector<double>> vals(measures.size());
+  std::vector<std::vector<double>> col_sums(measures.size());
+
+  // Ranks the covered entities (counts[e] > 0) by per_entity[e] and
+  // compares the ranking with L; uncovered entities rank nowhere.
+  auto rank_entities = [&](RankingCandidate* cand) {
+    ranked_entities.clear();
+    bool saw_nan = false;
+    double lead = 0.0;
+    for (int e = 0; e < m; ++e) {
+      if (counts[static_cast<size_t>(e)] == 0) continue;
+      double v = per_entity[static_cast<size_t>(e)];
+      saw_nan |= std::isnan(v);
+      if (ranked_entities.empty() || precedes(v, lead)) lead = v;
+      ranked_entities.emplace_back(v, e);
+    }
+    if (rejected_early(ranked_entities.size(), lead, saw_nan)) return false;
+    std::sort(ranked_entities.begin(), ranked_entities.end(),
+              [&](const auto& a, const auto& b) {
+                if (a.first != b.first) return precedes(a.first, b.first);
+                return names[static_cast<size_t>(a.second)] <
+                       names[static_cast<size_t>(b.second)];
+              });
+    TopKList ranked;
+    for (const auto& [v, e] : ranked_entities) {
+      ranked.Append(names[static_cast<size_t>(e)], v);
+    }
+    cand->exact = ranked.InstanceEquals(input, options_.rel_eps);
+    // Entity-aligned distance: uncovered entities keep value 0 and pay
+    // their full input value.
+    cand->distance = NormalizedL1(per_entity, rprime_.entity_values());
+    return assume_complete ? cand->exact : true;
+  };
 
   // Evaluates (expr, agg) over a tuple set; returns the candidate if it
   // qualifies (exact in complete mode, scored otherwise).
@@ -174,24 +241,30 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
 
     if (agg == AggFn::kNone) {
       // Rank individual tuples.
-      std::vector<std::pair<double, RowId>> scored;
-      scored.reserve(rows.size());
-      for (RowId r : rows) scored.emplace_back(expr.Eval(slice, r), r);
-      std::sort(scored.begin(), scored.end(), [&](const auto& a,
-                                                  const auto& b) {
-        if (a.first != b.first)
-          return ascending ? a.first < b.first : a.first > b.first;
-        const std::string& na =
-            rprime_.entity_names()[row_entity[a.second]];
-        const std::string& nb =
-            rprime_.entity_names()[row_entity[b.second]];
-        if (na != nb) return na < nb;
-        return a.second < b.second;
-      });
-      if (scored.size() > k) scored.resize(k);
+      ranked_rows.clear();
+      bool saw_nan = false;
+      double lead = 0.0;
+      for (RowId r : rows) {
+        double v = expr.Eval(slice, r);
+        saw_nan |= std::isnan(v);
+        if (ranked_rows.empty() || precedes(v, lead)) lead = v;
+        ranked_rows.emplace_back(v, r);
+      }
+      if (rejected_early(std::min(ranked_rows.size(), k), lead, saw_nan)) {
+        return {false, cand};
+      }
+      std::sort(ranked_rows.begin(), ranked_rows.end(),
+                [&](const auto& a, const auto& b) {
+                  if (a.first != b.first) return precedes(a.first, b.first);
+                  const std::string& na = names[row_entity[a.second]];
+                  const std::string& nb = names[row_entity[b.second]];
+                  if (na != nb) return na < nb;
+                  return a.second < b.second;
+                });
+      if (ranked_rows.size() > k) ranked_rows.resize(k);
       TopKList ranked;
-      for (const auto& [v, r] : scored) {
-        ranked.Append(rprime_.entity_names()[row_entity[r]], v);
+      for (const auto& [v, r] : ranked_rows) {
+        ranked.Append(names[row_entity[r]], v);
       }
       cand.exact = ranked.InstanceEquals(input, options_.rel_eps);
       // Unlike grouped criteria (whose values are entity-aligned), row
@@ -210,68 +283,21 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     }
 
     // Grouped aggregation per input entity.
-    std::vector<AggState> states(static_cast<size_t>(m));
+    std::fill(states.begin(), states.end(), AggState());
     for (RowId r : rows) {
       states[row_entity[r]].Add(expr.Eval(slice, r));
     }
-    std::vector<double> per_entity(static_cast<size_t>(m), 0.0);
-    std::vector<std::pair<double, int>> ranked_entities;
     for (int e = 0; e < m; ++e) {
       const AggState& st = states[static_cast<size_t>(e)];
-      if (st.count == 0) continue;
-      double v = st.Finish(agg);
-      if (agg == AggFn::kSum) v *= sum_scale[static_cast<size_t>(e)];
+      counts[static_cast<size_t>(e)] = st.count;
+      double v = 0.0;
+      if (st.count > 0) {
+        v = st.Finish(agg);
+        if (agg == AggFn::kSum) v *= sum_scale[static_cast<size_t>(e)];
+      }
       per_entity[static_cast<size_t>(e)] = v;
-      ranked_entities.emplace_back(v, e);
     }
-    std::sort(ranked_entities.begin(), ranked_entities.end(),
-              [&](const auto& a, const auto& b) {
-                if (a.first != b.first)
-                  return ascending ? a.first < b.first : a.first > b.first;
-                return rprime_.entity_names()[static_cast<size_t>(a.second)] <
-                       rprime_.entity_names()[static_cast<size_t>(b.second)];
-              });
-    TopKList ranked;
-    for (const auto& [v, e] : ranked_entities) {
-      ranked.Append(rprime_.entity_names()[static_cast<size_t>(e)], v);
-    }
-    cand.exact = ranked.InstanceEquals(input, options_.rel_eps);
-    // Entity-aligned distance: uncovered entities keep value 0 and pay
-    // their full input value.
-    cand.distance = NormalizedL1(per_entity, rprime_.entity_values());
-    bool keep = assume_complete ? cand.exact : true;
-    return {keep, cand};
-  };
-
-  // Builds a scored candidate from already-aggregated per-entity
-  // values (entities with count 0 are uncovered and rank nowhere).
-  auto score_entity_values = [&](const std::vector<double>& per_entity,
-                                 const std::vector<int64_t>& counts,
-                                 const RankExpr& expr, AggFn agg)
-      -> std::pair<bool, RankingCandidate> {
-    ++info->tuple_set_evaluations;
-    RankingCandidate cand;
-    cand.expr = expr;
-    cand.agg = agg;
-    std::vector<std::pair<double, int>> ranked_entities;
-    for (int e = 0; e < m; ++e) {
-      if (counts[static_cast<size_t>(e)] == 0) continue;
-      ranked_entities.emplace_back(per_entity[static_cast<size_t>(e)], e);
-    }
-    std::sort(ranked_entities.begin(), ranked_entities.end(),
-              [&](const auto& a, const auto& b) {
-                if (a.first != b.first)
-                  return ascending ? a.first < b.first : a.first > b.first;
-                return rprime_.entity_names()[static_cast<size_t>(a.second)] <
-                       rprime_.entity_names()[static_cast<size_t>(b.second)];
-              });
-    TopKList ranked;
-    for (const auto& [v, e] : ranked_entities) {
-      ranked.Append(rprime_.entity_names()[static_cast<size_t>(e)], v);
-    }
-    cand.exact = ranked.InstanceEquals(input, options_.rel_eps);
-    cand.distance = NormalizedL1(per_entity, rprime_.entity_values());
-    bool keep = assume_complete ? cand.exact : true;
+    bool keep = rank_entities(&cand);
     return {keep, cand};
   };
 
@@ -296,6 +322,15 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
           rankings[g].candidates.push_back(std::move(scored.second));
         }
       };
+      // Scores a sum(A+B) / sum(A*B) pair from per_entity and counts.
+      auto emit_pair = [&](const RankExpr& expr) {
+        ++info->tuple_set_evaluations;
+        RankingCandidate cand;
+        cand.expr = expr;
+        cand.agg = AggFn::kSum;
+        bool keep = rank_entities(&cand);
+        emit({keep, std::move(cand)});
+      };
       if (stage.two_column) {
         // Materialize the tuple set column-wise once: contiguous value
         // arrays make the per-pair product passes pure array math, and
@@ -304,12 +339,8 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
         // sum(A*B) pairs scan the materialized arrays (products do not
         // decompose).
         const size_t n_rows = rows.size();
-        std::vector<int64_t> counts(static_cast<size_t>(m), 0);
-        std::vector<uint32_t> row_e(n_rows);
-        std::vector<std::vector<double>> vals(
-            measures.size(), std::vector<double>(n_rows));
-        std::vector<std::vector<double>> col_sums(
-            measures.size(), std::vector<double>(static_cast<size_t>(m)));
+        std::fill(counts.begin(), counts.end(), 0);
+        row_e.resize(n_rows);
         for (size_t ri = 0; ri < n_rows; ++ri) {
           uint32_t e = row_entity[rows[ri]];
           row_e[ri] = e;
@@ -319,13 +350,14 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
           const Column& col = slice.column(measures[ci]);
           std::vector<double>& v = vals[ci];
           std::vector<double>& s = col_sums[ci];
+          v.resize(n_rows);
+          s.assign(static_cast<size_t>(m), 0.0);
           for (size_t ri = 0; ri < n_rows; ++ri) {
             double x = col.NumericAt(rows[ri]);
             v[ri] = x;
             s[row_e[ri]] += x;
           }
         }
-        std::vector<double> per_entity(static_cast<size_t>(m));
         for (size_t i = 0; i < measures.size() && !gate.exhausted(); ++i) {
           for (size_t j = i + 1; j < measures.size(); ++j) {
             if (gate.Tick() != TerminationReason::kCompleted) break;
@@ -337,8 +369,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
                   per_entity[eu] =
                       (col_sums[i][eu] + col_sums[j][eu]) * sum_scale[eu];
                 }
-                emit(score_entity_values(per_entity, counts, expr,
-                                         AggFn::kSum));
+                emit_pair(expr);
               }
             }
             if (options_.enable_product_of_two) {
@@ -354,8 +385,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
                   per_entity[static_cast<size_t>(e)] *=
                       sum_scale[static_cast<size_t>(e)];
                 }
-                emit(score_entity_values(per_entity, counts, expr,
-                                         AggFn::kSum));
+                emit_pair(expr);
               }
             }
           }
@@ -396,24 +426,21 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     plan.push_back({AggFn::kSum, Technique::kRPrimeFallback, true});
   }
 
-  // Lazily computed candidate column sets.
-  std::vector<int> top_cols, hist_cols;
-  bool top_cols_ready = false, hist_cols_ready = false;
+  // Lazily computed histogram column set (unlike the top-entity
+  // columns, it does not depend on the aggregate).
+  std::vector<int> hist_cols;
+  bool hist_cols_ready = false;
 
   for (const Stage& stage : plan) {
     if (gate.exhausted()) break;
     std::vector<int> columns;
     switch (stage.technique) {
       case Technique::kTopEntities:
-        if (!top_cols_ready) {
-          top_cols = top_entity_columns();
-          top_cols_ready = true;
-        }
-        if (top_cols.empty()) continue;
+        columns = top_entity_columns(stage.agg);
+        if (columns.empty()) continue;
         info->used_top_entities = true;
         info->top_entity_candidate_columns =
-            static_cast<int>(top_cols.size());
-        columns = top_cols;
+            static_cast<int>(columns.size());
         break;
       case Technique::kHistogram:
         if (!hist_cols_ready) {

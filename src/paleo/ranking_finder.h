@@ -10,7 +10,9 @@
 //
 // With a complete R' a criterion qualifies only if its ranked result
 // over the tuple set is *identical* to L (Definition 2), and the walk
-// stops at the first technique producing valid criteria. Under
+// stops at the first technique producing valid criteria; a criterion
+// whose ranked length or leading value already differs from L's is
+// rejected before its ranking is sorted. Under
 // sampling every criterion is scored by the normalized L1 distance
 // between its (approximated) per-entity values and L's values; sums
 // are scaled per entity by total/seen tuple counts (Section 6.2).

@@ -60,15 +60,15 @@ TupleSet IntersectSorted(const TupleSet& a, const TupleSet& b) {
 
 int CountCoveredEntities(const TupleSet& set,
                          const std::vector<uint32_t>& row_entity,
-                         int num_entities, std::vector<uint64_t>* scratch) {
+                         int num_entities, std::vector<uint64_t>* coverage) {
   size_t words = (static_cast<size_t>(num_entities) + 63) / 64;
-  scratch->assign(words, 0);
+  coverage->assign(words, 0);
   for (RowId row : set) {
     uint32_t e = row_entity[row];
-    (*scratch)[e >> 6] |= (uint64_t{1} << (e & 63));
+    (*coverage)[e >> 6] |= (uint64_t{1} << (e & 63));
   }
   int covered = 0;
-  for (uint64_t w : *scratch) covered += __builtin_popcountll(w);
+  for (uint64_t w : *coverage) covered += __builtin_popcountll(w);
   return covered;
 }
 

@@ -25,11 +25,12 @@ TupleSet IntersectSorted(const TupleSet& a, const TupleSet& b);
 
 /// Number of distinct entities (by local entity index) covered by the
 /// rows of `set`. `row_entity` maps local row -> entity index,
-/// `num_entities` bounds the indices; `scratch` must hold
-/// ceil(num_entities / 64) words and is cleared on entry.
+/// `num_entities` bounds the indices. `coverage` is overwritten with the
+/// coverage bitmap: ceil(num_entities / 64) words, bit e set iff entity
+/// e has a row in `set`.
 int CountCoveredEntities(const TupleSet& set,
                          const std::vector<uint32_t>& row_entity,
-                         int num_entities, std::vector<uint64_t>* scratch);
+                         int num_entities, std::vector<uint64_t>* coverage);
 
 /// FNV-style hash of a tuple set (for grouping identical sets).
 uint64_t HashTupleSet(const TupleSet& set);

@@ -4,6 +4,7 @@
 
 #include "datagen/traffic_gen.h"
 #include "engine/executor.h"
+#include "paleo/paleo.h"
 #include "paleo/predicate_miner.h"
 #include "paleo/ranking_finder.h"
 #include "stats/catalog.h"
@@ -246,6 +247,50 @@ TEST(RankingFinderTest, EmptyGroupsYieldEmptyRankings) {
   auto rankings = finder.Find({}, PaperList(), true);
   ASSERT_TRUE(rankings.ok());
   EXPECT_TRUE(rankings->empty());
+}
+
+// A per-entity average takes values its column never holds: here avg(a)
+// over a 0/1 column ranks with four distinct values. The distinct-count
+// check used to prune `a` for avg as well as max, leaving no candidate.
+TEST(RankingFinderTest, AvgNotPrunedByDistinctCount) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"a", DataType::kInt64, FieldRole::kMeasure},
+      {"b", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  // Entity i has 4 - i ones among its 4 rows (none for i >= 4); b
+  // steps from 0.2 by 0.8 / 24 per row.
+  int row = 0;
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 4; ++j, ++row) {
+      ASSERT_TRUE(table
+                      .AppendRow({Value::String("E" + std::to_string(i)),
+                                  Value::String("x"),
+                                  Value::Int64(j < 4 - i ? 1 : 0),
+                                  Value::Double(0.2 + 0.8 / 24 * row)})
+                      .ok());
+    }
+  }
+  TopKQuery hidden;
+  hidden.predicate = Predicate({AtomicPredicate(1, Value::String("x"))});
+  hidden.expr = RankExpr::Column(2);
+  hidden.agg = AggFn::kAvg;
+  hidden.k = 4;
+  Executor ex;
+  auto list = ex.Execute(table, hidden, ExecContext{});
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->Values(), (std::vector<double>{1.0, 0.75, 0.5, 0.25}));
+
+  Paleo paleo(&table, PaleoOptions{});
+  RunRequest request;
+  request.input = &*list;
+  auto report = paleo.Run(request);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->found());
+  EXPECT_TRUE(report->valid[0].query.SameRanking(hidden));
 }
 
 }  // namespace
