@@ -1,32 +1,32 @@
 #!/usr/bin/env bash
 # Runs a google-benchmark binary and writes its machine-readable results
 # as JSON, then prints a comparison summary appropriate for the binary:
-#   bench_paleo           -> obs overhead vs the obs-off baseline
 #   bench_vectorized_exec -> scalar vs vectorized(+cache) speedups
 #   bench_scan_parallel   -> sequential vs morsel-parallel full scans
 #                            + zone-map skip ablation
-#   bench_ingest          -> serving-while-ingesting vs static serving
-#                            (<= 20% acceptance) + publish latencies
 #   bench_fig5_* / bench_fig6_*
-#                         -> threshold-pruning + shared-aggregation
-#                            ablation (off vs on validation wall-clock;
-#                            these are figure binaries, not
-#                            google-benchmark — JSON comes from the
-#                            binary's own PALEO_JSON_OUT writer)
+#                         -> threshold-pruning ablation (off vs on
+#                            validation wall-clock; these are figure
+#                            binaries, not google-benchmark — JSON comes
+#                            from the binary's own PALEO_JSON_OUT writer)
+#
+# End-to-end and per-layer performance (observability overhead, serving
+# while ingesting, snapshot publish latency) is measured by
+# perfbench/run.py; see perfbench/README.md.
 #
 #   bench/run_benchmarks.sh [output.json]
 #
 # Environment:
 #   BUILD_DIR      cmake build tree (default: build)
-#   BENCH_BIN      benchmark binary name (default: bench_paleo)
+#   BENCH_BIN      benchmark binary name (default: bench_vectorized_exec)
 #   BENCH_ARGS     extra google-benchmark flags, e.g.
 #                  "--benchmark_repetitions=5"
 #   PALEO_SF etc.  forwarded to the bench fixture (see bench_env.h)
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
-BENCH_BIN="${BENCH_BIN:-bench_paleo}"
-OUT="${1:-BENCH_pr3.json}"
+BENCH_BIN="${BENCH_BIN:-bench_vectorized_exec}"
+OUT="${1:-${BUILD_DIR}/${BENCH_BIN}.json}"
 BIN="${BUILD_DIR}/bench/${BENCH_BIN}"
 
 if [[ ! -x "${BIN}" ]]; then
@@ -50,7 +50,7 @@ for c in cells:
     print(f"{c['dataset']} {c['family']} |P|={c['predicate_size']}: "
           f"{c['speedup']:.2f}x validation speedup "
           f"({c['validation_ms_off']:.1f} ms -> "
-          f"{c['validation_ms_on']:.1f} ms, "
+          f"{c['validation_ms_prune']:.1f} ms, "
           f"refuted {c['refuted_early']}, "
           f"rows saved {c['rows_saved']})")
 if cells:
@@ -85,14 +85,6 @@ for b in data["benchmarks"]:
     if b.get("run_type", "iteration") == "iteration":
         times.setdefault(b["name"], []).append(b["real_time"])
 
-base = times.get("BM_ReverseEngineer_ObsOff")
-if base:
-    for name in ("BM_ReverseEngineer_Metrics",
-                 "BM_ReverseEngineer_MetricsAndTrace"):
-        if name in times:
-            pct = (median(times[name]) / median(base) - 1.0) * 100.0
-            print(f"{name}: {pct:+.2f}% vs obs-off baseline (medians)")
-
 for family in ("BM_RepeatedCandidates", "BM_CountMatching"):
     scalar = times.get(f"{family}_Scalar")
     if not scalar:
@@ -116,17 +108,5 @@ if noskip and skip:
     speedup = median(noskip) / median(skip)
     print(f"BM_SelectiveScan_ZoneSkip: {speedup:.2f}x vs "
           f"BM_SelectiveScan_NoSkip (medians)")
-
-static_serve = times.get("BM_ServeStatic")
-live_serve = times.get("BM_ServeWhileIngesting")
-if static_serve and live_serve:
-    ratio = (median(live_serve) / median(static_serve) - 1.0) * 100.0
-    verdict = "OK (<= 20%)" if ratio <= 20.0 else "REGRESSION (> 20%)"
-    print(f"BM_ServeWhileIngesting: {ratio:+.2f}% vs BM_ServeStatic "
-          f"(medians) - {verdict}")
-for name, runs in sorted(times.items()):
-    if name.startswith("BM_IngestPublish_"):
-        print(f"{name}: publish latency median "
-              f"{median(runs) / 1e6:.3f} ms")
 EOF
 fi

@@ -26,8 +26,7 @@
 // (Why a mutex and not std::atomic<shared_ptr>? libstdc++'s _Sp_atomic
 // guards its pointer with an embedded lock bit that ThreadSanitizer
 // cannot see through — every store/load pair reports as a race. The
-// hand-off is two pointer copies under a never-held-long lock; the
-// cost is not measurable in bench_ingest.)
+// hand-off is two pointer copies under a never-held-long lock.)
 //
 // Thread-safe: Current() from any thread; ingestion from any thread,
 // serialized internally. A snapshot itself is immutable and safely

@@ -6,53 +6,26 @@
 
 namespace paleo {
 
-namespace {
-
-/// Mixes one atom's identity into a running hash (the same field walk
-/// for both key kinds, so the two tiers hash consistently).
-uint64_t MixAtom(uint64_t h, const AtomicPredicate& atom) {
-  h ^= static_cast<uint64_t>(atom.column) * 0xC2B2AE3D27D4EB4FULL;
-  h = (h << 17) | (h >> 47);
-  h ^= static_cast<uint64_t>(atom.kind);
-  h ^= atom.value.Hash();
-  if (atom.is_range()) {
-    h = (h << 9) | (h >> 55);
-    h ^= atom.high.Hash();
-  }
-  return h;
-}
-
-uint64_t MixEpochChunk(uint64_t epoch, uint32_t chunk) {
-  uint64_t h = epoch * 0x9E3779B97F4A7C15ULL;
-  h ^= (static_cast<uint64_t>(chunk) + 0x165667B19E3779F9ULL) *
+size_t AtomSelectionCache::KeyHash::operator()(const Key& k) const {
+  uint64_t h = k.epoch * 0x9E3779B97F4A7C15ULL;
+  h ^= (static_cast<uint64_t>(k.chunk) + 0x165667B19E3779F9ULL) *
        0x27D4EB2F165667C5ULL;
-  return h;
-}
-
-}  // namespace
-
-size_t AtomSelectionCache::AtomKeyHash::operator()(const AtomKey& k) const {
-  uint64_t h = MixEpochChunk(k.epoch, k.chunk);
-  h = MixAtom(h, k.atom);
-  return static_cast<size_t>(h * 0xFF51AFD7ED558CCDULL);
-}
-
-size_t AtomSelectionCache::ConjKeyHash::operator()(const ConjKey& k) const {
-  uint64_t h = MixEpochChunk(k.epoch, k.chunk);
-  h ^= k.partials_tier ? 0x94D049BB133111EBULL : 0;
-  for (const AtomicPredicate& atom : k.atoms) {
-    h = (h << 13) | (h >> 51);
-    h = MixAtom(h, atom);
+  h ^= static_cast<uint64_t>(k.atom.column) * 0xC2B2AE3D27D4EB4FULL;
+  h = (h << 17) | (h >> 47);
+  h ^= static_cast<uint64_t>(k.atom.kind);
+  h ^= k.atom.value.Hash();
+  if (k.atom.is_range()) {
+    h = (h << 9) | (h >> 55);
+    h ^= k.atom.high.Hash();
   }
-  h ^= k.expr.Hash() * 0xBF58476D1CE4E5B9ULL;
   return static_cast<size_t>(h * 0xFF51AFD7ED558CCDULL);
 }
 
 std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Lookup(
     uint64_t epoch, uint32_t chunk, const AtomicPredicate& atom) {
   MutexLock lock(mutex_);
-  auto it = atom_index_.find(AtomKey{epoch, chunk, atom});
-  if (it == atom_index_.end()) {
+  auto it = index_.find(Key{epoch, chunk, atom});
+  if (it == index_.end()) {
     ++misses_;
     obs::Inc(metrics_.misses);
     return nullptr;
@@ -64,72 +37,12 @@ std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Lookup(
   return it->second->bitmap;
 }
 
-std::shared_ptr<const SelectionBitmap> AtomSelectionCache::LookupConjunction(
-    uint64_t epoch, uint32_t chunk,
-    const std::vector<AtomicPredicate>& atoms) {
-  MutexLock lock(mutex_);
-  auto it = conj_index_.find(
-      ConjKey{epoch, chunk, /*partials_tier=*/false, atoms, RankExpr{}});
-  if (it == conj_index_.end()) {
-    ++conjunction_misses_;
-    obs::Inc(metrics_.conjunction_misses);
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++conjunction_hits_;
-  obs::Inc(metrics_.conjunction_hits);
-  return it->second->bitmap;
-}
-
-std::shared_ptr<const CachedChunkPartials> AtomSelectionCache::LookupPartials(
-    uint64_t epoch, uint32_t chunk,
-    const std::vector<AtomicPredicate>& atoms, const RankExpr& expr) {
-  MutexLock lock(mutex_);
-  auto it = conj_index_.find(
-      ConjKey{epoch, chunk, /*partials_tier=*/true, atoms, expr});
-  if (it == conj_index_.end()) {
-    ++conjunction_misses_;
-    obs::Inc(metrics_.conjunction_misses);
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++conjunction_hits_;
-  obs::Inc(metrics_.conjunction_hits);
-  return it->second->partials;
-}
-
-bool AtomSelectionCache::InsertAllocFault() {
-  // Chaos hook: behave exactly as if the shared-copy allocation threw.
-  // One site serves all three Insert flavors so the chaos suite's
-  // pressure ladder exercises every payload kind through one name.
-  return PALEO_FAULT_POINT("atom-cache.insert.alloc").alloc_failure();
-}
-
-void AtomSelectionCache::NotePressure() {
-  // Memory pressure: shrink retention (freeing resident payloads); the
-  // caller then hands out an unretained copy — degrade, do not fail.
-  MutexLock lock(mutex_);
-  ShrinkOnPressureLocked();
-  obs::Set(metrics_.resident_bytes, static_cast<int64_t>(resident_bytes_));
-}
-
-void AtomSelectionCache::CommitEntryLocked(Entry entry) {
-  const size_t bytes = entry.bytes;
-  lru_.push_front(std::move(entry));
-  if (lru_.front().conjunction_tier) {
-    conj_index_[lru_.front().ckey] = lru_.begin();
-  } else {
-    atom_index_[lru_.front().akey] = lru_.begin();
-  }
-  resident_bytes_ += bytes;
-  EvictLocked();
-  obs::Set(metrics_.resident_bytes, static_cast<int64_t>(resident_bytes_));
-}
-
 std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Insert(
     uint64_t epoch, uint32_t chunk, const AtomicPredicate& atom,
     SelectionBitmap bitmap) {
-  bool alloc_failed = InsertAllocFault();
+  // Chaos hook: behave exactly as if the shared-copy allocation threw.
+  bool alloc_failed =
+      PALEO_FAULT_POINT("atom-cache.insert.alloc").alloc_failure();
   std::shared_ptr<const SelectionBitmap> shared;
   if (!alloc_failed) {
     try {
@@ -140,7 +53,14 @@ std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Insert(
     }
   }
   if (alloc_failed) {
-    NotePressure();
+    // Memory pressure: shrink retention (freeing resident bitmaps) and
+    // hand the caller an unretained copy — degrade, do not fail.
+    {
+      MutexLock lock(mutex_);
+      ShrinkOnPressureLocked();
+      obs::Set(metrics_.resident_bytes,
+               static_cast<int64_t>(resident_bytes_));
+    }
     // With evicted entries released this allocation normally succeeds;
     // a genuine out-of-memory still propagates (nothing sane is left).
     return std::make_shared<const SelectionBitmap>(std::move(bitmap));
@@ -149,94 +69,20 @@ std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Insert(
     return shared;  // retention disabled (configured off or degraded)
   }
   MutexLock lock(mutex_);
-  AtomKey key{epoch, chunk, atom};
-  auto it = atom_index_.find(key);
-  if (it != atom_index_.end()) {
+  Key key{epoch, chunk, atom};
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     // Another thread computed the same atom concurrently; first insert
     // wins so every consumer shares one copy.
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->bitmap;
   }
-  Entry entry;
-  entry.conjunction_tier = false;
-  entry.akey = key;
-  entry.bitmap = shared;
-  entry.bytes = shared->MemoryUsage();
-  CommitEntryLocked(std::move(entry));
-  return shared;
-}
-
-std::shared_ptr<const SelectionBitmap> AtomSelectionCache::InsertConjunction(
-    uint64_t epoch, uint32_t chunk,
-    const std::vector<AtomicPredicate>& atoms, SelectionBitmap bitmap) {
-  bool alloc_failed = InsertAllocFault();
-  std::shared_ptr<const SelectionBitmap> shared;
-  if (!alloc_failed) {
-    try {
-      shared = std::make_shared<const SelectionBitmap>(std::move(bitmap));
-    } catch (const std::bad_alloc&) {
-      alloc_failed = true;
-    }
-  }
-  if (alloc_failed) {
-    NotePressure();
-    return std::make_shared<const SelectionBitmap>(std::move(bitmap));
-  }
-  if (byte_budget_ == 0 || under_pressure()) {
-    return shared;
-  }
-  MutexLock lock(mutex_);
-  ConjKey key{epoch, chunk, /*partials_tier=*/false, atoms, RankExpr{}};
-  auto it = conj_index_.find(key);
-  if (it != conj_index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->bitmap;
-  }
-  Entry entry;
-  entry.conjunction_tier = true;
-  entry.ckey = std::move(key);
-  entry.bitmap = shared;
-  entry.bytes = shared->MemoryUsage() +
-                atoms.size() * sizeof(AtomicPredicate);
-  CommitEntryLocked(std::move(entry));
-  return shared;
-}
-
-std::shared_ptr<const CachedChunkPartials> AtomSelectionCache::InsertPartials(
-    uint64_t epoch, uint32_t chunk,
-    const std::vector<AtomicPredicate>& atoms, const RankExpr& expr,
-    CachedChunkPartials partials) {
-  bool alloc_failed = InsertAllocFault();
-  std::shared_ptr<const CachedChunkPartials> shared;
-  if (!alloc_failed) {
-    try {
-      shared =
-          std::make_shared<const CachedChunkPartials>(std::move(partials));
-    } catch (const std::bad_alloc&) {
-      alloc_failed = true;
-    }
-  }
-  if (alloc_failed) {
-    NotePressure();
-    return std::make_shared<const CachedChunkPartials>(std::move(partials));
-  }
-  if (byte_budget_ == 0 || under_pressure()) {
-    return shared;
-  }
-  MutexLock lock(mutex_);
-  ConjKey key{epoch, chunk, /*partials_tier=*/true, atoms, expr};
-  auto it = conj_index_.find(key);
-  if (it != conj_index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->partials;
-  }
-  Entry entry;
-  entry.conjunction_tier = true;
-  entry.ckey = std::move(key);
-  entry.partials = shared;
-  entry.bytes =
-      shared->MemoryUsage() + atoms.size() * sizeof(AtomicPredicate);
-  CommitEntryLocked(std::move(entry));
+  const size_t bytes = shared->MemoryUsage();
+  lru_.push_front(Entry{key, shared, bytes});
+  index_[std::move(key)] = lru_.begin();
+  resident_bytes_ += bytes;
+  EvictLocked();
+  obs::Set(metrics_.resident_bytes, static_cast<int64_t>(resident_bytes_));
   return shared;
 }
 
@@ -244,11 +90,7 @@ void AtomSelectionCache::EvictLocked() {
   while (resident_bytes_ > effective_budget_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
     resident_bytes_ -= victim.bytes;
-    if (victim.conjunction_tier) {
-      conj_index_.erase(victim.ckey);
-    } else {
-      atom_index_.erase(victim.akey);
-    }
+    index_.erase(victim.key);
     lru_.pop_back();
     ++evictions_;
     obs::Inc(metrics_.evictions);
@@ -274,8 +116,6 @@ AtomSelectionCache::Stats AtomSelectionCache::stats() const {
   Stats s;
   s.hits = hits_;
   s.misses = misses_;
-  s.conjunction_hits = conjunction_hits_;
-  s.conjunction_misses = conjunction_misses_;
   s.evictions = evictions_;
   s.pressure_events = pressure_events_;
   s.resident_bytes = resident_bytes_;

@@ -69,19 +69,6 @@ struct ExecContext {
   /// execution's full result would NOT have been accepted, so callers
   /// treat refutation as an ordinary rejection.
   const ThresholdMonitor* threshold = nullptr;
-
-  /// Share per-chunk work ACROSS candidate queries through the
-  /// attached `cache`'s conjunction tiers: whole-conjunction selection
-  /// bitmaps, and per-group partial aggregates keyed by
-  /// (epoch, chunk, conjunction, expression) — an apriori parent's
-  /// grouped partials computed once are served to every child
-  /// candidate reusing the pair. Served chunks skip their scan
-  /// entirely (their rows do not enter rows_scanned); the merged
-  /// result stays byte-identical because cached partials are exactly
-  /// the canonical per-chunk partials. Off by default: raw executor
-  /// users keep strict per-execution accounting; the validator turns
-  /// it on via PaleoOptions::share_aggregates.
-  bool share_aggregates = false;
 };
 
 }  // namespace paleo

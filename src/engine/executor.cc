@@ -78,28 +78,12 @@ struct ChunkOutcome {
   /// The scanner fully handled this chunk (skip or scan); outcomes of
   /// unclaimed / interrupted chunks stay false and must be ignored.
   bool completed = false;
-  /// The chunk's grouped partials were served from the conjunction
-  /// cache: touched/partials are populated but no row was scanned
-  /// (visited stays 0 and the chunk is not a processed morsel).
-  bool served = false;
   /// Rows visited by the consumption pass (rows_scanned accounting).
   size_t visited = 0;
   size_t match_count = 0;              // kCount
   std::vector<HeapEntry> row_entries;  // kRows: scores at absolute rows
   std::vector<uint32_t> touched;       // kGroups: codes, first-touch order
   std::vector<AggState> partials;      // kGroups: parallel to `touched`
-  /// When the chunk's partials live in the conjunction cache (served
-  /// from it, or donated to it on insert), the shared payload replaces
-  /// the inline vectors — sharing a chunk is then pointer adoption,
-  /// never a copy. Read through GroupTouched()/GroupPartials().
-  std::shared_ptr<const CachedChunkPartials> shared_partials;
-
-  const std::vector<uint32_t>& GroupTouched() const {
-    return shared_partials != nullptr ? shared_partials->touched : touched;
-  }
-  const std::vector<AggState>& GroupPartials() const {
-    return shared_partials != nullptr ? shared_partials->partials : partials;
-  }
 };
 
 /// Per-worker reusable scan state: the dense group array is allocated
@@ -120,7 +104,7 @@ class ChunkScanner {
   ChunkScanner(const Table& table, const TableView& view,
                const Predicate& predicate, const BoundPredicate& bound,
                ScanMode mode, const TopKQuery* query, bool vectorized,
-               bool zone_skip, AtomSelectionCache* cache, bool share)
+               bool zone_skip, AtomSelectionCache* cache)
       : table_(table),
         view_(view),
         predicate_(predicate),
@@ -130,7 +114,6 @@ class ChunkScanner {
         vectorized_(vectorized),
         zone_skip_(zone_skip),
         cache_(cache),
-        share_(share && cache != nullptr),
         epoch_(view.epoch()),
         entity_codes_(table.entity_column().codes().data()),
         dict_size_(table.entity_column().dict()->size()) {}
@@ -146,40 +129,10 @@ class ChunkScanner {
       out->completed = true;
       return true;
     }
-    // Partials tier: a lattice neighbor already computed this chunk's
-    // grouped partials for the same (conjunction, expression) pair —
-    // adopt the canonical partials and skip the scan (visited stays 0;
-    // the cached form IS what the rank-order merge consumes, so the
-    // merged result is byte-identical with a scanned chunk).
-    const bool share_partials = share_ && mode_ == ScanMode::kGroups;
-    if (share_partials) {
-      std::shared_ptr<const CachedChunkPartials> cached =
-          cache_->LookupPartials(epoch_, static_cast<uint32_t>(chunk_index),
-                                 predicate_.atoms(), query_->expr);
-      if (cached != nullptr) {
-        out->shared_partials = std::move(cached);
-        out->served = true;
-        out->completed = true;
-        return true;
-      }
-    }
     const bool ok = vectorized_ ? ScanVectorized(chunk_index, ch, gate,
                                                  scratch, out)
                                 : ScanScalar(ch, gate, scratch, out);
     out->completed = ok;
-    if (ok && share_partials) {
-      // Donate the vectors to the cache and adopt the retained payload
-      // (ours, or a racing winner's identical one) — the insert never
-      // copies the partials, and InsertPartials always returns the
-      // payload even when retention is under pressure.
-      out->shared_partials = cache_->InsertPartials(
-          epoch_, static_cast<uint32_t>(chunk_index), predicate_.atoms(),
-          query_->expr,
-          CachedChunkPartials{std::move(out->touched),
-                              std::move(out->partials)});
-      out->touched.clear();
-      out->partials.clear();
-    }
     return ok;
   }
 
@@ -206,19 +159,6 @@ class ChunkScanner {
       *out = SelectionBitmap::AllSet(n);
       return true;
     }
-    // Conjunction-bitmap tier: the fully ANDed selection of a 2+-atom
-    // conjunction seen before (parent candidates and every sibling
-    // reusing it) resolves in one probe instead of one per atom.
-    // Single atoms stay on the atom tier — the two would be identical.
-    const bool share_conj = share_ && atoms.size() >= 2;
-    if (share_conj) {
-      std::shared_ptr<const SelectionBitmap> bm = cache_->LookupConjunction(
-          epoch_, static_cast<uint32_t>(chunk_index), atoms);
-      if (bm != nullptr) {
-        *out = *bm;
-        return true;
-      }
-    }
     bool first = true;
     for (size_t i = 0; i < bound_atoms.size(); ++i) {
       std::shared_ptr<const SelectionBitmap> bm;
@@ -243,13 +183,6 @@ class ChunkScanner {
       } else {
         out->AndWith(*bm);
       }
-    }
-    if (share_conj) {
-      // Retain the ANDed result for the next candidate on this
-      // conjunction; first insert wins on races (identical contents
-      // either way, so adopting the winner's copy is unnecessary).
-      cache_->InsertConjunction(epoch_, static_cast<uint32_t>(chunk_index),
-                                atoms, SelectionBitmap(*out));
     }
     return true;
   }
@@ -354,9 +287,6 @@ class ChunkScanner {
   const bool vectorized_;
   const bool zone_skip_;
   AtomSelectionCache* cache_;
-  /// Conjunction-tier sharing (ExecContext::share_aggregates); forced
-  /// off without a cache to keep the scan branches simple.
-  const bool share_;
   const uint64_t epoch_;
   const uint32_t* entity_codes_;
   const size_t dict_size_;
@@ -403,7 +333,7 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
         if (o.skipped) {
           threshold->NoteChunkSkipped(i);
         } else {
-          threshold->NoteChunk(i, o.GroupTouched(), o.GroupPartials());
+          threshold->NoteChunk(i, o.touched, o.partials);
         }
       }
     }
@@ -450,7 +380,7 @@ size_t Executor::CountMatching(const Table& table, const Predicate& predicate,
   const size_t num_chunks = view.num_chunks();
   ChunkScanner scanner(table, view, predicate, bound, ScanMode::kCount,
                        nullptr, use_vectorized, ctx.zone_map_skipping,
-                       ctx.cache, ctx.share_aggregates);
+                       ctx.cache);
   int workers = 1;
   if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
     workers = static_cast<int>(
@@ -608,8 +538,7 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
     const ScanMode mode =
         query.agg == AggFn::kNone ? ScanMode::kRows : ScanMode::kGroups;
     ChunkScanner scanner(table, view, query.predicate, bound, mode, &query,
-                         use_vectorized, ctx.zone_map_skipping, ctx.cache,
-                         ctx.share_aggregates);
+                         use_vectorized, ctx.zone_map_skipping, ctx.cache);
     int workers = 1;
     if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
       workers = static_cast<int>(
@@ -640,9 +569,7 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
       visited += o.visited;
       if (o.skipped) {
         ++skipped;
-      } else if (o.completed && !o.served) {
-        // Cache-served chunks were neither skipped nor scanned; the
-        // conjunction-cache hit counters account for them.
+      } else if (o.completed) {
         ++morsels;
       }
     }
@@ -704,16 +631,14 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
       touched.reserve(dict.size());
       for (const ChunkOutcome& o : outcomes) {
         if (o.skipped || !o.completed) continue;
-        const std::vector<uint32_t>& o_touched = o.GroupTouched();
-        const std::vector<AggState>& o_partials = o.GroupPartials();
-        for (size_t i = 0; i < o_touched.size(); ++i) {
-          const uint32_t code = o_touched[i];
+        for (size_t i = 0; i < o.touched.size(); ++i) {
+          const uint32_t code = o.touched[i];
           AggState& g = groups[code];
           if (g.count == 0) {
             touched.push_back(code);
-            g = o_partials[i];
+            g = o.partials[i];
           } else {
-            g.Merge(o_partials[i]);
+            g.Merge(o.partials[i]);
           }
         }
       }

@@ -6,7 +6,7 @@ namespace paleo {
 
 std::vector<CandidateQuery> BuildCandidateQueries(
     const MiningResult& mining, const std::vector<GroupRanking>& rankings,
-    const ProbModel& model, int k, SortOrder order, bool lattice_order) {
+    const ProbModel& model, int k, SortOrder order) {
   std::vector<CandidateQuery> out;
   for (const GroupRanking& ranking : rankings) {
     if (ranking.candidates.empty()) continue;
@@ -36,15 +36,9 @@ std::vector<CandidateQuery> BuildCandidateQueries(
     }
   }
   std::sort(out.begin(), out.end(),
-            [lattice_order](const CandidateQuery& a, const CandidateQuery& b) {
+            [](const CandidateQuery& a, const CandidateQuery& b) {
               if (a.suitability != b.suitability)
                 return a.suitability > b.suitability;
-              // Lattice-aware ties: apriori parents (smaller
-              // conjunctions) first, so their shared partials are
-              // cached before the children probe them.
-              if (lattice_order &&
-                  a.query.predicate.size() != b.query.predicate.size())
-                return a.query.predicate.size() < b.query.predicate.size();
               // Ties: most selective predicate first — covering all
               // input entities with rare values is strong evidence.
               if (a.selectivity_proxy != b.selectivity_proxy)

@@ -41,16 +41,9 @@ struct CandidateQuery {
 /// the common case over a complete R' where every candidate scores
 /// 1.0 — most selective predicate first (largest size, smallest
 /// selectivity proxy), then predicate/criterion identity.
-///
-/// `lattice_order` (PaleoOptions::lattice_aware_order) flips the
-/// within-tie size preference to SMALLEST conjunction first: apriori
-/// parents validate before the children derived from them, so the
-/// shared conjunction cache is populated top-down. Suitability order
-/// itself is untouched.
 std::vector<CandidateQuery> BuildCandidateQueries(
     const MiningResult& mining, const std::vector<GroupRanking>& rankings,
-    const ProbModel& model, int k, SortOrder order = SortOrder::kDesc,
-    bool lattice_order = false);
+    const ProbModel& model, int k, SortOrder order = SortOrder::kDesc);
 
 }  // namespace paleo
 

@@ -36,11 +36,9 @@ Paleo::Paleo(const Table* base, PaleoOptions options)
       options_(std::move(options)),
       index_(EntityIndex::Build(*base)),
       catalog_(StatsCatalog::Build(*base)) {
-  executor_.SetVectorized(options_.vectorized_execution);
   if (options_.use_dimension_index) {
     dimension_index_ =
         std::make_unique<DimensionIndex>(DimensionIndex::Build(*base));
-    executor_.SetDimensionIndex(dimension_index_.get(), base_);
   }
 }
 
@@ -51,12 +49,7 @@ Paleo::Paleo(const Table* base, PaleoOptions options, EntityIndex index,
       options_(std::move(options)),
       index_(std::move(index)),
       catalog_(std::move(catalog)),
-      dimension_index_(std::move(dimension_index)) {
-  executor_.SetVectorized(options_.vectorized_execution);
-  if (options_.use_dimension_index && dimension_index_ != nullptr) {
-    executor_.SetDimensionIndex(dimension_index_.get(), base_);
-  }
-}
+      dimension_index_(std::move(dimension_index)) {}
 
 StatusOr<ReverseEngineerReport> Paleo::Run(const RunRequest& request) const {
   if (request.input == nullptr) {
@@ -66,81 +59,34 @@ StatusOr<ReverseEngineerReport> Paleo::Run(const RunRequest& request) const {
                                     ? *request.options_override
                                     : options_;
 
-  // A request-private executor is what makes this call thread-safe;
-  // callers that pass their own (the legacy wrappers, tooling that
-  // wants cumulative Stats) opt out of that.
-  Executor local_executor;
-  Executor* executor = request.executor;
-  if (executor == nullptr) {
-    executor = &local_executor;
-    local_executor.SetVectorized(options.vectorized_execution);
-    if (dimension_index_ != nullptr && options.use_dimension_index) {
-      local_executor.SetDimensionIndex(dimension_index_.get(), base_);
-    }
+  // A request-private executor is what makes this call thread-safe.
+  Executor executor;
+  executor.SetVectorized(options.vectorized_execution);
+  if (dimension_index_ != nullptr && options.use_dimension_index) {
+    executor.SetDimensionIndex(dimension_index_.get(), base_);
   }
 
+  // Mirror the executor's counters into the registry.
   PipelineMetrics metrics = PipelineMetrics::Bind(request.metrics);
-  if (request.executor == nullptr) {
-    // Mirror the executor's counters into the registry. A
-    // caller-provided executor keeps whatever binding its owner chose
-    // (it may be shared across runs with a different registry).
-    executor->SetMetrics({metrics.executor_queries,
-                          metrics.executor_rows_scanned,
-                          metrics.executor_index_assisted,
-                          metrics.chunks_skipped, metrics.morsels,
-                          metrics.rows_saved_by_threshold,
-                          metrics.scan_parallelism});
-  }
+  executor.SetMetrics({metrics.executor_queries,
+                       metrics.executor_rows_scanned,
+                       metrics.executor_index_assisted,
+                       metrics.chunks_skipped, metrics.morsels,
+                       metrics.rows_saved_by_threshold,
+                       metrics.scan_parallelism});
 
   std::shared_ptr<obs::Trace> trace;
   if (request.collect_trace) trace = std::make_shared<obs::Trace>();
 
   obs::Inc(metrics.runs_total);
   Timer run_timer;
-  auto result = RunImpl(request, options, executor, metrics, trace.get());
+  auto result = RunImpl(request, options, &executor, metrics, trace.get());
   obs::Observe(metrics.run_ms, run_timer.ElapsedMillis());
   if (result.ok()) {
     if (result->found()) obs::Inc(metrics.runs_found);
     result->trace = std::move(trace);
   }
   return result;
-}
-
-StatusOr<ReverseEngineerReport> Paleo::Run(const TopKList& input,
-                                           bool keep_candidates,
-                                           const RunBudget* budget) {
-  RunRequest request;
-  request.input = &input;
-  request.keep_candidates = keep_candidates;
-  request.budget = budget;
-  request.executor = &executor_;
-  return Run(request);
-}
-
-StatusOr<ReverseEngineerReport> Paleo::RunOnSample(
-    const TopKList& input, const std::vector<RowId>& sample_rows,
-    double sample_fraction, bool keep_candidates,
-    double coverage_ratio_override, const RunBudget* budget) {
-  RunRequest request;
-  request.input = &input;
-  request.sample_rows = &sample_rows;
-  request.sample_fraction = sample_fraction;
-  request.coverage_ratio_override = coverage_ratio_override;
-  request.keep_candidates = keep_candidates;
-  request.budget = budget;
-  request.executor = &executor_;
-  return Run(request);
-}
-
-StatusOr<ReverseEngineerReport> Paleo::RunConcurrent(
-    const TopKList& input, const RunBudget* budget, ThreadPool* pool,
-    const PaleoOptions* options_override) const {
-  RunRequest request;
-  request.input = &input;
-  request.budget = budget;
-  request.pool = pool;
-  request.options_override = options_override;
-  return Run(request);
 }
 
 StatusOr<ReverseEngineerReport> Paleo::RunImpl(
@@ -158,14 +104,6 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   const bool keep_candidates = request.keep_candidates;
 
   ReverseEngineerReport report;
-
-  // Degradation accounting is a delta over the run: the executor may
-  // be caller-provided and shared across runs, so its cumulative
-  // counter cannot be read directly. relaxed: sampling a pure tally.
-  const int64_t scalar_fallbacks_before =
-      executor->stats().scalar_fallbacks.load(std::memory_order_relaxed);
-  const int64_t rows_saved_before =
-      executor->stats().rows_saved.load(std::memory_order_relaxed);
 
   obs::ScopedSpan run_span(trace, "run");
   run_span.AddAttr("k", static_cast<int64_t>(input.size()));
@@ -239,8 +177,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   ProbModel model(catalog_, rprime);
   model.set_use_observed_match_rate(options.use_observed_match_rate);
   std::vector<CandidateQuery> candidates = BuildCandidateQueries(
-      mining, rankings, model, static_cast<int>(input.size()), order,
-      options.lattice_aware_order);
+      mining, rankings, model, static_cast<int>(input.size()), order);
   report.candidate_queries = static_cast<int64_t>(candidates.size());
   report.timings.find_ranking_ms = step_timer.ElapsedMillis();
   obs::Inc(metrics.candidate_queries, report.candidate_queries);
@@ -264,9 +201,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
         options.atom_cache_bytes,
         AtomSelectionCache::MetricHandles{
             metrics.cache_hits, metrics.cache_misses,
-            metrics.cache_evictions, metrics.cache_resident_bytes,
-            metrics.conjunction_cache_hits,
-            metrics.conjunction_cache_misses});
+            metrics.cache_evictions, metrics.cache_resident_bytes});
   }
   step_timer.Reset();
   obs::ScopedSpan validate_span(trace, "validate", run_span.id());
@@ -322,8 +257,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
                     &deep_info, /*exhaustive=*/true, governed));
     note_termination(deep_info.termination);
     std::vector<CandidateQuery> all_candidates = BuildCandidateQueries(
-        mining, all_rankings, model, static_cast<int>(input.size()), order,
-        options.lattice_aware_order);
+        mining, all_rankings, model, static_cast<int>(input.size()), order);
     std::unordered_set<uint64_t> already_tried;
     for (const CandidateQuery& cq : candidates) {
       already_tried.insert(cq.query.Hash());
@@ -385,14 +319,12 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
 
   obs::Inc(metrics.near_misses,
            static_cast<int64_t>(report.near_misses.size()));
-  // relaxed: delta of a pure tally (see the matching load above).
+  // relaxed: the run's own executor is quiescent here; these are
+  // pure tallies.
   report.degraded_events =
-      executor->stats().scalar_fallbacks.load(std::memory_order_relaxed) -
-      scalar_fallbacks_before;
-  // relaxed: same delta pattern — threshold aborts tally rows skipped.
+      executor->stats().scalar_fallbacks.load(std::memory_order_relaxed);
   report.rows_saved =
-      executor->stats().rows_saved.load(std::memory_order_relaxed) -
-      rows_saved_before;
+      executor->stats().rows_saved.load(std::memory_order_relaxed);
   if (atom_cache != nullptr) {
     report.degraded_events += atom_cache->stats().pressure_events;
   }

@@ -11,7 +11,9 @@
 // Typical use:
 //
 //   Paleo paleo(&table, PaleoOptions{});
-//   auto report = paleo.Run(input_list);
+//   RunRequest request;
+//   request.input = &input_list;
+//   auto report = paleo.Run(request);
 //   if (report.ok() && report->found()) {
 //     std::cout << report->valid[0].query.ToSql(table.schema());
 //   }
@@ -23,9 +25,8 @@
 // carries everything that varies per request — the input, an optional
 // sample spec (Section 6.4), budget, thread pool, per-request options
 // override, and observability sinks (a MetricsRegistry and a trace
-// switch) — so one canonical entry point serves sequential, sampled,
-// and concurrent callers alike. The older Run/RunOnSample/
-// RunConcurrent signatures remain as thin wrappers.
+// switch) — so one entry point serves sequential, sampled, and
+// concurrent callers alike.
 
 #ifndef PALEO_PALEO_PALEO_H_
 #define PALEO_PALEO_PALEO_H_
@@ -87,9 +88,8 @@ struct ReverseEngineerReport {
   int64_t skip_events = 0;
   /// Executions the threshold monitor refuted mid-scan (a subset of
   /// executed_queries; 0 with options.threshold_pruning off) and the
-  /// base-table rows those aborts plus shared-aggregate cache hits
-  /// skipped. Side observations only: the valid set is identical with
-  /// pruning/sharing on or off.
+  /// base-table rows those aborts skipped. Side observations only: the
+  /// valid set is identical with pruning on or off.
   int64_t executions_aborted_early = 0;
   int64_t rows_saved = 0;
 
@@ -120,7 +120,7 @@ struct ReverseEngineerReport {
   int64_t degraded_events = 0;
 
   /// The scored candidate list (retained when
-  /// PaleoOptions-independent `keep_candidates` argument is set).
+  /// RunRequest::keep_candidates is set).
   std::vector<CandidateQuery> candidates;
 
   /// The run's span tree (set when RunRequest::collect_trace; shared
@@ -134,8 +134,8 @@ struct ReverseEngineerReport {
 /// \brief Everything that varies per reverse-engineering request.
 ///
 /// All pointers are non-owning and must outlive the Run() call. Only
-/// `input` is required; the zero-initialised remainder reproduces the
-/// classic Run(input) behaviour with a private per-call executor.
+/// `input` is required; the zero-initialised remainder runs the paper's
+/// pipeline over the full R' with the instance options.
 struct RunRequest {
   /// The top-k list L to reverse engineer. Required.
   const TopKList* input = nullptr;
@@ -169,13 +169,6 @@ struct RunRequest {
   /// vary options per request; the instance options are immutable.
   const PaleoOptions* options_override = nullptr;
 
-  /// Executor to run candidate queries through. nullptr (the default)
-  /// gives the request a private stack-local executor, which is what
-  /// makes Run() safe to call concurrently; passing one shares its
-  /// accumulated Stats across runs (the legacy wrappers pass the
-  /// member executor) at the cost of that thread safety.
-  Executor* executor = nullptr;
-
   /// Observability sinks. `metrics` (not owned) receives the
   /// paleo_* counters and histograms (see paleo/pipeline_metrics.h);
   /// `collect_trace` builds the report's span tree. Both default off,
@@ -189,12 +182,9 @@ struct RunRequest {
 /// Thread safety: once built, everything the pipeline reads (table,
 /// entity index, catalog, dimension index, the instance options) is
 /// immutable, so any number of threads may call Run(const RunRequest&)
-/// on one instance simultaneously as long as each request leaves
-/// RunRequest::executor null (the default) — each call then gets its
-/// own Executor and leaves the instance untouched. This is the entry
-/// point the DiscoveryService serves requests through. The legacy
-/// Run/RunOnSample wrappers share the member executor and are
-/// single-threaded, as before.
+/// on one instance simultaneously: each call gets its own Executor and
+/// leaves the instance untouched. This is the entry point the
+/// DiscoveryService serves requests through.
 class Paleo {
  public:
   /// `base` must outlive this object. Builds the entity index and the
@@ -219,36 +209,11 @@ class Paleo {
   const DimensionIndex* dimension_index() const {
     return dimension_index_.get();
   }
-  Executor* executor() { return &executor_; }
 
-  /// The canonical entry point: reverse engineers `*request.input`
-  /// against the full R' (Sections 3-5, 7) or the request's sample
-  /// (Section 6.4), under the request's budget/options/observability.
-  /// Thread-safe when request.executor is null (the default).
+  /// The entry point: reverse engineers `*request.input` against the
+  /// full R' (Sections 3-5, 7) or the request's sample (Section 6.4),
+  /// under the request's budget/options/observability. Thread-safe.
   StatusOr<ReverseEngineerReport> Run(const RunRequest& request) const;
-
-  /// DEPRECATED: thin wrapper over Run(const RunRequest&) kept for
-  /// source compatibility; shares the member executor, so it is
-  /// single-threaded. Prefer the RunRequest form.
-  StatusOr<ReverseEngineerReport> Run(const TopKList& input,
-                                      bool keep_candidates = false,
-                                      const RunBudget* budget = nullptr);
-
-  /// DEPRECATED: thin wrapper over Run(const RunRequest&) with the
-  /// request's sample fields filled in; shares the member executor.
-  StatusOr<ReverseEngineerReport> RunOnSample(
-      const TopKList& input, const std::vector<RowId>& sample_rows,
-      double sample_fraction, bool keep_candidates = false,
-      double coverage_ratio_override = -1.0,
-      const RunBudget* budget = nullptr);
-
-  /// DEPRECATED: thin wrapper over Run(const RunRequest&) with a null
-  /// request executor — i.e. plain Run(), which is already
-  /// thread-safe. Prefer the RunRequest form.
-  StatusOr<ReverseEngineerReport> RunConcurrent(
-      const TopKList& input, const RunBudget* budget = nullptr,
-      ThreadPool* pool = nullptr,
-      const PaleoOptions* options_override = nullptr) const;
 
  private:
   StatusOr<ReverseEngineerReport> RunImpl(const RunRequest& request,
@@ -263,7 +228,6 @@ class Paleo {
   StatsCatalog catalog_;
   // Built only when options_.use_dimension_index.
   std::unique_ptr<DimensionIndex> dimension_index_;
-  Executor executor_;
 };
 
 }  // namespace paleo

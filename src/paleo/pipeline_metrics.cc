@@ -67,14 +67,6 @@ PipelineMetrics PipelineMetrics::Bind(obs::MetricsRegistry* registry) {
   m.cache_resident_bytes = registry->FindOrCreateGauge(
       "paleo_cache_resident_bytes",
       "Selection-bitmap bytes currently retained by the atom cache.");
-  m.conjunction_cache_hits = registry->FindOrCreateCounter(
-      "paleo_conjunction_cache_hits_total",
-      "Conjunction-tier cache hits (whole-conjunction bitmaps and "
-      "per-group partial aggregates served without a scan).");
-  m.conjunction_cache_misses = registry->FindOrCreateCounter(
-      "paleo_conjunction_cache_misses_total",
-      "Conjunction-tier cache misses (the chunk was scanned and the "
-      "result inserted for reuse).");
   m.validations_refuted_early = registry->FindOrCreateCounter(
       "paleo_validations_refuted_early_total",
       "Candidate executions aborted mid-scan because threshold bounds "

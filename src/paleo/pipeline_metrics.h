@@ -32,9 +32,6 @@
 //   paleo_cache_misses_total              atom-selection cache misses
 //   paleo_cache_evictions_total           LRU evictions (byte budget)
 //   paleo_cache_resident_bytes            bitmap bytes currently retained
-//   paleo_conjunction_cache_hits_total    conjunction-tier cache hits
-//                                         (bitmaps + grouped partials)
-//   paleo_conjunction_cache_misses_total  conjunction-tier cache misses
 //   paleo_validations_refuted_early_total executions aborted mid-scan by
 //                                         threshold refutation
 //   paleo_rows_saved_by_threshold_total   rows never scanned thanks to
@@ -77,8 +74,6 @@ struct PipelineMetrics {
   obs::Counter* cache_misses = nullptr;
   obs::Counter* cache_evictions = nullptr;
   obs::Gauge* cache_resident_bytes = nullptr;
-  obs::Counter* conjunction_cache_hits = nullptr;
-  obs::Counter* conjunction_cache_misses = nullptr;
   obs::Counter* validations_refuted_early = nullptr;
   obs::Counter* rows_saved_by_threshold = nullptr;
   obs::Counter* degraded_runs = nullptr;

@@ -87,14 +87,25 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
                         static_cast<int64_t>(distinct_input.size());
   };
 
+  // The min/max checks compare L's values with a column's range. A
+  // kept criterion's values need only be InstanceEquals to L's, which
+  // inside a tied run lets them sit up to three ValuesClose steps away,
+  // and an aggregate can round past the column's range (an average of
+  // equal values by an ulp). So a value counts as outside the range
+  // only when it is farther from it than four steps.
+  const double range_eps = 4 * options_.rel_eps;
+  auto above = [range_eps](double value, double bound) {
+    return value > bound && !ValuesClose(value, bound, range_eps);
+  };
+
   // Algorithm 2: min/max/distinct checks, then top-entity intersection.
   auto top_entity_columns = [&](AggFn agg) {
     std::vector<int> out;
     if (catalog_ == nullptr) return out;
     for (int c : measures) {
       const ColumnStats& stats = catalog_->column_stats(c);
-      if (stats.max < input_max) continue;
-      if (stats.min > input_min) continue;
+      if (above(input_max, stats.max)) continue;
+      if (above(stats.min, input_min)) continue;
       if (too_few_distinct(agg, stats)) continue;
       if (catalog_->top_entities(c).CountIntersection(input_entity_codes) >
           0) {
@@ -142,8 +153,8 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     for (int c : measures) {
       if (filter && catalog_ != nullptr) {
         const ColumnStats& stats = catalog_->column_stats(c);
-        if (agg != AggFn::kMin && stats.max < input_max) continue;
-        if (agg != AggFn::kMin && stats.min > input_min) continue;
+        if (agg != AggFn::kMin && above(input_max, stats.max)) continue;
+        if (agg != AggFn::kMin && above(stats.min, input_min)) continue;
         if (too_few_distinct(agg, stats)) continue;
       }
       out.push_back(c);

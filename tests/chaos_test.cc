@@ -88,7 +88,7 @@ class ChaosTest : public ::testing::Test {
     Paleo paleo(table_, PaleoOptions{});
     baselines_ = new std::vector<Baseline>();
     for (const WorkloadQuery& wq : *workload_) {
-      auto report = paleo.Run(wq.list);
+      auto report = paleo.Run({.input = &wq.list});
       ASSERT_TRUE(report.ok()) << wq.name;
       ASSERT_TRUE(report->found()) << wq.name;
       Baseline b;

@@ -40,8 +40,10 @@ TEST(OptionsBehaviorTest, DimensionIndexDoesNotChangeResults) {
   without_index.use_dimension_index = false;
   Paleo a(&f.table, with_index);
   Paleo b(&f.table, without_index);
-  auto ra = a.Run(f.query.list);
-  auto rb = b.Run(f.query.list);
+  obs::MetricsRegistry ma;
+  obs::MetricsRegistry mb;
+  auto ra = a.Run({.input = &f.query.list, .metrics = &ma});
+  auto rb = b.Run({.input = &f.query.list, .metrics = &mb});
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   ASSERT_TRUE(ra->found());
@@ -49,10 +51,10 @@ TEST(OptionsBehaviorTest, DimensionIndexDoesNotChangeResults) {
   EXPECT_TRUE(ra->valid[0].query == rb->valid[0].query);
   EXPECT_EQ(ra->executed_queries, rb->executed_queries);
   // The indexed run answers executions from postings.
-  EXPECT_GT(a.executor()->stats().index_assisted, 0);
-  EXPECT_EQ(b.executor()->stats().index_assisted, 0);
-  EXPECT_LT(a.executor()->stats().rows_scanned,
-            b.executor()->stats().rows_scanned);
+  EXPECT_GT(ma.counter("paleo_executor_index_assisted_total")->value(), 0);
+  EXPECT_EQ(mb.counter("paleo_executor_index_assisted_total")->value(), 0);
+  EXPECT_LT(ma.counter("paleo_executor_rows_scanned_total")->value(),
+            mb.counter("paleo_executor_rows_scanned_total")->value());
 }
 
 TEST(OptionsBehaviorTest, MaxCriteriaPerGroupCapsSampledCandidates) {
@@ -66,8 +68,11 @@ TEST(OptionsBehaviorTest, MaxCriteriaPerGroupCapsSampledCandidates) {
   auto sample = Sampler::UniformPerEntity(
       a.index(), f.query.list.DistinctEntities(), 0.3, 5);
   ASSERT_TRUE(sample.ok());
-  auto ra = a.RunOnSample(f.query.list, *sample, 0.3);
-  auto rb = b.RunOnSample(f.query.list, *sample, 0.3);
+  const RunRequest request{.input = &f.query.list,
+                           .sample_rows = &*sample,
+                           .sample_fraction = 0.3};
+  auto ra = a.Run(request);
+  auto rb = b.Run(request);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_LT(ra->candidate_queries, rb->candidate_queries);
@@ -137,7 +142,7 @@ TEST(OptionsBehaviorTest, MaxPredicateSizeBoundsMinedConjunctions) {
     options.max_predicate_size = cap;
     options.include_empty_predicate = false;
     Paleo paleo(&f.table, options);
-    auto report = paleo.Run(f.query.list, /*keep_candidates=*/true);
+    auto report = paleo.Run({.input = &f.query.list, .keep_candidates = true});
     ASSERT_TRUE(report.ok());
     for (const CandidateQuery& cq : report->candidates) {
       EXPECT_LE(cq.query.predicate.size(), cap);
@@ -151,7 +156,7 @@ TEST(OptionsBehaviorTest, ExecutionBudgetStopsEarly) {
   options.max_query_executions = 1;
   options.validation_strategy = ValidationStrategy::kRanked;
   Paleo paleo(&f.table, options);
-  auto report = paleo.Run(f.query.list);
+  auto report = paleo.Run({.input = &f.query.list});
   ASSERT_TRUE(report.ok());
   EXPECT_LE(report->executed_queries, 2);  // 1 per validation pass
 }
@@ -174,13 +179,13 @@ TEST(OptionsBehaviorTest, MinCountAggregatesAreOptIn) {
 
   PaleoOptions off;  // default: min/count disabled
   Paleo without(&*table, off);
-  auto r_without = without.Run(*list);
+  auto r_without = without.Run({.input = &*list});
   ASSERT_TRUE(r_without.ok());
 
   PaleoOptions on;
   on.enable_min_count = true;
   Paleo with(&*table, on);
-  auto r_with = with.Run(*list);
+  auto r_with = with.Run({.input = &*list});
   ASSERT_TRUE(r_with.ok());
   EXPECT_TRUE(r_with->found());
   // With the extension on, the min criterion is found; without it the

@@ -240,7 +240,7 @@ TEST(RangeE2eTest, RecoversLoadBearingRangeQuery) {
   PaleoOptions options;
   options.mine_range_predicates = true;
   Paleo paleo(&t, options);
-  auto report = paleo.Run(*list);
+  auto report = paleo.Run({.input = &*list});
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found());
   auto regenerated = ex.Execute(t, report->valid[0].query, ExecContext{});

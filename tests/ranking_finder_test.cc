@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "datagen/traffic_gen.h"
 #include "engine/executor.h"
 #include "paleo/paleo.h"
@@ -285,6 +289,64 @@ TEST(RankingFinderTest, AvgNotPrunedByDistinctCount) {
   ASSERT_EQ(list->Values(), (std::vector<double>{1.0, 0.75, 0.5, 0.25}));
 
   Paleo paleo(&table, PaleoOptions{});
+  RunRequest request;
+  request.input = &*list;
+  auto report = paleo.Run(request);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->found());
+  EXPECT_TRUE(report->valid[0].query.SameRanking(hidden));
+}
+
+// An average of equal values can round past the column maximum: avg(x)
+// over A's rows below is 0.10000000000000002 while max(x) is 0.1. The
+// catalog range checks must allow that, or x is dropped for avg in the
+// top-entity and fallback stages; with three decoy columns and one
+// histogram column kept, no stage is then left to find avg(x).
+TEST(RankingFinderTest, AvgRoundingPastColumnMaxNotPruned) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+      {"y1", DataType::kDouble, FieldRole::kMeasure},
+      {"y2", DataType::kDouble, FieldRole::kMeasure},
+      {"y3", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  // The decoys hold L's values in other entity orders: their histograms
+  // sit closer to L than x's, but no criterion over them reproduces L.
+  const std::map<std::string, std::vector<double>> decoys = {
+      {"A", {0.02, 0.05, 0.05}},
+      {"B", {0.1, 0.02, 0.1}},
+      {"C", {0.05, 0.1, 0.02}},
+  };
+  auto append = [&](const std::string& e, const std::string& d, double x) {
+    const std::vector<double>& y = decoys.at(e);
+    ASSERT_TRUE(table
+                    .AppendRow({Value::String(e), Value::String(d),
+                                Value::Double(x), Value::Double(y[0]),
+                                Value::Double(y[1]), Value::Double(y[2])})
+                    .ok());
+  };
+  for (double x : {0.1, 0.1, 0.1}) append("A", "q", x);
+  for (double x : {0.1, 0.0}) append("B", "q", x);
+  append("C", "q", 0.02);
+  for (const char* e : {"A", "B", "C"}) append(e, "z", 0.0);
+
+  TopKQuery hidden;
+  hidden.predicate = Predicate({AtomicPredicate(1, Value::String("q"))});
+  hidden.expr = RankExpr::Column(2);
+  hidden.agg = AggFn::kAvg;
+  hidden.k = 3;
+  Executor ex;
+  auto list = ex.Execute(table, hidden, ExecContext{});
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 3u);
+  ASSERT_GT(list->entry(0).value, 0.1);
+
+  PaleoOptions options;
+  options.histogram_keep_fraction = 0.25;
+  Paleo paleo(&table, options);
   RunRequest request;
   request.input = &*list;
   auto report = paleo.Run(request);

@@ -145,8 +145,9 @@ TopKList PaperInput() {
 TEST(GovernedRunTest, DefaultOptionsRunUngoverned) {
   auto table = TrafficGen::PaperExample();
   ASSERT_TRUE(table.ok());
+  const TopKList input = PaperInput();
   Paleo baseline(&*table, PaleoOptions{});
-  auto ungoverned = baseline.Run(PaperInput());
+  auto ungoverned = baseline.Run({.input = &input});
   ASSERT_TRUE(ungoverned.ok());
 
   // Zeroed knobs and an explicit unlimited budget take the nullptr fast
@@ -156,8 +157,7 @@ TEST(GovernedRunTest, DefaultOptionsRunUngoverned) {
   options.max_validation_executions = 0;
   Paleo governed(&*table, options);
   RunBudget unlimited;
-  auto report =
-      governed.Run(PaperInput(), /*keep_candidates=*/false, &unlimited);
+  auto report = governed.Run({.input = &input, .budget = &unlimited});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kCompleted);
   EXPECT_TRUE(report->near_misses.empty());
@@ -197,7 +197,7 @@ TEST(GovernedRunTest, TinyDeadlineTerminatesPromptlyWithNearMisses) {
   Paleo paleo(&*table, options);
 
   Timer timer;
-  auto report = paleo.Run(*input);
+  auto report = paleo.Run({.input = &*input});
   double elapsed_ms = timer.ElapsedMillis();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kDeadline);
@@ -223,8 +223,9 @@ TEST(GovernedRunTest, ExecutionCapReportsBudgetWithNearMisses) {
   // one execution must leave unvalidated candidates behind.
   PaleoOptions ungoverned;
   ungoverned.stop_at_first_valid = false;
+  const TopKList input = PaperInput();
   Paleo baseline(&*table, ungoverned);
-  auto full = baseline.Run(PaperInput(), /*keep_candidates=*/true);
+  auto full = baseline.Run({.input = &input, .keep_candidates = true});
   ASSERT_TRUE(full.ok());
   ASSERT_GT(full->candidates.size(), 1u);
 
@@ -232,7 +233,7 @@ TEST(GovernedRunTest, ExecutionCapReportsBudgetWithNearMisses) {
   options.stop_at_first_valid = false;
   options.max_validation_executions = 1;
   Paleo paleo(&*table, options);
-  auto report = paleo.Run(PaperInput());
+  auto report = paleo.Run({.input = &input});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kExecutionBudget);
   EXPECT_EQ(report->executed_queries, 1);
@@ -247,7 +248,8 @@ TEST(GovernedRunTest, PreCancelledTokenStopsTheRun) {
   RunBudget budget;
   budget.set_cancellation_token(&token);
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(PaperInput(), /*keep_candidates=*/false, &budget);
+  const TopKList input = PaperInput();
+  auto report = paleo.Run({.input = &input, .budget = &budget});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kCancelled);
   EXPECT_TRUE(report->valid.empty());

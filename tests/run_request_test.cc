@@ -1,7 +1,7 @@
-// RunRequest API equivalence suite: the deprecated Run / RunOnSample /
-// RunConcurrent wrappers must produce reports byte-identical (modulo
-// wall-clock fields) to the canonical Run(const RunRequest&), under
-// both sequential and parallel validation; plus coverage of the
+// RunRequest suite: Run(const RunRequest&) produces reports
+// byte-identical (modulo wall-clock fields) under sequential and
+// parallel validation and under an options override equal to the
+// instance options, forwards the sample spec, and fills the
 // observability sinks the request carries (metrics registry, trace).
 
 #include <gtest/gtest.h>
@@ -114,92 +114,28 @@ TEST_F(RunRequestTest, NullInputIsInvalidArgument) {
       << report.status().ToString();
 }
 
-TEST_F(RunRequestTest, DeprecatedRunWrapperMatchesRunRequest) {
-  Paleo paleo(&table(), PaleoOptions{});
-  for (const WorkloadQuery& wq : workload()) {
-    auto via_wrapper = paleo.Run(wq.list, /*keep_candidates=*/true);
-    ASSERT_TRUE(via_wrapper.ok()) << wq.name;
-
-    RunRequest request;
-    request.input = &wq.list;
-    request.keep_candidates = true;
-    auto via_request = paleo.Run(request);
-    ASSERT_TRUE(via_request.ok()) << wq.name;
-
-    EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-              Fingerprint(*via_request, table().schema()))
-        << wq.name;
-  }
-}
-
-TEST_F(RunRequestTest, DeprecatedRunOnSampleWrapperMatchesRunRequest) {
-  Paleo paleo(&table(), PaleoOptions{});
-  for (const WorkloadQuery& wq : workload()) {
-    auto sample = Sampler::UniformPerEntity(
-        paleo.index(), wq.list.DistinctEntities(), 0.5, /*seed=*/42);
-    ASSERT_TRUE(sample.ok()) << wq.name;
-
-    auto via_wrapper = paleo.RunOnSample(wq.list, *sample, 0.5,
-                                         /*keep_candidates=*/true);
-    ASSERT_TRUE(via_wrapper.ok()) << wq.name;
-
-    RunRequest request;
-    request.input = &wq.list;
-    request.sample_rows = &*sample;
-    request.sample_fraction = 0.5;
-    request.keep_candidates = true;
-    auto via_request = paleo.Run(request);
-    ASSERT_TRUE(via_request.ok()) << wq.name;
-
-    EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-              Fingerprint(*via_request, table().schema()))
-        << wq.name;
-  }
-}
-
-TEST_F(RunRequestTest, CoverageOverrideForwardedByBothPaths) {
+TEST_F(RunRequestTest, CoverageOverrideReachesMiner) {
+  // A 0.3 sample mines at CoverageRatioForSample(0.3) = 0.8 unless the
+  // request overrides the ratio; a lower ratio admits more predicates.
   Paleo paleo(&table(), PaleoOptions{});
   const WorkloadQuery& wq = workload()[0];
   auto sample = Sampler::UniformPerEntity(
       paleo.index(), wq.list.DistinctEntities(), 0.3, /*seed=*/7);
   ASSERT_TRUE(sample.ok());
 
-  auto via_wrapper =
-      paleo.RunOnSample(wq.list, *sample, 0.3, /*keep_candidates=*/false,
-                        /*coverage_ratio_override=*/0.3);
-  ASSERT_TRUE(via_wrapper.ok());
-
   RunRequest request;
   request.input = &wq.list;
   request.sample_rows = &*sample;
   request.sample_fraction = 0.3;
+  auto by_fraction = paleo.Run(request);
+  ASSERT_TRUE(by_fraction.ok());
+
   request.coverage_ratio_override = 0.3;
-  auto via_request = paleo.Run(request);
-  ASSERT_TRUE(via_request.ok());
+  auto overridden = paleo.Run(request);
+  ASSERT_TRUE(overridden.ok());
 
-  EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-            Fingerprint(*via_request, table().schema()));
-}
-
-TEST_F(RunRequestTest, DeprecatedRunConcurrentWrapperMatchesRunRequest) {
-  PaleoOptions options;
-  options.num_threads = 4;
-  Paleo paleo(&table(), options);
-  ThreadPool pool(4);
-  for (const WorkloadQuery& wq : workload()) {
-    auto via_wrapper = paleo.RunConcurrent(wq.list, nullptr, &pool);
-    ASSERT_TRUE(via_wrapper.ok()) << wq.name;
-
-    RunRequest request;
-    request.input = &wq.list;
-    request.pool = &pool;
-    auto via_request = paleo.Run(request);
-    ASSERT_TRUE(via_request.ok()) << wq.name;
-
-    EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-              Fingerprint(*via_request, table().schema()))
-        << wq.name;
-  }
+  EXPECT_GT(overridden->candidate_predicates,
+            by_fraction->candidate_predicates);
 }
 
 TEST_F(RunRequestTest, ParallelValidationMatchesSequentialFingerprint) {

@@ -60,7 +60,7 @@ class ServiceTest : public ::testing::Test {
     Paleo paleo(table_, PaleoOptions{});
     baselines_ = new std::vector<Baseline>();
     for (const WorkloadQuery& wq : *workload_) {
-      auto report = paleo.Run(wq.list);
+      auto report = paleo.Run({.input = &wq.list});
       ASSERT_TRUE(report.ok()) << wq.name;
       ASSERT_TRUE(report->found()) << wq.name;
       Baseline b;
@@ -124,7 +124,7 @@ std::vector<WorkloadQuery>* ServiceTest::workload_ = nullptr;
 std::vector<Baseline>* ServiceTest::baselines_ = nullptr;
 
 TEST_F(ServiceTest, ParallelValidationMatchesSequential) {
-  // Intra-request parallelism alone (no service): RunConcurrent with a
+  // Intra-request parallelism alone (no service): a request with a
   // pool and num_threads > 1 must commit exactly the sequential
   // schedule — same valid set, same executed_queries, same skips.
   PaleoOptions options;
@@ -132,8 +132,7 @@ TEST_F(ServiceTest, ParallelValidationMatchesSequential) {
   Paleo paleo(&table(), options);
   ThreadPool pool(4);
   for (size_t wi = 0; wi < workload().size(); ++wi) {
-    auto report =
-        paleo.RunConcurrent(workload()[wi].list, nullptr, &pool);
+    auto report = paleo.Run({.input = &workload()[wi].list, .pool = &pool});
     ASSERT_TRUE(report.ok()) << workload()[wi].name;
     const Baseline& b = baselines()[wi];
     ASSERT_TRUE(report->found()) << workload()[wi].name;

@@ -1,12 +1,11 @@
-// Differential tests for threshold-pruned validation and shared
-// lattice aggregation: randomized chunked tables x candidate queries
-// asserting that the pruned executor path (ExecContext::threshold) and
-// the shared-partials path (ExecContext::share_aggregates) accept and
-// reject EXACTLY the same candidates as the unpruned full scan —
-// across the scalar, vectorized, and morsel-parallel paths — plus unit
-// tests of the ThresholdMonitor's deactivation rules, budget-interrupt
-// precedence over refutation, concurrent shared-cache stress, and
-// full-pipeline equivalence with the knobs on and off.
+// Differential tests for threshold-pruned validation: randomized
+// chunked tables x candidate queries asserting that the pruned executor
+// path (ExecContext::threshold) accepts and rejects EXACTLY the same
+// candidates as the unpruned full scan — across the scalar, vectorized,
+// and morsel-parallel paths — plus unit tests of the ThresholdMonitor's
+// deactivation rules, budget-interrupt precedence over refutation,
+// concurrent shared-cache stress, and full-pipeline equivalence with
+// pruning on and off.
 
 #include <gtest/gtest.h>
 
@@ -266,64 +265,6 @@ TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
   EXPECT_GT(refuted_somewhere, 0) << "no workload ever refuted";
 }
 
-TEST(ThresholdValidationTest, SharedPartialsAreByteIdentical) {
-  Rng rng(7042);
-  ThreadPool pool(4);
-  Executor scalar;
-  scalar.SetVectorized(false);
-  Executor vec;
-  int served_runs = 0;
-  for (int ti = 0; ti < 20; ++ti) {
-    Table t = RandomChunkedTable(rng, 1500);
-    AtomSelectionCache cache(static_cast<size_t>(8) << 20);
-    const TopKQuery base_q = RandomQuery(rng);
-    for (int ci = 0; ci < 4; ++ci) {
-      // Same predicate + expression with varying aggregates: the
-      // population the partials tier serves (one cached entry answers
-      // every aggregate over the same conjunction/expression pair).
-      TopKQuery q = base_q;
-      const AggFn aggs[] = {AggFn::kMax, AggFn::kMin, AggFn::kSum,
-                            AggFn::kAvg};
-      q.agg = aggs[ci % 4];
-      auto ref = scalar.Execute(t, q, ExecContext{});
-      ASSERT_TRUE(ref.ok());
-      const ExecContext shared_ctx{.cache = &cache,
-                                   .share_aggregates = true};
-      const ExecContext shared_par_ctx{.cache = &cache, .pool = &pool,
-                                       .scan_threads = 4,
-                                       .share_aggregates = true};
-      auto cold = vec.Execute(t, q, shared_ctx);
-      auto warm = vec.Execute(t, q, shared_ctx);
-      auto par = vec.Execute(t, q, shared_par_ctx);
-      ASSERT_TRUE(cold.ok());
-      ASSERT_TRUE(warm.ok());
-      ASSERT_TRUE(par.ok());
-      EXPECT_TRUE(*ref == *cold);
-      EXPECT_TRUE(*ref == *warm);
-      EXPECT_TRUE(*ref == *par);
-    }
-    if (cache.stats().conjunction_hits > 0) ++served_runs;
-  }
-  EXPECT_GT(served_runs, 0) << "the partials tier never served a chunk";
-}
-
-TEST(ThresholdValidationTest, ServedChunksDropFromRowsScanned) {
-  Rng rng(33);
-  Table t = RandomChunkedTable(rng, 2048);
-  AtomSelectionCache cache(static_cast<size_t>(8) << 20);
-  TopKQuery q = RandomQuery(rng);
-  q.predicate = Predicate{};  // full-table group-by: no zone skipping
-  Executor vec;
-  const ExecContext ctx{.cache = &cache, .share_aggregates = true};
-  ASSERT_TRUE(vec.Execute(t, q, ctx).ok());
-  const int64_t after_cold = vec.stats().rows_scanned.load();
-  ASSERT_TRUE(vec.Execute(t, q, ctx).ok());
-  const int64_t after_warm = vec.stats().rows_scanned.load();
-  EXPECT_EQ(after_cold, 2048);
-  EXPECT_EQ(after_warm, after_cold)
-      << "a fully served execution must scan zero rows";
-}
-
 // ---- Budget interruption vs refutation ----------------------------------
 
 TEST(ThresholdValidationTest, CancellationOutranksRefutation) {
@@ -421,8 +362,9 @@ TEST(ThresholdValidationTest, ConcurrentSharingAndPruningStaySound) {
     ASSERT_TRUE(ref.ok());
     refs.push_back(*std::move(ref));
   }
-  // Budget small enough to force evictions across both tiers mid-run.
-  AtomSelectionCache cache(6 * SelectionBitmap(3000).MemoryUsage());
+  // Two atoms' bitmaps over the whole table: small enough to force
+  // evictions mid-run, large enough that workers still hit.
+  AtomSelectionCache cache(2 * SelectionBitmap(3000).MemoryUsage());
   std::atomic<int> violations{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < 8; ++w) {
@@ -431,8 +373,7 @@ TEST(ThresholdValidationTest, ConcurrentSharingAndPruningStaySound) {
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           auto r = vec.Execute(t, queries[qi],
                                ExecContext{.cache = &cache,
-                                           .threshold = &monitor,
-                                           .share_aggregates = true});
+                                           .threshold = &monitor});
           const bool accept_ref = refs[qi].InstanceEquals(*input);
           if (r.ok()) {
             if (!(*r == refs[qi])) {
@@ -448,6 +389,8 @@ TEST(ThresholdValidationTest, ConcurrentSharingAndPruningStaySound) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_LE(cache.stats().resident_bytes, cache.byte_budget());
+  EXPECT_GT(cache.stats().evictions, 0);
+  EXPECT_GT(cache.stats().hits, 0);
 }
 
 // ---- Full-pipeline equivalence ------------------------------------------
@@ -457,7 +400,7 @@ TEST(ThresholdValidationTest, PipelineValidSetIdenticalPruningOnOff) {
   gen.scale_factor = 0.003;
   auto table = TpchGen::Generate(gen);
   ASSERT_TRUE(table.ok());
-  // Small chunks so both pruning and sharing actually engage.
+  // Small chunks so pruning actually engages.
   table->SetChunkRows(2048);
 
   WorkloadOptions wl;
@@ -470,16 +413,14 @@ TEST(ThresholdValidationTest, PipelineValidSetIdenticalPruningOnOff) {
   ASSERT_TRUE(workload.ok());
   ASSERT_FALSE(workload->empty());
 
-  auto run = [&](const WorkloadQuery& wq, bool pruning, bool sharing,
-                 bool lattice) -> ReverseEngineerReport {
+  auto run = [&](const WorkloadQuery& wq,
+                 bool pruning) -> ReverseEngineerReport {
     PaleoOptions options;
     options.use_dimension_index = false;  // force scanned validation
     options.threshold_pruning = pruning;
-    options.share_aggregates = sharing;
-    options.lattice_aware_order = lattice;
     options.stop_at_first_valid = false;  // compare the FULL valid set
     Paleo paleo(&*table, options);
-    auto report = paleo.Run(wq.list);
+    auto report = paleo.Run({.input = &wq.list});
     EXPECT_TRUE(report.ok());
     return *std::move(report);
   };
@@ -492,22 +433,17 @@ TEST(ThresholdValidationTest, PipelineValidSetIdenticalPruningOnOff) {
 
   int64_t total_refuted = 0;
   for (const WorkloadQuery& wq : *workload) {
-    const ReverseEngineerReport off = run(wq, false, false, false);
-    const ReverseEngineerReport on = run(wq, true, true, false);
+    const ReverseEngineerReport off = run(wq, false);
+    const ReverseEngineerReport on = run(wq, true);
     ASSERT_FALSE(off.valid.empty()) << wq.name;
     EXPECT_EQ(hashes(off), hashes(on)) << wq.name;
     // Refuted executions count as executions: the schedule — and with
-    // it every execution and skip count — is identical knobs on/off.
+    // it every execution and skip count — is identical pruning on/off.
     EXPECT_EQ(off.executed_queries, on.executed_queries) << wq.name;
     EXPECT_EQ(off.skip_events, on.skip_events) << wq.name;
     EXPECT_EQ(off.executions_aborted_early, 0) << wq.name;
     EXPECT_GE(on.rows_saved, 0) << wq.name;
     total_refuted += on.executions_aborted_early;
-
-    // Lattice-aware ordering permutes suitability TIES only; the full
-    // valid set is order-independent.
-    const ReverseEngineerReport lat = run(wq, true, true, true);
-    EXPECT_EQ(hashes(off), hashes(lat)) << wq.name;
   }
   EXPECT_GT(total_refuted, 0)
       << "pruning never fired across the whole workload";
@@ -536,7 +472,7 @@ TEST(ThresholdValidationTest, PipelineParallelValidationIdentical) {
     PaleoOptions o = options;
     o.num_threads = num_threads;
     Paleo paleo(&*table, o);
-    auto report = paleo.RunConcurrent(input, nullptr, pool);
+    auto report = paleo.Run({.input = &input, .pool = pool});
     EXPECT_TRUE(report.ok());
     EXPECT_TRUE(report->found());
     return report->valid[0].query.Hash();

@@ -186,8 +186,6 @@ class Linter:
         "paleo_executor_rows_scanned_total",
         "paleo_cache_hits_total",
         "paleo_cache_misses_total",
-        "paleo_conjunction_cache_hits_total",
-        "paleo_conjunction_cache_misses_total",
         "paleo_validations_refuted_early_total",
         "paleo_rows_saved_by_threshold_total",
         "paleo_degraded_runs_total",
