@@ -142,8 +142,7 @@ void RunSelective(benchmark::State& state, bool zone_skip) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(table.num_rows()));
   state.counters["chunks_skipped"] = static_cast<double>(
-      ex.stats().chunks_skipped.load(std::memory_order_relaxed) /
-      std::max<int64_t>(1, state.iterations()));
+      ex.stats().chunks_skipped / std::max<int64_t>(1, state.iterations()));
   state.counters["chunks"] = static_cast<double>(table.num_chunks());
 }
 

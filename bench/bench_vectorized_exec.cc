@@ -80,14 +80,15 @@ void RunCandidates(benchmark::State& state, Mode mode) {
   const Table& table = SharedTpch();
   const std::vector<TopKQuery> candidates = CandidateSet(table);
   Executor ex;
-  ex.SetVectorized(mode != Mode::kScalar);
+  const bool vectorized = mode != Mode::kScalar;
   for (auto _ : state) {
     // One validation run: a fresh cache shared across its candidates.
     AtomSelectionCache cache(static_cast<size_t>(32) << 20);
     AtomSelectionCache* cache_ptr =
         mode == Mode::kVectorizedCached ? &cache : nullptr;
     for (const TopKQuery& q : candidates) {
-      auto result = ex.Execute(table, q, ExecContext{.cache = cache_ptr});
+      auto result = ex.Execute(
+          table, q, ExecContext{.cache = cache_ptr, .vectorized = vectorized});
       benchmark::DoNotOptimize(result.ok());
     }
   }
@@ -115,14 +116,16 @@ void RunCounts(benchmark::State& state, Mode mode) {
   const Table& table = SharedTpch();
   const std::vector<TopKQuery> candidates = CandidateSet(table);
   Executor ex;
-  ex.SetVectorized(mode != Mode::kScalar);
+  const bool vectorized = mode != Mode::kScalar;
   for (auto _ : state) {
     AtomSelectionCache cache(static_cast<size_t>(32) << 20);
     AtomSelectionCache* cache_ptr =
         mode == Mode::kVectorizedCached ? &cache : nullptr;
     size_t total = 0;
     for (const TopKQuery& q : candidates) {
-      total += ex.CountMatching(table, q.predicate, ExecContext{.cache = cache_ptr});
+      total += ex.CountMatching(
+          table, q.predicate,
+          ExecContext{.cache = cache_ptr, .vectorized = vectorized});
     }
     benchmark::DoNotOptimize(total);
   }

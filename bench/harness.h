@@ -218,7 +218,7 @@ inline void RunThresholdAblation(const Table& base, const char* dataset,
           cell.executions += prune.executed_queries;
           cell.valid += static_cast<int64_t>(prune.valid.size());
           cell.refuted_early += prune.executions_aborted_early;
-          cell.rows_saved += prune.rows_saved;
+          cell.rows_saved += prune.executor_stats.rows_saved;
         }
         std::printf("%8s %4d %4d %10.1f %10.1f %7.1fx "
                     "%6lld %6lld %8lld %12lld\n",

@@ -27,13 +27,11 @@ std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Lookup(
   auto it = index_.find(Key{epoch, chunk, atom});
   if (it == index_.end()) {
     ++misses_;
-    obs::Inc(metrics_.misses);
     return nullptr;
   }
   // Refresh the LRU position: splice the entry to the front.
   lru_.splice(lru_.begin(), lru_, it->second);
   ++hits_;
-  obs::Inc(metrics_.hits);
   return it->second->bitmap;
 }
 
@@ -58,8 +56,6 @@ std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Insert(
     {
       MutexLock lock(mutex_);
       ShrinkOnPressureLocked();
-      obs::Set(metrics_.resident_bytes,
-               static_cast<int64_t>(resident_bytes_));
     }
     // With evicted entries released this allocation normally succeeds;
     // a genuine out-of-memory still propagates (nothing sane is left).
@@ -82,7 +78,6 @@ std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Insert(
   index_[std::move(key)] = lru_.begin();
   resident_bytes_ += bytes;
   EvictLocked();
-  obs::Set(metrics_.resident_bytes, static_cast<int64_t>(resident_bytes_));
   return shared;
 }
 
@@ -93,7 +88,6 @@ void AtomSelectionCache::EvictLocked() {
     index_.erase(victim.key);
     lru_.pop_back();
     ++evictions_;
-    obs::Inc(metrics_.evictions);
   }
 }
 

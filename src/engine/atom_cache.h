@@ -41,23 +41,12 @@
 #include "common/thread_annotations.h"
 #include "engine/predicate.h"
 #include "engine/selection_bitmap.h"
-#include "obs/metrics.h"
 
 namespace paleo {
 
 /// \brief Thread-safe LRU cache of per-atom selection bitmaps.
 class AtomSelectionCache {
  public:
-  /// Registry-backed counters mirrored alongside the internal stats,
-  /// all-null (one branch per event) by default. See
-  /// paleo/pipeline_metrics.h for the paleo_cache_* series they back.
-  struct MetricHandles {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Gauge* resident_bytes = nullptr;
-  };
-
   /// Point-in-time counters (exact; taken under the mutex).
   struct Stats {
     int64_t hits = 0;
@@ -77,11 +66,7 @@ class AtomSelectionCache {
   /// retention entirely (every Lookup misses, Insert stores nothing),
   /// which keeps the call sites branch-free.
   explicit AtomSelectionCache(size_t byte_budget)
-      : AtomSelectionCache(byte_budget, MetricHandles{}) {}
-  AtomSelectionCache(size_t byte_budget, MetricHandles metrics)
-      : byte_budget_(byte_budget),
-        metrics_(metrics),
-        effective_budget_(byte_budget) {}
+      : byte_budget_(byte_budget), effective_budget_(byte_budget) {}
 
   AtomSelectionCache(const AtomSelectionCache&) = delete;
   AtomSelectionCache& operator=(const AtomSelectionCache&) = delete;
@@ -152,7 +137,6 @@ class AtomSelectionCache {
   void ShrinkOnPressureLocked() REQUIRES(mutex_);
 
   const size_t byte_budget_;
-  const MetricHandles metrics_;
   // relaxed: one-way pressure flag read outside mutex_ (see
   // under_pressure()); all cache state is guarded by mutex_ below.
   std::atomic<bool> retention_disabled_{false};

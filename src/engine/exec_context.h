@@ -49,14 +49,14 @@ struct ExecContext {
   /// per-chunk partials).
   int scan_threads = 1;
 
-  /// Vectorized selection kernels for full scans (default on). The
-  /// executor-level SetVectorized(false) toggle overrides this to the
-  /// scalar path regardless; results are identical either way.
+  /// Vectorized selection kernels for full scans (default on); false
+  /// forces the scalar row-at-a-time scan. Results are identical either
+  /// way.
   bool vectorized = true;
 
   /// Consult per-chunk zone maps to skip chunks no row of which can
   /// match the predicate (default on). Skipped chunks are excluded from
-  /// rows_scanned and reported in ExecStats::chunks_skipped.
+  /// rows_scanned and counted in Executor::Stats::chunks_skipped.
   bool zone_map_skipping = true;
 
   /// Threshold-refutation targets for validation executions

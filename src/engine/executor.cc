@@ -355,6 +355,33 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
 
 }  // namespace
 
+Executor::Stats Executor::stats() const {
+  // relaxed: a sample of independent tallies; counters of in-flight
+  // executions may be caught at different instants.
+  Stats s;
+  s.queries_executed = queries_executed_.load(std::memory_order_relaxed);
+  s.rows_scanned = rows_scanned_.load(std::memory_order_relaxed);
+  s.index_assisted = index_assisted_.load(std::memory_order_relaxed);
+  s.scalar_fallbacks = scalar_fallbacks_.load(std::memory_order_relaxed);
+  s.chunks_skipped = chunks_skipped_.load(std::memory_order_relaxed);
+  s.morsels = morsels_.load(std::memory_order_relaxed);
+  s.executions_aborted_early =
+      executions_aborted_early_.load(std::memory_order_relaxed);
+  s.rows_saved = rows_saved_.load(std::memory_order_relaxed);
+  return s;
+}
+
+void Executor::ResetStats() {
+  // relaxed: stores happen at quiescence (see the header), so no
+  // concurrent accumulator needs ordering against them.
+  for (std::atomic<int64_t>* counter :
+       {&queries_executed_, &rows_scanned_, &index_assisted_,
+        &scalar_fallbacks_, &chunks_skipped_, &morsels_,
+        &executions_aborted_early_, &rows_saved_}) {
+    counter->store(0, std::memory_order_relaxed);
+  }
+}
+
 StatusOr<TopKList> Executor::Execute(const Table& table,
                                      const TopKQuery& query,
                                      const ExecContext& ctx) {
@@ -375,7 +402,7 @@ size_t Executor::CountMatching(const Table& table, const Predicate& predicate,
     return dimension_index_->Match(predicate).size();
   }
   BoundPredicate bound(predicate, table);
-  const bool use_vectorized = vectorized_ && ctx.vectorized;
+  const bool use_vectorized = ctx.vectorized;
   TableView view(table);
   const size_t num_chunks = view.num_chunks();
   ChunkScanner scanner(table, view, predicate, bound, ScanMode::kCount,
@@ -403,12 +430,9 @@ size_t Executor::CountMatching(const Table& table, const Predicate& predicate,
       ++morsels;
     }
   }
-  // relaxed: Stats counters are pure tallies (see Stats doc).
-  stats_.chunks_skipped.fetch_add(skipped, std::memory_order_relaxed);
-  stats_.morsels.fetch_add(morsels, std::memory_order_relaxed);
-  obs::Inc(metrics_.chunks_skipped, skipped);
-  obs::Inc(metrics_.morsels, morsels);
-  obs::Observe(metrics_.scan_parallelism, static_cast<double>(workers));
+  // relaxed: pure tallies (see the counter members).
+  chunks_skipped_.fetch_add(skipped, std::memory_order_relaxed);
+  morsels_.fetch_add(morsels, std::memory_order_relaxed);
   return count;
 }
 
@@ -422,9 +446,8 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   // execution error. Delays make scans slow enough to wedge.
   FaultResult scan_fault = PALEO_FAULT_POINT("executor.execute.scan");
   if (scan_fault.error()) return scan_fault.status;
-  // relaxed: Stats counters are pure tallies (see Stats doc).
-  stats_.queries_executed.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(metrics_.queries_executed);
+  // relaxed: pure tallies (see the counter members).
+  queries_executed_.fetch_add(1, std::memory_order_relaxed);
 
   BoundPredicate bound(query.predicate, table);
   const Column& entities = table.entity_column();
@@ -442,9 +465,8 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
     index_rows = dimension_index_->Match(query.predicate);
     rows = &index_rows;
     from_index = true;
-    // relaxed: Stats counters are pure tallies (see Stats doc).
-    stats_.index_assisted.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(metrics_.index_assisted);
+    // relaxed: pure tallies (see the counter members).
+    index_assisted_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Full scans take the vectorized chunk path: per-atom per-chunk
@@ -458,31 +480,32 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   // an allocation failure is injected here, the execution falls back
   // to the scalar row-at-a-time path — byte-identical results, fewer
   // bitmap allocations — instead of failing the run.
-  bool use_vectorized = ctx.vectorized && vectorized_ && rows == nullptr;
+  bool use_vectorized = ctx.vectorized && rows == nullptr;
   if (use_vectorized &&
       ((ctx.cache != nullptr && ctx.cache->under_pressure()) ||
        PALEO_FAULT_POINT("executor.selection.alloc").alloc_failure())) {
     use_vectorized = false;
-    // relaxed: Stats counters are pure tallies (see Stats doc).
-    stats_.scalar_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    // relaxed: pure tallies (see the counter members).
+    scalar_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
 
   auto account_rows = [&](size_t visited) {
-    // relaxed: Stats counters are pure tallies (see Stats doc).
-    stats_.rows_scanned.fetch_add(static_cast<int64_t>(visited),
-                                  std::memory_order_relaxed);
-    obs::Inc(metrics_.rows_scanned, static_cast<int64_t>(visited));
+    // relaxed: pure tallies (see the counter members).
+    rows_scanned_.fetch_add(static_cast<int64_t>(visited),
+                            std::memory_order_relaxed);
   };
   auto interrupted = [](TerminationReason reason) -> Status {
     return Status::Cancelled(std::string("query execution interrupted (") +
                              TerminationReasonToString(reason) + ")");
   };
 
-  // Orders a before b when a ranks better; ties by entity name
-  // ascending, then by group id for full determinism.
+  // Orders a before b when a ranks better (RanksBefore: NaN last);
+  // ties by entity name ascending, then by group id for full
+  // determinism.
   auto better = [&](double sa, const std::string& na, uint32_t ga, double sb,
                     const std::string& nb, uint32_t gb) {
-    if (sa != sb) return desc ? sa > sb : sa < sb;
+    if (RanksBefore(sa, sb, desc)) return true;
+    if (RanksBefore(sb, sa, desc)) return false;
     if (na != nb) return na < nb;
     return ga < gb;
   };
@@ -574,12 +597,9 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
       }
     }
     account_rows(visited);
-    // relaxed: Stats counters are pure tallies (see Stats doc).
-    stats_.chunks_skipped.fetch_add(skipped, std::memory_order_relaxed);
-    stats_.morsels.fetch_add(morsels, std::memory_order_relaxed);
-    obs::Inc(metrics_.chunks_skipped, skipped);
-    obs::Inc(metrics_.morsels, morsels);
-    obs::Observe(metrics_.scan_parallelism, static_cast<double>(workers));
+    // relaxed: pure tallies (see the counter members).
+    chunks_skipped_.fetch_add(skipped, std::memory_order_relaxed);
+    morsels_.fetch_add(morsels, std::memory_order_relaxed);
     if (scan_reason != TerminationReason::kCompleted) {
       // A budget interrupt outranks refutation: the wind-down contract
       // (Status::Cancelled, identical to the unpruned path) must not
@@ -600,12 +620,10 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
         saved += view.chunk(i).num_rows() - o.visited;
       }
       if (saved > 0) {
-        // relaxed: Stats counters are pure tallies (see Stats doc).
-        stats_.executions_aborted_early.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        stats_.rows_saved.fetch_add(static_cast<int64_t>(saved),
-                                    std::memory_order_relaxed);
-        obs::Inc(metrics_.rows_saved, static_cast<int64_t>(saved));
+        // relaxed: pure tallies (see the counter members).
+        executions_aborted_early_.fetch_add(1, std::memory_order_relaxed);
+        rows_saved_.fetch_add(static_cast<int64_t>(saved),
+                              std::memory_order_relaxed);
         return Status::QueryRefuted(
             "threshold bounds prove the candidate cannot reproduce the "
             "target list");
@@ -656,7 +674,8 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
     };
     // Only the best k survive: partial_sort does O(n log k) work where
     // a full sort did O(n log n). The comparator is a strict total
-    // order, so the first k entries are identical to sort-then-truncate.
+    // order (NaN scores included), so the first k entries are identical
+    // to sort-then-truncate.
     if (results.size() > static_cast<size_t>(query.k)) {
       std::partial_sort(results.begin(),
                         results.begin() + static_cast<ptrdiff_t>(query.k),

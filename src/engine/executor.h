@@ -23,8 +23,8 @@
 // With an AtomSelectionCache attached to the call, per-atom per-chunk
 // bitmaps are reused across the candidate queries of a validation run,
 // which share almost all of their atoms by construction.
-// SetVectorized(false) forces the scalar path for differential testing
-// and ablation.
+// ExecContext::vectorized = false forces the scalar path for
+// differential testing and ablation.
 
 #ifndef PALEO_ENGINE_EXECUTOR_H_
 #define PALEO_ENGINE_EXECUTOR_H_
@@ -38,7 +38,6 @@
 #include "engine/exec_context.h"
 #include "engine/query.h"
 #include "engine/topk_list.h"
-#include "obs/metrics.h"
 #include "storage/table.h"
 
 namespace paleo {
@@ -54,83 +53,50 @@ class SelectionBitmap;
 /// executions through different-but-equivalent predicates produce
 /// identical lists — whether evaluated through the scalar path, the
 /// vectorized kernels, the morsel-parallel scan, a dimension index, or
-/// cached selections.
+/// cached selections. Scores follow RanksBefore (engine/topk_list.h):
+/// a NaN score ranks last in both directions.
 ///
 /// Thread safety: Execute / ExecuteOnRows / CountMatching may be
 /// called concurrently from any number of threads — the tables they
-/// read are immutable, the stats counters are atomic (relaxed; totals
-/// over completed executions are exact, cross-counter snapshots and
-/// interrupted executions are not), and a shared AtomSelectionCache is
-/// internally synchronized. Configuration (SetDimensionIndex,
-/// SetVectorized, ResetStats) is not synchronized: call it before
+/// read are immutable, the counters behind stats() are relaxed atomics
+/// (totals over completed executions are exact, snapshots taken
+/// mid-flight and interrupted executions are not), and a shared
+/// AtomSelectionCache is internally synchronized. Configuration
+/// (SetDimensionIndex, ResetStats) is not synchronized: call it before
 /// sharing the executor, never mid-flight.
 class Executor {
  public:
-  /// Counters accumulated across Execute calls.
-  ///
-  /// relaxed: all counters are relaxed-atomic because the morsel-parallel scan
-  /// accumulates them from multiple pool workers concurrently (and one
-  /// shared executor serves the parallel validator / discovery
-  /// service). Calling ResetStats() while any Execute / CountMatching
-  /// is in flight is a CONTRACT VIOLATION: in-flight executions would
-  /// add their counts to the zeroed counters, splitting one execution's
-  /// accounting across the reset. Reset only at quiescence (asserted by
-  /// tests/chunked_scan_test.cc).
+  /// Counters accumulated across Execute / CountMatching calls, as
+  /// returned by stats().
   struct Stats {
-    std::atomic<int64_t> queries_executed{0};
-    std::atomic<int64_t> rows_scanned{0};
+    int64_t queries_executed = 0;
+    int64_t rows_scanned = 0;
     /// Executions answered from dimension-index postings instead of a
     /// full scan.
-    std::atomic<int64_t> index_assisted{0};
+    int64_t index_assisted = 0;
     /// Executions that degraded from the vectorized to the scalar path
     /// because selection-bitmap memory could not be allocated (real or
     /// injected) or the attached cache is under memory pressure.
     /// Results are byte-identical either way.
-    std::atomic<int64_t> scalar_fallbacks{0};
+    int64_t scalar_fallbacks = 0;
     /// Chunks skipped by zone-map refutation: no row of the chunk can
     /// match the predicate, so its rows never enter rows_scanned.
-    std::atomic<int64_t> chunks_skipped{0};
+    int64_t chunks_skipped = 0;
     /// Chunk-granular scan morsels actually processed (skipped chunks
     /// excluded); equals chunks-per-table on unselective scans.
-    std::atomic<int64_t> morsels{0};
+    int64_t morsels = 0;
     /// Executions aborted mid-scan by threshold refutation
     /// (ExecContext::threshold): the running per-group bounds proved
     /// the result cannot equal the monitor's target list.
-    /// relaxed: independent event counter, no ordering with other
-    /// memory needed (same contract as every counter above).
-    std::atomic<int64_t> executions_aborted_early{0};
+    int64_t executions_aborted_early = 0;
     /// Rows NOT scanned thanks to threshold refutation: the unscanned
     /// remainder of chunks never claimed (or abandoned) when an
     /// execution aborted early. Zone-map-skipped chunks do not count —
     /// they are attributed to chunks_skipped.
-    /// relaxed: independent event counter, accumulated once per aborted
-    /// execution after the morsel join; no cross-counter ordering.
-    std::atomic<int64_t> rows_saved{0};
-  };
-
-  /// Optional registry-backed instruments mirrored alongside Stats, so
-  /// a serving process can export executor activity without polling
-  /// every executor instance. All-null (one branch per event) by
-  /// default. See paleo/pipeline_metrics.h for the series they back.
-  struct MetricHandles {
-    obs::Counter* queries_executed = nullptr;
-    obs::Counter* rows_scanned = nullptr;
-    obs::Counter* index_assisted = nullptr;
-    obs::Counter* chunks_skipped = nullptr;
-    obs::Counter* morsels = nullptr;
-    /// Rows saved by threshold refutation (paired with
-    /// Stats::rows_saved; backs paleo_rows_saved_by_threshold_total).
-    obs::Counter* rows_saved = nullptr;
-    /// One observation per full scan: the number of morsel workers the
-    /// scan ran with (1 for sequential).
-    obs::Histogram* scan_parallelism = nullptr;
+    int64_t rows_saved = 0;
   };
 
   Executor() = default;
-
-  /// Binds registry instruments; same configuration contract as
-  /// SetDimensionIndex (set before sharing, never mid-flight).
-  void SetMetrics(MetricHandles handles) { metrics_ = handles; }
 
   /// Attaches secondary dimension indexes built over `indexed_table`.
   /// Subsequent Execute calls against that exact table evaluate fully
@@ -143,12 +109,6 @@ class Executor {
     dimension_index_ = index;
     indexed_table_ = indexed_table;
   }
-
-  /// Toggles the vectorized full-scan path (default on). Off forces the
-  /// scalar row-at-a-time scan everywhere; results are identical either
-  /// way. Same configuration contract as SetDimensionIndex.
-  void SetVectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
 
   /// Runs `query` over `table` under `ctx` (engine/exec_context.h):
   /// budget, atom cache, morsel-parallelism, and per-call path toggles
@@ -182,22 +142,15 @@ class Executor {
   // paleo_lint exec-context rule hard-bans the positional call shape
   // tree-wide so they cannot creep back.
 
-  const Stats& stats() const { return stats_; }
+  /// A snapshot of the counters.
+  Stats stats() const;
 
-  /// Zeroes every counter. See Stats: calling this while any execution
-  /// is in flight on this executor is a contract violation.
-  /// relaxed: stores happen at quiescence (no concurrent accumulators),
-  /// so no ordering with other memory is needed.
-  void ResetStats() {
-    stats_.queries_executed.store(0, std::memory_order_relaxed);
-    stats_.rows_scanned.store(0, std::memory_order_relaxed);
-    stats_.index_assisted.store(0, std::memory_order_relaxed);
-    stats_.scalar_fallbacks.store(0, std::memory_order_relaxed);
-    stats_.chunks_skipped.store(0, std::memory_order_relaxed);
-    stats_.morsels.store(0, std::memory_order_relaxed);
-    stats_.executions_aborted_early.store(0, std::memory_order_relaxed);
-    stats_.rows_saved.store(0, std::memory_order_relaxed);
-  }
+  /// Zeroes every counter. Calling this while any execution is in
+  /// flight on this executor is a contract violation: the execution
+  /// would add its counts to the zeroed counters, splitting one
+  /// execution's accounting across the reset (asserted at quiescence
+  /// by tests/chunked_scan_test.cc).
+  void ResetStats();
 
  private:
   StatusOr<TopKList> ExecuteImpl(const Table& table,
@@ -205,11 +158,19 @@ class Executor {
                                  const TopKQuery& query,
                                  const ExecContext& ctx);
 
-  Stats stats_;
-  MetricHandles metrics_;
+  // relaxed: pure tallies (see Stats). Morsel workers and the
+  // executions of one shared executor add to them concurrently; nothing
+  // is ordered or published through them.
+  std::atomic<int64_t> queries_executed_{0};
+  std::atomic<int64_t> rows_scanned_{0};
+  std::atomic<int64_t> index_assisted_{0};
+  std::atomic<int64_t> scalar_fallbacks_{0};
+  std::atomic<int64_t> chunks_skipped_{0};
+  std::atomic<int64_t> morsels_{0};
+  std::atomic<int64_t> executions_aborted_early_{0};
+  std::atomic<int64_t> rows_saved_{0};
   const DimensionIndex* dimension_index_ = nullptr;
   const Table* indexed_table_ = nullptr;
-  bool vectorized_ = true;
 };
 
 }  // namespace paleo

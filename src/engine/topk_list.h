@@ -5,6 +5,7 @@
 #ifndef PALEO_ENGINE_TOPK_LIST_H_
 #define PALEO_ENGINE_TOPK_LIST_H_
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,16 @@ class TopKList {
 /// True when a and b agree within `rel_eps` relative tolerance
 /// (absolute tolerance near zero).
 bool ValuesClose(double a, double b, double rel_eps = 1e-9);
+
+/// The value order of every ranked list: true when `a` ranks strictly
+/// before `b` — larger first when `desc`, smaller first otherwise. NaN
+/// ranks after every number in both directions and ties with NaN, so
+/// this is a strict weak order over all doubles, as std::sort needs.
+/// Callers break its ties by entity name.
+inline bool RanksBefore(double a, double b, bool desc) {
+  if (desc ? a > b : a < b) return true;
+  return std::isnan(b) && !std::isnan(a);
+}
 
 }  // namespace paleo
 

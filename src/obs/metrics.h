@@ -12,14 +12,18 @@
 // hammer one instrument concurrently — totals are exact, cross-metric
 // snapshots are not synchronized.
 //
-// Instrumentation is compiled in but must cost nothing when turned off.
-// The convention throughout the codebase is a NULLABLE HANDLE: code
-// holds `Counter*` / `Histogram*` pointers (all-null when no registry is
-// attached) and reports events through the free helpers below, which
-// reduce a disabled event to exactly one well-predicted branch:
+// Components that own a long-lived registry (the discovery service, the
+// table catalog) resolve their instruments once and report events
+// through the free helpers below. A handle may be null — the catalog
+// runs without a registry — and a null handle reduces an event to one
+// well-predicted branch:
 //
-//   obs::Inc(metrics.candidates_executed);          // no-op if null
-//   obs::Observe(metrics.run_ms, timer.ElapsedMillis());
+//   obs::Inc(metrics.batches);                      // no-op if null
+//   obs::Observe(metrics.publish_ms, timer.ElapsedMillis());
+//
+// The reverse-engineering pipeline reports no events here: it counts
+// into its own tallies and writes each run's report to a registry once,
+// when the run ends (paleo/pipeline_metrics.h).
 //
 // RenderText() emits the Prometheus text exposition format (HELP/TYPE
 // lines, cumulative `_bucket{le=...}` rows, `_sum`/`_count`), suitable

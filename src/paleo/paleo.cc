@@ -7,6 +7,7 @@
 
 #include "common/timer.h"
 #include "engine/atom_cache.h"
+#include "paleo/pipeline_metrics.h"
 #include "paleo/rprime.h"
 
 namespace paleo {
@@ -59,40 +60,20 @@ StatusOr<ReverseEngineerReport> Paleo::Run(const RunRequest& request) const {
                                     ? *request.options_override
                                     : options_;
 
-  // A request-private executor is what makes this call thread-safe.
-  Executor executor;
-  executor.SetVectorized(options.vectorized_execution);
-  if (dimension_index_ != nullptr && options.use_dimension_index) {
-    executor.SetDimensionIndex(dimension_index_.get(), base_);
-  }
-
-  // Mirror the executor's counters into the registry.
-  PipelineMetrics metrics = PipelineMetrics::Bind(request.metrics);
-  executor.SetMetrics({metrics.executor_queries,
-                       metrics.executor_rows_scanned,
-                       metrics.executor_index_assisted,
-                       metrics.chunks_skipped, metrics.morsels,
-                       metrics.rows_saved_by_threshold,
-                       metrics.scan_parallelism});
-
   std::shared_ptr<obs::Trace> trace;
   if (request.collect_trace) trace = std::make_shared<obs::Trace>();
 
-  obs::Inc(metrics.runs_total);
   Timer run_timer;
-  auto result = RunImpl(request, options, &executor, metrics, trace.get());
-  obs::Observe(metrics.run_ms, run_timer.ElapsedMillis());
-  if (result.ok()) {
-    if (result->found()) obs::Inc(metrics.runs_found);
-    result->trace = std::move(trace);
-  }
+  auto result = RunImpl(request, options, trace.get());
+  ExportRunMetrics(request.metrics, run_timer.ElapsedMillis(),
+                   result.ok() ? &*result : nullptr);
+  if (result.ok()) result->trace = std::move(trace);
   return result;
 }
 
-StatusOr<ReverseEngineerReport> Paleo::RunImpl(
-    const RunRequest& request, const PaleoOptions& options,
-    Executor* executor, const PipelineMetrics& metrics,
-    obs::Trace* trace) const {
+StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
+                                               const PaleoOptions& options,
+                                               obs::Trace* trace) const {
   const TopKList& input = *request.input;
   const std::vector<RowId>* sample_rows = request.sample_rows;
   const bool assume_complete = sample_rows == nullptr;
@@ -146,9 +127,6 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   report.predicates_by_size = mining.predicates_by_size;
   report.tuple_sets = static_cast<int64_t>(mining.groups.size());
   report.timings.find_predicates_ms = step_timer.ElapsedMillis();
-  obs::Inc(metrics.candidate_predicates, report.candidate_predicates);
-  obs::Observe(metrics.step_find_predicates_ms,
-               report.timings.find_predicates_ms);
   mine_span.AddAttr("rprime_rows", report.rprime_rows);
   mine_span.AddAttr("candidate_predicates", report.candidate_predicates);
   mine_span.AddAttr("tuple_sets", report.tuple_sets);
@@ -180,32 +158,31 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
       mining, rankings, model, static_cast<int>(input.size()), order);
   report.candidate_queries = static_cast<int64_t>(candidates.size());
   report.timings.find_ranking_ms = step_timer.ElapsedMillis();
-  obs::Inc(metrics.candidate_queries, report.candidate_queries);
-  obs::Observe(metrics.step_find_ranking_ms,
-               report.timings.find_ranking_ms);
   rank_span.AddAttr("tuple_set_evaluations",
                     report.ranking_info.tuple_set_evaluations);
   rank_span.AddAttr("candidate_queries", report.candidate_queries);
   rank_span.End();
 
   // ---- Step 3: validate candidate queries against R ----
+  // A request-private executor is what makes Run thread-safe.
+  Executor executor;
+  if (dimension_index_ != nullptr && options.use_dimension_index) {
+    executor.SetDimensionIndex(dimension_index_.get(), base_);
+  }
   // One atom-selection cache per run, shared by the main validation and
   // the progressive-deepening retry below (and across all pool workers
   // within them): the candidates share almost all of their predicate
   // atoms, so each distinct atom is scanned once per run instead of
   // once per candidate. Scoped to the run because the cache pins bitmap
   // memory and the candidate sets of different runs rarely overlap.
+  // Only the vectorized scan reads it.
   std::unique_ptr<AtomSelectionCache> atom_cache;
-  if (executor->vectorized() && options.atom_cache_bytes > 0) {
-    atom_cache = std::make_unique<AtomSelectionCache>(
-        options.atom_cache_bytes,
-        AtomSelectionCache::MetricHandles{
-            metrics.cache_hits, metrics.cache_misses,
-            metrics.cache_evictions, metrics.cache_resident_bytes});
+  if (options.vectorized_execution && options.atom_cache_bytes > 0) {
+    atom_cache = std::make_unique<AtomSelectionCache>(options.atom_cache_bytes);
   }
   step_timer.Reset();
   obs::ScopedSpan validate_span(trace, "validate", run_span.id());
-  Validator validator(*base_, executor, options, request.pool, metrics,
+  Validator validator(*base_, &executor, options, request.pool,
                       obs::TraceContext{trace, validate_span.id()},
                       atom_cache.get());
   ValidationOutcome outcome;
@@ -227,9 +204,9 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   report.executed_queries = outcome.executions;
   report.speculative_executions = outcome.speculative_executions;
   report.skip_events = outcome.skip_events;
+  report.validation_passes = outcome.passes;
   report.executions_aborted_early = outcome.refuted_early;
   report.timings.validation_ms = step_timer.ElapsedMillis();
-  obs::Observe(metrics.step_validation_ms, report.timings.validation_ms);
   validate_span.AddAttr("executed", outcome.executions);
   validate_span.AddAttr("skipped", outcome.skip_events);
   validate_span.AddAttr("valid",
@@ -271,8 +248,6 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
     report.candidate_queries =
         static_cast<int64_t>(candidates.size() + fresh.size());
     report.timings.find_ranking_ms += step_timer.ElapsedMillis();
-    obs::Inc(metrics.candidate_queries,
-             static_cast<int64_t>(fresh.size()));
     deep_rank_span.AddAttr("fresh_candidates",
                            static_cast<int64_t>(fresh.size()));
     deep_rank_span.End();
@@ -281,7 +256,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
     obs::ScopedSpan deep_validate_span(trace, "validate",
                                        deepen_span.id());
     Validator deep_validator(
-        *base_, executor, options, request.pool, metrics,
+        *base_, &executor, options, request.pool,
         obs::TraceContext{trace, deep_validate_span.id()},
         atom_cache.get());
     ValidationOutcome retry;
@@ -305,9 +280,9 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
     report.executed_queries += retry.executions;
     report.speculative_executions += retry.speculative_executions;
     report.skip_events += retry.skip_events;
+    report.validation_passes += retry.passes;
     report.executions_aborted_early += retry.refuted_early;
     report.timings.validation_ms += step_timer.ElapsedMillis();
-    obs::Observe(metrics.step_validation_ms, step_timer.ElapsedMillis());
     deep_validate_span.AddAttr("executed", retry.executions);
     deep_validate_span.AddAttr(
         "valid", static_cast<int64_t>(retry.valid.size()));
@@ -317,18 +292,11 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
     }
   }
 
-  obs::Inc(metrics.near_misses,
-           static_cast<int64_t>(report.near_misses.size()));
-  // relaxed: the run's own executor is quiescent here; these are
-  // pure tallies.
-  report.degraded_events =
-      executor->stats().scalar_fallbacks.load(std::memory_order_relaxed);
-  report.rows_saved =
-      executor->stats().rows_saved.load(std::memory_order_relaxed);
-  if (atom_cache != nullptr) {
-    report.degraded_events += atom_cache->stats().pressure_events;
-  }
-  if (report.degraded_events > 0) obs::Inc(metrics.degraded_runs);
+  // Every execution has joined: the snapshots are the run's totals.
+  report.executor_stats = executor.stats();
+  if (atom_cache != nullptr) report.cache_stats = atom_cache->stats();
+  report.degraded_events = report.executor_stats.scalar_fallbacks +
+                           report.cache_stats.pressure_events;
   run_span.AddAttr("termination",
                    TerminationReasonToString(report.termination));
   run_span.AddAttr("valid", static_cast<int64_t>(report.valid.size()));

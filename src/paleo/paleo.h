@@ -36,6 +36,7 @@
 
 #include "common/run_budget.h"
 #include "common/status.h"
+#include "engine/atom_cache.h"
 #include "engine/executor.h"
 #include "engine/topk_list.h"
 #include "index/dimension_index.h"
@@ -43,7 +44,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "paleo/candidate_query.h"
-#include "paleo/pipeline_metrics.h"
 #include "paleo/options.h"
 #include "paleo/predicate_miner.h"
 #include "paleo/ranking_finder.h"
@@ -86,12 +86,22 @@ struct ReverseEngineerReport {
   int64_t executed_queries = 0;
   int64_t speculative_executions = 0;
   int64_t skip_events = 0;
-  /// Executions the threshold monitor refuted mid-scan (a subset of
-  /// executed_queries; 0 with options.threshold_pruning off) and the
-  /// base-table rows those aborts skipped. Side observations only: the
-  /// valid set is identical with pruning on or off.
+  /// Passes over the candidate list (Algorithm 3 rounds; 1 per ranked
+  /// validation), summed over validation and progressive deepening.
+  int64_t validation_passes = 0;
+  /// Committed executions the threshold monitor refuted mid-scan (a
+  /// subset of executed_queries; 0 with options.threshold_pruning off).
+  /// A side observation only: the valid set is identical with pruning
+  /// on or off.
   int64_t executions_aborted_early = 0;
-  int64_t rows_saved = 0;
+
+  /// The run's executor and atom-cache counters, copied once when the
+  /// run ends. Unlike executed_queries they include speculative
+  /// executions; executor_stats.rows_saved holds the base-table rows
+  /// that threshold refutation skipped. cache_stats stays zero when the
+  /// run built no cache (scalar execution or atom_cache_bytes = 0).
+  Executor::Stats executor_stats;
+  AtomSelectionCache::Stats cache_stats;
 
   /// R' shape.
   int64_t rprime_rows = 0;
@@ -116,7 +126,8 @@ struct ReverseEngineerReport {
   /// scalar fallbacks (selection-allocation failure or cache memory
   /// pressure) plus atom-cache shrinks. 0 for a fully healthy run.
   /// Degraded runs produce byte-identical results — only reuse and
-  /// wall-clock suffer. Mirrored into paleo_degraded_runs_total.
+  /// wall-clock suffer. paleo_degraded_runs_total counts the runs where
+  /// it is positive.
   int64_t degraded_events = 0;
 
   /// The scored candidate list (retained when
@@ -169,10 +180,11 @@ struct RunRequest {
   /// vary options per request; the instance options are immutable.
   const PaleoOptions* options_override = nullptr;
 
-  /// Observability sinks. `metrics` (not owned) receives the
-  /// paleo_* counters and histograms (see paleo/pipeline_metrics.h);
-  /// `collect_trace` builds the report's span tree. Both default off,
-  /// costing one branch per would-be event.
+  /// Observability sinks. `metrics` (not owned) receives the paleo_*
+  /// counters and histograms once, when the run ends: the report's
+  /// counts for a successful run, paleo_runs_total and paleo_run_ms
+  /// only for a failed one (see paleo/pipeline_metrics.h).
+  /// `collect_trace` builds the report's span tree. Both default off.
   obs::MetricsRegistry* metrics = nullptr;
   bool collect_trace = false;
 };
@@ -218,8 +230,6 @@ class Paleo {
  private:
   StatusOr<ReverseEngineerReport> RunImpl(const RunRequest& request,
                                           const PaleoOptions& options,
-                                          Executor* executor,
-                                          const PipelineMetrics& metrics,
                                           obs::Trace* trace) const;
 
   const Table* base_;

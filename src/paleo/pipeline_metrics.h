@@ -1,43 +1,45 @@
-// Resolved metric handles for one reverse-engineering run.
+// The one export point from a reverse-engineering run to a metrics
+// registry.
 //
-// The pipeline does not talk to the MetricsRegistry directly: Bind()
-// resolves every instrument once per run (a handful of mutex-guarded
-// name lookups, idempotent, shared across runs on the same registry)
-// and the stages report events through the nullable handles — exactly
-// one branch per event when no registry is attached (all handles null),
-// a relaxed atomic op when one is.
+// Every pipeline count lives in exactly one tally — the executor's
+// counters, the atom cache's, the validator's ValidationOutcome, or a
+// field Paleo::Run fills — and reaches the report once, when the run
+// ends. ExportRunMetrics then writes the report's values to the
+// registry in one call, so the report and the registry cannot
+// disagree. A failed run has no report: it exports paleo_runs_total
+// and paleo_run_ms only.
 //
-// Thread-safety: Bind() is safe to call from any thread (the registry
-// lookups are internally synchronized); the resolved handles point at
-// atomic instruments, so reporting through a bound struct is safe from
-// multiple threads.
+// Thread-safety: ExportRunMetrics is safe to call from any number of
+// threads on one registry (registration is internally synchronized,
+// instrument updates are relaxed atomics).
 //
-// Metric naming scheme (documented in DESIGN.md §9):
-//   paleo_runs_total                      runs started, by outcome attrs
-//   paleo_runs_found_total                runs that validated >= 1 query
-//   paleo_run_ms                          end-to-end run latency
-//   paleo_step_ms{step=...}               per-step latency (Figure 7)
-//   paleo_candidate_predicates_total      mined candidate predicates
-//   paleo_candidate_queries_total         assembled candidate queries
+// Metric naming scheme (documented in DESIGN.md §9), with what each
+// series adds per run (`r` is the ReverseEngineerReport):
+//   paleo_runs_total                      1 per run, failed runs too
+//   paleo_run_ms                          the run's latency, failed runs too
+//   paleo_runs_found_total                1 when r.found()
+//   paleo_step_ms{step=...}               one observation per step:
+//                                         r.timings.{find_predicates,
+//                                         find_ranking, validation}_ms
+//   paleo_candidate_predicates_total      r.candidate_predicates
+//   paleo_candidate_queries_total         r.candidate_queries
 //   paleo_validation_candidates_total{outcome=executed|speculative|skipped}
-//   paleo_validation_passes_total         validation passes (Alg. 3 rounds)
-//   paleo_near_misses_total               unvalidated best guesses surfaced
-//   paleo_executor_queries_total          candidate-query executions
-//   paleo_executor_rows_scanned_total     rows visited by the executor
-//   paleo_executor_index_assisted_total   executions answered from postings
-//   paleo_chunks_skipped_total            chunks refuted by zone maps
-//   paleo_morsels_total                   chunk morsels actually scanned
-//   paleo_scan_parallelism                morsel workers per full scan
-//   paleo_cache_hits_total                atom-selection cache hits
-//   paleo_cache_misses_total              atom-selection cache misses
-//   paleo_cache_evictions_total           LRU evictions (byte budget)
-//   paleo_cache_resident_bytes            bitmap bytes currently retained
-//   paleo_validations_refuted_early_total executions aborted mid-scan by
-//                                         threshold refutation
-//   paleo_rows_saved_by_threshold_total   rows never scanned thanks to
-//                                         threshold refutation
-//   paleo_degraded_runs_total             runs that degraded gracefully
-//                                         (scalar fallback / cache shrink)
+//                                         r.executed_queries,
+//                                         r.speculative_executions,
+//                                         r.skip_events
+//   paleo_validation_passes_total         r.validation_passes
+//   paleo_near_misses_total               r.near_misses.size()
+//   paleo_executor_queries_total          r.executor_stats.queries_executed
+//   paleo_executor_rows_scanned_total     r.executor_stats.rows_scanned
+//   paleo_executor_index_assisted_total   r.executor_stats.index_assisted
+//   paleo_chunks_skipped_total            r.executor_stats.chunks_skipped
+//   paleo_morsels_total                   r.executor_stats.morsels
+//   paleo_cache_hits_total                r.cache_stats.hits
+//   paleo_cache_misses_total              r.cache_stats.misses
+//   paleo_cache_evictions_total           r.cache_stats.evictions
+//   paleo_validations_refuted_early_total r.executions_aborted_early
+//   paleo_rows_saved_by_threshold_total   r.executor_stats.rows_saved
+//   paleo_degraded_runs_total             1 when r.degraded_events > 0
 //
 // Suffix conventions (enforced by tools/paleo_lint.py): *_total is a
 // Counter, *_ms is a Histogram, *_bytes is a Gauge.
@@ -49,39 +51,13 @@
 
 namespace paleo {
 
-/// \brief All-null by default; Bind() fills it from a registry.
-struct PipelineMetrics {
-  obs::Counter* runs_total = nullptr;
-  obs::Counter* runs_found = nullptr;
-  obs::Histogram* run_ms = nullptr;
-  obs::Histogram* step_find_predicates_ms = nullptr;
-  obs::Histogram* step_find_ranking_ms = nullptr;
-  obs::Histogram* step_validation_ms = nullptr;
-  obs::Counter* candidate_predicates = nullptr;
-  obs::Counter* candidate_queries = nullptr;
-  obs::Counter* candidates_executed = nullptr;
-  obs::Counter* candidates_speculative = nullptr;
-  obs::Counter* candidates_skipped = nullptr;
-  obs::Counter* validation_passes = nullptr;
-  obs::Counter* near_misses = nullptr;
-  obs::Counter* executor_queries = nullptr;
-  obs::Counter* executor_rows_scanned = nullptr;
-  obs::Counter* executor_index_assisted = nullptr;
-  obs::Counter* chunks_skipped = nullptr;
-  obs::Counter* morsels = nullptr;
-  obs::Histogram* scan_parallelism = nullptr;
-  obs::Counter* cache_hits = nullptr;
-  obs::Counter* cache_misses = nullptr;
-  obs::Counter* cache_evictions = nullptr;
-  obs::Gauge* cache_resident_bytes = nullptr;
-  obs::Counter* validations_refuted_early = nullptr;
-  obs::Counter* rows_saved_by_threshold = nullptr;
-  obs::Counter* degraded_runs = nullptr;
+struct ReverseEngineerReport;
 
-  /// Resolves every handle against `registry`; a null registry returns
-  /// the all-null (disabled) bundle.
-  static PipelineMetrics Bind(obs::MetricsRegistry* registry);
-};
+/// Writes one run to `registry` (a no-op when it is null): `run_ms`
+/// always, and the report's counts when `report` is non-null — pass
+/// null for a run that failed.
+void ExportRunMetrics(obs::MetricsRegistry* registry, double run_ms,
+                      const ReverseEngineerReport* report);
 
 }  // namespace paleo
 

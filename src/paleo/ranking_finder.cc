@@ -180,21 +180,21 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
 
   const std::vector<uint32_t>& row_entity = rprime_.row_entity();
   const std::vector<std::string>& names = rprime_.entity_names();
+  // The executor's value order (RanksBefore: NaN last either way).
   auto precedes = [ascending](double a, double b) {
-    return ascending ? a < b : a > b;
+    return RanksBefore(a, b, /*desc=*/!ascending);
   };
 
   // Complete mode keeps a criterion only when its ranked list is
   // InstanceEquals to L, and that test begins by comparing the lengths
   // and then the leading values. Both are known in O(m) before any sort
-  // (the length is the number of ranked items, the leading value their
-  // extremum in the ranking direction), so a criterion failing either
-  // is rejected here; survivors take the full test. A NaN breaks the
-  // sort's strict weak order, so the sorted list need not lead with the
-  // extremum, and criteria with a NaN value skip this check.
+  // (the length is the number of ranked items, the leading value the
+  // first of them under `precedes`, which is what the sort puts first),
+  // so a criterion failing either is rejected here; survivors take the
+  // full test.
   const double input_lead = input.entry(0).value;
-  auto rejected_early = [&](size_t ranked_size, double lead, bool saw_nan) {
-    return assume_complete && !saw_nan &&
+  auto rejected_early = [&](size_t ranked_size, double lead) {
+    return assume_complete &&
            (ranked_size != k ||
             !ValuesClose(lead, input_lead, options_.rel_eps));
   };
@@ -214,19 +214,18 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
   // compares the ranking with L; uncovered entities rank nowhere.
   auto rank_entities = [&](RankingCandidate* cand) {
     ranked_entities.clear();
-    bool saw_nan = false;
     double lead = 0.0;
     for (int e = 0; e < m; ++e) {
       if (counts[static_cast<size_t>(e)] == 0) continue;
       double v = per_entity[static_cast<size_t>(e)];
-      saw_nan |= std::isnan(v);
       if (ranked_entities.empty() || precedes(v, lead)) lead = v;
       ranked_entities.emplace_back(v, e);
     }
-    if (rejected_early(ranked_entities.size(), lead, saw_nan)) return false;
+    if (rejected_early(ranked_entities.size(), lead)) return false;
     std::sort(ranked_entities.begin(), ranked_entities.end(),
               [&](const auto& a, const auto& b) {
-                if (a.first != b.first) return precedes(a.first, b.first);
+                if (precedes(a.first, b.first)) return true;
+                if (precedes(b.first, a.first)) return false;
                 return names[static_cast<size_t>(a.second)] <
                        names[static_cast<size_t>(b.second)];
               });
@@ -253,20 +252,19 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     if (agg == AggFn::kNone) {
       // Rank individual tuples.
       ranked_rows.clear();
-      bool saw_nan = false;
       double lead = 0.0;
       for (RowId r : rows) {
         double v = expr.Eval(slice, r);
-        saw_nan |= std::isnan(v);
         if (ranked_rows.empty() || precedes(v, lead)) lead = v;
         ranked_rows.emplace_back(v, r);
       }
-      if (rejected_early(std::min(ranked_rows.size(), k), lead, saw_nan)) {
+      if (rejected_early(std::min(ranked_rows.size(), k), lead)) {
         return {false, cand};
       }
       std::sort(ranked_rows.begin(), ranked_rows.end(),
                 [&](const auto& a, const auto& b) {
-                  if (a.first != b.first) return precedes(a.first, b.first);
+                  if (precedes(a.first, b.first)) return true;
+                  if (precedes(b.first, a.first)) return false;
                   const std::string& na = names[row_entity[a.second]];
                   const std::string& nb = names[row_entity[b.second]];
                   if (na != nb) return na < nb;

@@ -63,13 +63,13 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
     const RunBudget* budget, int64_t prior_executions) const {
   ValidationOutcome outcome;
   outcome.passes = 1;
-  obs::Inc(metrics_.validation_passes);
   const std::unique_ptr<ThresholdMonitor> monitor =
       MakeMonitor(candidates, input);
   const ExecContext exec_ctx{.budget = budget,
                              .cache = cache_,
                              .pool = pool_,
                              .scan_threads = options_.scan_threads,
+                             .vectorized = options_.vectorized_execution,
                              .threshold = monitor.get()};
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (options_.max_query_executions > 0 &&
@@ -98,8 +98,6 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
         // paper's execution metric are identical with pruning off.
         ++outcome.executions;
         ++outcome.refuted_early;
-        obs::Inc(metrics_.candidates_executed);
-        obs::Inc(metrics_.validations_refuted_early);
         span.AddAttr("candidate", static_cast<int64_t>(i));
         span.AddAttr("refuted_early", int64_t{1});
         continue;
@@ -116,7 +114,6 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
       return result.status();
     }
     ++outcome.executions;
-    obs::Inc(metrics_.candidates_executed);
     const bool accepted = Accepts(*result, input);
     span.AddAttr("candidate", static_cast<int64_t>(i));
     span.AddAttr("accepted", static_cast<int64_t>(accepted));
@@ -170,13 +167,10 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
       .budget = budget,
       .cache = cache_,
       .pool = pool_,
-      .scan_threads = options_.scan_threads};
-  const ExecContext pruned_ctx{
-      .budget = budget,
-      .cache = cache_,
-      .pool = pool_,
       .scan_threads = options_.scan_threads,
-      .threshold = monitor.get()};
+      .vectorized = options_.vectorized_execution};
+  ExecContext pruned_ctx = unpruned_ctx;
+  pruned_ctx.threshold = monitor.get();
   enum class Exec { kOk, kRefuted, kStop };
   auto execute = [&](size_t idx, const ExecContext& exec_ctx,
                      TopKList* result) {
@@ -188,8 +182,6 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
         // Executed-and-rejected, just cheaper: counts as an execution.
         ++outcome.executions;
         ++outcome.refuted_early;
-        obs::Inc(metrics_.candidates_executed);
-        obs::Inc(metrics_.validations_refuted_early);
         span.AddAttr("refuted_early", int64_t{1});
         return Exec::kRefuted;
       }
@@ -203,14 +195,12 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
       return Exec::kStop;
     }
     ++outcome.executions;
-    obs::Inc(metrics_.candidates_executed);
     *result = std::move(executed).value();
     return Exec::kOk;
   };
 
   while (!queue.empty()) {
     ++outcome.passes;
-    obs::Inc(metrics_.validation_passes);
     std::vector<size_t> skipped;
     const CandidateQuery* first_match = nullptr;
     bool ranking_confirmed = false;
@@ -250,7 +240,6 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
         if (no_predicate_overlap || wrong_ranking) {
           skipped.push_back(queue[pos]);
           ++outcome.skip_events;
-          obs::Inc(metrics_.candidates_skipped);
           continue;
         }
       }
@@ -337,13 +326,10 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
   const ExecContext task_ctx{.budget = &task_budget,
                              .cache = cache_,
                              .pool = pool_,
-                             .scan_threads = options_.scan_threads};
-  const ExecContext pruned_task_ctx{
-      .budget = &task_budget,
-      .cache = cache_,
-      .pool = pool_,
-      .scan_threads = options_.scan_threads,
-      .threshold = monitor.get()};
+                             .scan_threads = options_.scan_threads,
+                             .vectorized = options_.vectorized_execution};
+  ExecContext pruned_task_ctx = task_ctx;
+  pruned_task_ctx.threshold = monitor.get();
 
   struct Slot {
     enum class State { kPending, kLaunched, kSkipped };
@@ -361,7 +347,6 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
 
   while (!queue.empty()) {
     ++outcome.passes;
-    obs::Inc(metrics_.validation_passes);
     std::vector<Slot> slots(queue.size());
     std::vector<size_t> skipped;
     const CandidateQuery* qfm = nullptr;
@@ -394,7 +379,6 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
           // work, exactly like an ok one whose result is discarded.
           if (r.ran && (r.status.ok() || r.status.IsQueryRefuted())) {
             ++outcome.speculative_executions;
-            obs::Inc(metrics_.candidates_speculative);
           }
         }
       }
@@ -475,7 +459,6 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
       if (slot.state == Slot::State::kSkipped) {
         skipped.push_back(queue[commit_pos]);
         ++outcome.skip_events;
-        obs::Inc(metrics_.candidates_skipped);
         ++commit_pos;
         continue;
       }
@@ -497,12 +480,10 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
         if (result.ran &&
             (result.status.ok() || result.status.IsQueryRefuted())) {
           ++outcome.speculative_executions;
-          obs::Inc(metrics_.candidates_speculative);
           span.AddAttr("speculative", int64_t{1});
         }
         skipped.push_back(queue[commit_pos]);
         ++outcome.skip_events;
-        obs::Inc(metrics_.candidates_skipped);
         ++commit_pos;
         continue;
       }
@@ -514,8 +495,6 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
           // schedule as with pruning off.
           ++outcome.executions;
           ++outcome.refuted_early;
-          obs::Inc(metrics_.candidates_executed);
-          obs::Inc(metrics_.validations_refuted_early);
           span.AddAttr("refuted_early", int64_t{1});
           ++commit_pos;
           continue;
@@ -532,7 +511,6 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
         return result.status;
       }
       ++outcome.executions;
-      obs::Inc(metrics_.candidates_executed);
       const bool accepted = Accepts(result.list, input);
       span.AddAttr("accepted", static_cast<int64_t>(accepted));
       if (accepted) {

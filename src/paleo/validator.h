@@ -44,7 +44,6 @@
 #include "obs/trace.h"
 #include "paleo/candidate_query.h"
 #include "paleo/options.h"
-#include "paleo/pipeline_metrics.h"
 
 namespace paleo {
 
@@ -91,8 +90,8 @@ class Validator {
   /// `pool` (optional, not owned) enables parallel validation when
   /// options.num_threads > 1; nullptr keeps every path sequential.
   ///
-  /// `metrics` (nullable handles) and `trace` (null trace = off) report
-  /// per-candidate outcomes. Sequential validation records one
+  /// `trace` (null trace = off) records per-candidate outcomes; their
+  /// counts are in the ValidationOutcome. Sequential validation records one
   /// "execute" span per execution; parallel validation records one
   /// "commit" span per committed candidate, from the single-threaded
   /// commit loop only (a Trace is not thread-safe, so pool workers
@@ -104,13 +103,11 @@ class Validator {
   /// bitmaps instead of rescanning R.
   Validator(const Table& base, Executor* executor,
             const PaleoOptions& options, ThreadPool* pool = nullptr,
-            PipelineMetrics metrics = {}, obs::TraceContext trace = {},
-            AtomSelectionCache* cache = nullptr)
+            obs::TraceContext trace = {}, AtomSelectionCache* cache = nullptr)
       : base_(base),
         executor_(executor),
         options_(options),
         pool_(pool),
-        metrics_(metrics),
         trace_(trace),
         cache_(cache) {}
 
@@ -162,7 +159,6 @@ class Validator {
   Executor* executor_;
   const PaleoOptions& options_;
   ThreadPool* pool_ = nullptr;
-  PipelineMetrics metrics_;
   obs::TraceContext trace_;
   AtomSelectionCache* cache_ = nullptr;
 };

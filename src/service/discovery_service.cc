@@ -112,27 +112,10 @@ DiscoveryService::~DiscoveryService() {
 }
 
 StatusOr<std::shared_ptr<Session>> DiscoveryService::Submit(
-    TopKList input) {
-  ServiceRequest request;
-  request.input = std::move(input);
-  return Submit(std::move(request));
-}
-
-StatusOr<std::shared_ptr<Session>> DiscoveryService::Submit(
-    TopKList input, PaleoOptions request_options) {
-  ServiceRequest request;
-  request.input = std::move(input);
-  request.options = std::move(request_options);
-  return Submit(std::move(request));
-}
-
-StatusOr<std::shared_ptr<Session>> DiscoveryService::Submit(
     ServiceRequest request) {
-  // relaxed: submitted_ is a pure tally; the shutdown_ early-out is
-  // advisory — the authoritative re-check happens under live_mutex_
-  // after admission, below.
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(service_metrics_.submitted);
+  // relaxed: the shutdown_ early-out is advisory — the authoritative
+  // re-check happens under live_mutex_ after admission, below.
   if (shutdown_.load(std::memory_order_relaxed)) {
     return Status::Cancelled("discovery service is shutting down");
   }
@@ -164,8 +147,6 @@ StatusOr<std::shared_ptr<Session>> DiscoveryService::Submit(
     session->mutable_budget()->SetDeadlineAfterMillis(deadline_ms);
   }
   if (!queue_.TryPush(session)) {
-    // relaxed: pure tally.
-    shed_.fetch_add(1, std::memory_order_relaxed);
     obs::Inc(service_metrics_.shed);
     return Status::ResourceExhausted(
         "admission queue full (" + std::to_string(queue_.capacity()) +
@@ -239,8 +220,6 @@ void DiscoveryService::Dispatch() {
              attempt < service_options_.max_retries &&
              session->budget().Check(0) == TerminationReason::kCompleted) {
         ++attempt;
-        // relaxed: pure tally.
-        retries_.fetch_add(1, std::memory_order_relaxed);
         obs::Inc(service_metrics_.retries);
         int64_t base = std::max<int64_t>(service_options_.retry_backoff_ms, 1);
         for (int doubling = 1;
@@ -282,24 +261,18 @@ void DiscoveryService::Dispatch() {
               live_.end());
 }
 
-// relaxed: terminal-state counters are independent tallies sampled by
-// stats(); nothing orders other memory through them.
 void DiscoveryService::CountTerminal(SessionState state) {
   switch (state) {
     case SessionState::kDone:
-      done_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(service_metrics_.done);
       break;
     case SessionState::kFailed:
-      failed_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(service_metrics_.failed);
       break;
     case SessionState::kCancelled:
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(service_metrics_.cancelled);
       break;
     case SessionState::kExpired:
-      expired_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(service_metrics_.expired);
       break;
     default:
@@ -337,8 +310,6 @@ void DiscoveryService::WatchdogLoop() {
       if (session->RunningForMillis() >
           static_cast<double>(service_options_.watchdog_stall_ms)) {
         session->Cancel();
-        // relaxed: pure tally.
-        watchdog_kicks_.fetch_add(1, std::memory_order_relaxed);
         obs::Inc(service_metrics_.watchdog_kicks);
       }
     }
@@ -370,17 +341,16 @@ void DiscoveryService::CancelAll() {
 }
 
 DiscoveryServiceStats DiscoveryService::stats() const {
-  // relaxed: point-in-time sample of independent tallies; cross-counter
-  // tearing is inherent to sampling and accepted.
+  const ServiceMetrics& m = service_metrics_;
   DiscoveryServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.done = done_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  s.expired = expired_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.watchdog_kicks = watchdog_kicks_.load(std::memory_order_relaxed);
+  s.submitted = m.submitted->value();
+  s.shed = m.shed->value();
+  s.done = m.done->value();
+  s.failed = m.failed->value();
+  s.cancelled = m.cancelled->value();
+  s.expired = m.expired->value();
+  s.retries = m.retries->value();
+  s.watchdog_kicks = m.watchdog_kicks->value();
   return s;
 }
 

@@ -98,9 +98,10 @@ struct DiscoveryServiceOptions {
 /// bugs) and budget wind-downs (kCancelled) are never retried.
 bool IsRetryableTransient(const Status& status);
 
-/// \brief Aggregate counters; a consistent-enough snapshot for
-/// monitoring (individual counters are exact, cross-counter skew is
-/// possible mid-flight).
+/// \brief Aggregate counters, read from the service's registry (the
+/// paleo_service_*, paleo_retries_total and paleo_watchdog_kicks_total
+/// series); a consistent-enough snapshot for monitoring (individual
+/// counters are exact, cross-counter skew is possible mid-flight).
 struct DiscoveryServiceStats {
   int64_t submitted = 0;  // admission attempts
   int64_t shed = 0;       // rejected at admission (queue full)
@@ -138,16 +139,6 @@ class DiscoveryService {
   /// Sheds with ResourceExhausted when the admission queue is full,
   /// Cancelled after shutdown began.
   StatusOr<std::shared_ptr<Session>> Submit(ServiceRequest request);
-
-  /// DEPRECATED: thin wrapper; admits `input` with the service's
-  /// default pipeline options. Prefer the ServiceRequest form.
-  StatusOr<std::shared_ptr<Session>> Submit(TopKList input);
-
-  /// DEPRECATED: thin wrapper with per-request pipeline options
-  /// (deadline_ms, num_threads, match mode, ... — the indexes stay
-  /// the service's). Prefer the ServiceRequest form.
-  StatusOr<std::shared_ptr<Session>> Submit(TopKList input,
-                                            PaleoOptions request_options);
 
   /// Trips every live session's cancellation token (queued and
   /// running). Sessions still reach their terminal states through the
@@ -202,20 +193,11 @@ class DiscoveryService {
   const ServiceMetrics service_metrics_;
 
   // atomic: next_id_ is a ticket counter; shutdown_ is the teardown
-  // flag whose ordering comes from live_mutex_ (see ~DiscoveryService);
-  // the rest are independent event tallies sampled by stats().
+  // flag whose ordering comes from live_mutex_ (see ~DiscoveryService).
   std::atomic<uint64_t> next_id_{1};
   // Set (under live_mutex_, see ~DiscoveryService) once teardown began;
   // also read lock-free for the cheap early-out in Submit.
   std::atomic<bool> shutdown_{false};
-  std::atomic<int64_t> submitted_{0};
-  std::atomic<int64_t> shed_{0};
-  std::atomic<int64_t> done_{0};
-  std::atomic<int64_t> failed_{0};
-  std::atomic<int64_t> cancelled_{0};
-  std::atomic<int64_t> expired_{0};
-  std::atomic<int64_t> retries_{0};
-  std::atomic<int64_t> watchdog_kicks_{0};
 
   // Live sessions, for CancelAll; pruned on finish.
   Mutex live_mutex_;

@@ -45,7 +45,7 @@ struct ServiceRequest {
   /// Per-request pipeline options (deadline_ms, num_threads, match
   /// mode, ... — the indexes stay the service's). Unset = the
   /// service's defaults.
-  std::optional<PaleoOptions> options;
+  std::optional<PaleoOptions> options = std::nullopt;
   /// Retain the scored candidate list in the session's report.
   bool keep_candidates = false;
   /// Build a span tree for this request: a "session" root with a

@@ -254,7 +254,8 @@ class ChaosTest : public ::testing::Test {
           const size_t wi = static_cast<size_t>(client_rng.Uniform(
               static_cast<uint64_t>(workload().size())));
           attempts.fetch_add(1);
-          auto session = service->Submit(workload()[wi].list);
+          auto session = service->Submit(ServiceRequest{
+              .input = workload()[wi].list});
           if (!session.ok()) {
             rejected.fetch_add(1);
             continue;
@@ -373,7 +374,7 @@ TEST_F(ChaosTest, RetryRecoversTransientDispatchFault) {
   spec.max_fires = 1;
   FaultPoints::Arm("service.dispatch.run", spec);
 
-  auto session = service.Submit(workload()[0].list);
+  auto session = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(session.ok());
   ASSERT_EQ((*session)->Wait(), SessionState::kDone)
       << (*session)->status().ToString();
@@ -396,7 +397,7 @@ TEST_F(ChaosTest, NonRetryableDispatchFaultFailsWithoutRetry) {
   spec.at_hit = 1;
   FaultPoints::Arm("service.dispatch.run", spec);
 
-  auto session = service.Submit(workload()[0].list);
+  auto session = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(session.ok());
   EXPECT_EQ((*session)->Wait(), SessionState::kFailed);
   EXPECT_EQ(service.stats().retries, 0);
@@ -418,7 +419,7 @@ TEST_F(ChaosTest, MemoryPressureDegradesToScalarNotFailure) {
   FaultPoints::Arm("atom-cache.insert.alloc", alloc);
   FaultPoints::Arm("executor.selection.alloc", alloc);
 
-  auto session = service.Submit(workload()[0].list);
+  auto session = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(session.ok());
   ASSERT_EQ((*session)->Wait(), SessionState::kDone)
       << (*session)->status().ToString();
@@ -451,7 +452,7 @@ TEST_F(ChaosTest, WatchdogCancelsWedgedRun) {
   wedge.seed = 3;
   FaultPoints::Arm("executor.execute.scan", wedge);
 
-  auto session = service.Submit(workload()[2].list);
+  auto session = service.Submit(ServiceRequest{.input = workload()[2].list});
   ASSERT_TRUE(session.ok());
   SessionState state = (*session)->WaitFor(std::chrono::seconds(60));
   ASSERT_TRUE(IsTerminal(state)) << SessionStateToString(state);
@@ -476,13 +477,13 @@ TEST_F(ChaosTest, InjectedSubmitFaultSurfacesToClient) {
   spec.at_hit = 1;
   FaultPoints::Arm("service.submit.enqueue", spec);
 
-  auto first = service.Submit(workload()[0].list);
+  auto first = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), StatusCode::kInternal);
   EXPECT_NE(first.status().message().find("admission bookkeeping"),
             std::string::npos);
   // The fault fired once; the service is healthy again.
-  auto second = service.Submit(workload()[0].list);
+  auto second = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(second.ok());
   EXPECT_EQ((*second)->Wait(), SessionState::kDone);
 }
@@ -531,7 +532,8 @@ TEST_F(ChaosTest, IngestStormUnderFaultsPreservesSnapshotIsolation) {
     for (int r = 0; r < 6; ++r) {
       const size_t wi = static_cast<size_t>(
           rng.Uniform(static_cast<uint64_t>(workload().size())));
-      auto session = service.Submit(workload()[wi].list);
+      auto session = service.Submit(ServiceRequest{
+          .input = workload()[wi].list});
       if (session.ok()) admitted.emplace_back(*session, wi);
     }
     // Wait phase holds no assertions: the writer must be joined before

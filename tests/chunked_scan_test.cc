@@ -221,15 +221,15 @@ TEST(ZoneMapTest, DictionaryZonesSkipOnlyValueFreeChunks) {
   q.k = 5;
   auto skipping = ex.Execute(t, q, ExecContext{});
   ASSERT_TRUE(skipping.ok());
-  EXPECT_EQ(ex.stats().chunks_skipped.load(), 3);
-  EXPECT_EQ(ex.stats().morsels.load(), 1);
-  EXPECT_EQ(ex.stats().rows_scanned.load(), 64);
+  EXPECT_EQ(ex.stats().chunks_skipped, 3);
+  EXPECT_EQ(ex.stats().morsels, 1);
+  EXPECT_EQ(ex.stats().rows_scanned, 64);
 
   Executor ref;
   auto full = ref.Execute(t, q, ExecContext{.zone_map_skipping = false});
   ASSERT_TRUE(full.ok());
-  EXPECT_EQ(ref.stats().chunks_skipped.load(), 0);
-  EXPECT_EQ(ref.stats().rows_scanned.load(), 256);
+  EXPECT_EQ(ref.stats().chunks_skipped, 0);
+  EXPECT_EQ(ref.stats().rows_scanned, 256);
   EXPECT_TRUE(*skipping == *full);
 
   // A state no row carries refutes every chunk: empty result, zero
@@ -239,8 +239,8 @@ TEST(ZoneMapTest, DictionaryZonesSkipOnlyValueFreeChunks) {
   auto none = ex.Execute(t, q, ExecContext{});
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
-  EXPECT_EQ(ex.stats().chunks_skipped.load(), 4);
-  EXPECT_EQ(ex.stats().rows_scanned.load(), 0);
+  EXPECT_EQ(ex.stats().chunks_skipped, 4);
+  EXPECT_EQ(ex.stats().rows_scanned, 0);
 }
 
 TEST(ZoneMapTest, CountMatchingSkipsRefutedChunks) {
@@ -259,8 +259,8 @@ TEST(ZoneMapTest, CountMatchingSkipsRefutedChunks) {
   EXPECT_EQ(ex.CountMatching(t, Predicate::Atom(3, Value::Int64(1)),
                              ExecContext{}),
             64u);
-  EXPECT_EQ(ex.stats().chunks_skipped.load(), 2);
-  EXPECT_EQ(ex.stats().morsels.load(), 1);
+  EXPECT_EQ(ex.stats().chunks_skipped, 2);
+  EXPECT_EQ(ex.stats().morsels, 1);
 }
 
 // ---- Differential sweep -------------------------------------------------
@@ -280,14 +280,13 @@ TEST(ChunkedScanTest, DifferentialScalarVsVectorizedVsMorselSweep) {
     t.SetChunkRows(chunk_sizes[rng.Uniform(3)]);
     AtomSelectionCache cache(static_cast<size_t>(4) << 20);
 
-    Executor scalar;
-    scalar.SetVectorized(false);
+    Executor scalar;  // runs with ExecContext::vectorized = false
     Executor vec;
     for (int qi = 0; qi < 3; ++qi) {
       TopKQuery q = RandomQuery(rng);
       // Reference: sequential scalar, no zone skipping, no cache.
-      auto ref = scalar.Execute(t, q,
-                                ExecContext{.zone_map_skipping = false});
+      auto ref = scalar.Execute(
+          t, q, ExecContext{.vectorized = false, .zone_map_skipping = false});
       ASSERT_TRUE(ref.ok());
       const ExecContext variants[] = {
           {},                                               // vectorized seq
@@ -305,12 +304,15 @@ TEST(ChunkedScanTest, DifferentialScalarVsVectorizedVsMorselSweep) {
         EXPECT_TRUE(*ref == *got)
             << "workload " << workloads << " threads=" << ctx.scan_threads
             << " skip=" << ctx.zone_map_skipping;
-        auto got_scalar = scalar.Execute(t, q, ctx);
+        ExecContext scalar_ctx = ctx;
+        scalar_ctx.vectorized = false;
+        auto got_scalar = scalar.Execute(t, q, scalar_ctx);
         ASSERT_TRUE(got_scalar.ok());
         EXPECT_TRUE(*ref == *got_scalar) << "workload " << workloads;
       }
       const size_t ref_count = scalar.CountMatching(
-          t, q.predicate, ExecContext{.zone_map_skipping = false});
+          t, q.predicate,
+          ExecContext{.vectorized = false, .zone_map_skipping = false});
       EXPECT_EQ(ref_count,
                 vec.CountMatching(t, q.predicate, ExecContext{}));
       EXPECT_EQ(ref_count,
@@ -336,10 +338,9 @@ TEST(ChunkedScanTest, MorselScanAccountsSkippedAndProcessedChunks) {
   auto r =
       ex.Execute(t, q, ExecContext{.pool = &pool, .scan_threads = 4});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(ex.stats().morsels.load() + ex.stats().chunks_skipped.load(),
-            chunks);
-  EXPECT_EQ(ex.stats().chunks_skipped.load(), 0);
-  EXPECT_EQ(ex.stats().rows_scanned.load(), 1000);
+  EXPECT_EQ(ex.stats().morsels + ex.stats().chunks_skipped, chunks);
+  EXPECT_EQ(ex.stats().chunks_skipped, 0);
+  EXPECT_EQ(ex.stats().rows_scanned, 1000);
 }
 
 TEST(ChunkedScanTest, ParallelScanHonoursPreTrippedBudget) {
@@ -375,18 +376,18 @@ TEST(ChunkedScanTest, ResetStatsAtQuiescenceYieldsExactTotals) {
   q.predicate = Predicate();
   ASSERT_TRUE(
       ex.Execute(t, q, ExecContext{.pool = &pool, .scan_threads = 4}).ok());
-  EXPECT_GT(ex.stats().rows_scanned.load(), 0);
+  EXPECT_GT(ex.stats().rows_scanned, 0);
   // All executions joined: Execute returned, so every morsel worker has
   // committed its counts. The reset is exact.
   ex.ResetStats();
-  EXPECT_EQ(ex.stats().queries_executed.load(), 0);
-  EXPECT_EQ(ex.stats().rows_scanned.load(), 0);
-  EXPECT_EQ(ex.stats().chunks_skipped.load(), 0);
-  EXPECT_EQ(ex.stats().morsels.load(), 0);
+  EXPECT_EQ(ex.stats().queries_executed, 0);
+  EXPECT_EQ(ex.stats().rows_scanned, 0);
+  EXPECT_EQ(ex.stats().chunks_skipped, 0);
+  EXPECT_EQ(ex.stats().morsels, 0);
   ASSERT_TRUE(
       ex.Execute(t, q, ExecContext{.pool = &pool, .scan_threads = 4}).ok());
-  EXPECT_EQ(ex.stats().queries_executed.load(), 1);
-  EXPECT_EQ(ex.stats().rows_scanned.load(), 500);
+  EXPECT_EQ(ex.stats().queries_executed, 1);
+  EXPECT_EQ(ex.stats().rows_scanned, 500);
 }
 
 // The deprecated positional overloads were deleted in PR 9 (their

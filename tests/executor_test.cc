@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -182,6 +184,55 @@ TEST(ExecutorTest, TieBreakByEntityNameAscending) {
   EXPECT_EQ(result->entry(0).entity, "alpha");
   EXPECT_EQ(result->entry(1).entity, "mid");
   EXPECT_EQ(result->entry(2).entity, "zeta");
+}
+
+// A NaN score ranks last in both directions (RanksBefore). Twenty
+// groups take std::sort and std::partial_sort past their 16-element
+// insertion-sort cutoff, where a comparator that leaves NaN unordered
+// against every number misplaces the NaN group.
+TEST(ExecutorTest, NanGroupRanksLastInBothDirections) {
+  constexpr int kGroups = 20;
+  Table t(TestSchema());
+  for (int g = 0; g < kGroups; ++g) {
+    // g00 sums to NaN; the others to the distinct values 1..19, in
+    // shuffled row order.
+    const double w = g == 0 ? std::numeric_limits<double>::quiet_NaN()
+                            : static_cast<double>(g * 7 % kGroups);
+    const std::string name = std::string(g < 10 ? "g0" : "g") +
+                             std::to_string(g);
+    ASSERT_TRUE(t.AppendRow({Value::String(name), Value::String("CA"),
+                             Value::Int64(g), Value::Double(w)})
+                    .ok());
+  }
+  Executor ex;
+  for (SortOrder order : {SortOrder::kDesc, SortOrder::kAsc}) {
+    for (int k : {kGroups, kGroups - 1, 5}) {
+      TopKQuery q;
+      q.expr = RankExpr::Column(3);
+      q.agg = AggFn::kSum;
+      q.order = order;
+      q.k = k;
+      auto result = ex.Execute(t, q, ExecContext{});
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result->size(), static_cast<size_t>(k));
+      for (int i = 0; i < k; ++i) {
+        const TopKEntry& entry = result->entry(static_cast<size_t>(i));
+        const std::string where = std::string(order == SortOrder::kDesc
+                                                  ? "DESC"
+                                                  : "ASC") +
+                                  " k=" + std::to_string(k) +
+                                  " rank " + std::to_string(i);
+        if (i == kGroups - 1) {
+          EXPECT_EQ(entry.entity, "g00") << where;
+          EXPECT_TRUE(std::isnan(entry.value)) << where;
+        } else {
+          const double want = order == SortOrder::kDesc ? kGroups - 1 - i
+                                                        : i + 1;
+          EXPECT_EQ(entry.value, want) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(ExecutorTest, EmptyResultWhenPredicateMatchesNothing) {

@@ -13,11 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "engine/atom_cache.h"
-#include "engine/selection_bitmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "paleo/pipeline_metrics.h"
 
 namespace paleo {
 namespace obs {
@@ -159,43 +156,9 @@ TEST(MetricsRegistryTest, RenderTextEmitsPrometheusExposition) {
   EXPECT_NE(text.find("paleo_run_ms_count 2\n"), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, AtomCacheCountersExposeThroughRegistry) {
-  MetricsRegistry registry;
-  PipelineMetrics metrics = PipelineMetrics::Bind(&registry);
-  AtomSelectionCache cache(
-      2 * SelectionBitmap(64).MemoryUsage(),
-      AtomSelectionCache::MetricHandles{
-          metrics.cache_hits, metrics.cache_misses, metrics.cache_evictions,
-          metrics.cache_resident_bytes});
-  AtomicPredicate atom_a(0, Value::Int64(1));
-  AtomicPredicate atom_b(0, Value::Int64(2));
-  AtomicPredicate atom_c(0, Value::Int64(3));
-  EXPECT_EQ(cache.Lookup(1, 0, atom_a), nullptr);  // miss
-  cache.Insert(1, 0, atom_a, SelectionBitmap(64));
-  EXPECT_NE(cache.Lookup(1, 0, atom_a), nullptr);  // hit
-  cache.Insert(1, 0, atom_b, SelectionBitmap(64));
-  cache.Insert(1, 0, atom_c, SelectionBitmap(64));  // evicts the LRU entry
-
-  std::string text = registry.RenderText();
-  EXPECT_NE(text.find("# TYPE paleo_cache_hits_total counter\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("paleo_cache_hits_total 1\n"), std::string::npos);
-  EXPECT_NE(text.find("paleo_cache_misses_total 1\n"), std::string::npos);
-  EXPECT_NE(text.find("paleo_cache_evictions_total 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE paleo_cache_resident_bytes gauge\n"),
-            std::string::npos);
-  // The gauge mirrors the cache's own resident-bytes accounting.
-  EXPECT_NE(text.find("paleo_cache_resident_bytes " +
-                      std::to_string(cache.stats().resident_bytes) + "\n"),
-            std::string::npos)
-      << text;
-}
-
 TEST(NullableHandleTest, DisabledHandlesAreNoOps) {
   // The disabled path must be callable with plain nulls — this is the
-  // contract every pipeline instrumentation site relies on.
+  // contract every instrumentation site without a registry relies on.
   Inc(nullptr);
   Inc(nullptr, 100);
   Set(nullptr, 5);

@@ -75,8 +75,9 @@ Reference ReferenceFind(const RPrime& rp, const PaleoOptions& options,
   std::vector<double> values = input.Values();
   const bool ascending = std::is_sorted(values.begin(), values.end()) &&
                          !std::is_sorted(values.rbegin(), values.rend());
+  // The executor's value order: NaN ranks last either way.
   auto precedes = [ascending](double a, double b) {
-    return ascending ? a < b : a > b;
+    return RanksBefore(a, b, /*desc=*/!ascending);
   };
   std::vector<double> scale(m, 1.0);
   for (size_t e = 0; e < m && !assume_complete; ++e) {
@@ -95,7 +96,8 @@ Reference ReferenceFind(const RPrime& rp, const PaleoOptions& options,
       if (counts[e] > 0) items.emplace_back(per_entity[e], e);
     }
     std::sort(items.begin(), items.end(), [&](const auto& a, const auto& b) {
-      if (a.first != b.first) return precedes(a.first, b.first);
+      if (precedes(a.first, b.first)) return true;
+      if (precedes(b.first, a.first)) return false;
       return names[a.second] < names[b.second];
     });
     TopKList ranked;
@@ -115,7 +117,8 @@ Reference ReferenceFind(const RPrime& rp, const PaleoOptions& options,
       for (RowId r : rows) items.emplace_back(expr.Eval(slice, r), r);
       std::sort(items.begin(), items.end(), [&](const auto& a,
                                                 const auto& b) {
-        if (a.first != b.first) return precedes(a.first, b.first);
+        if (precedes(a.first, b.first)) return true;
+        if (precedes(b.first, a.first)) return false;
         const std::string& na = names[row_entity[a.second]];
         const std::string& nb = names[row_entity[b.second]];
         if (na != nb) return na < nb;
@@ -443,6 +446,76 @@ TEST(RankingDifferentialTest, FindMatchesFullEvaluation) {
   EXPECT_GT(with_exact, 100);
   EXPECT_GT(with_special, 10);
   EXPECT_GT(evaluations, 50000);
+}
+
+// NaN ranks last in both directions, so a tuple set whose first row is
+// NaN can still lead with a number: an unaggregated list whose k rows
+// are all numbers matches although the tuple set holds a NaN. The
+// pre-check must take its leading value in the same order as the sort.
+TEST(RankingDifferentialTest, LeadingNanRowRanksLast) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d1", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  // E0's first row, the first row of R', is NaN. E0 also holds the two
+  // largest and the two smallest numbers, so L repeats E0 in both
+  // directions and no grouped criterion can reproduce it.
+  const std::pair<const char*, double> rows[] = {
+      {"E0", std::numeric_limits<double>::quiet_NaN()},
+      {"E0", 0.5},
+      {"E0", 0.7},
+      {"E0", 9.0},
+      {"E0", 8.0},
+      {"E1", 3.0},
+      {"E2", 4.0},
+      {"E3", 1.0},
+      {"E4", 2.0},
+  };
+  for (const auto& [entity, x] : rows) {
+    ASSERT_TRUE(table
+                    .AppendRow({Value::String(entity), Value::String("p"),
+                                Value::Double(x)})
+                    .ok());
+  }
+  EntityIndex index = EntityIndex::Build(table);
+  for (SortOrder order : {SortOrder::kDesc, SortOrder::kAsc}) {
+    TopKQuery q;
+    q.expr = RankExpr::Column(2);
+    q.agg = AggFn::kNone;
+    q.order = order;
+    q.k = 3;
+    auto list = Executor().Execute(table, q, ExecContext{});
+    ASSERT_TRUE(list.ok());
+    ASSERT_EQ(list->size(), 3u);
+    EXPECT_EQ(list->entry(0).entity, "E0");
+    auto rp = RPrime::Build(table, index, *list);
+    ASSERT_TRUE(rp.ok());
+    PaleoOptions options;
+    auto mining = PredicateMiner(*rp, options).Mine();
+    ASSERT_TRUE(mining.ok());
+    RankingSearchInfo info;
+    auto got = RankingFinder(*rp, /*catalog=*/nullptr, options)
+                   .Find(mining->groups, *list, /*assume_complete=*/true,
+                         &info, /*exhaustive=*/false);
+    ASSERT_TRUE(got.ok());
+    const std::string where =
+        order == SortOrder::kDesc ? "DESC" : "ASC";
+    ExpectSameRankings(*got,
+                       ReferenceFind(*rp, options, mining->groups, *list,
+                                     /*assume_complete=*/true,
+                                     /*exhaustive=*/false),
+                       where);
+    bool kept = false;
+    for (const GroupRanking& gr : *got) {
+      for (const RankingCandidate& c : gr.candidates) {
+        kept |= c.expr == q.expr && c.agg == AggFn::kNone && c.exact;
+      }
+    }
+    EXPECT_TRUE(kept) << where << ": x unaggregated reproduces L";
+  }
 }
 
 }  // namespace

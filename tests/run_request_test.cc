@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_points.h"
 #include "common/thread_pool.h"
 #include "datagen/tpch_gen.h"
 #include "datagen/traffic_gen.h"
@@ -184,56 +185,213 @@ TEST_F(RunRequestTest, OptionsOverrideEqualToInstanceIsIdentity) {
             Fingerprint(*with_override, table().schema()));
 }
 
+/// Every series a run exports equals the report's value. `registry` is
+/// fresh for the run, so each series holds that run's total alone.
+void ExpectRegistryEqualsReport(const obs::MetricsRegistry& registry,
+                                const ReverseEngineerReport& r,
+                                const std::string& where) {
+  auto counter = [&](const std::string& name,
+                     const std::string& labels = "") -> int64_t {
+    const obs::Counter* c = registry.counter(name, labels);
+    EXPECT_NE(c, nullptr) << where << ": " << name << "{" << labels << "}";
+    return c != nullptr ? c->value() : -1;
+  };
+  auto histogram = [&](const std::string& name, const std::string& labels,
+                       double want_ms) {
+    const obs::Histogram* h = registry.histogram(name, labels);
+    ASSERT_NE(h, nullptr) << where << ": " << name << "{" << labels << "}";
+    EXPECT_EQ(h->count(), 1) << where << ": " << name << "{" << labels << "}";
+    if (want_ms >= 0.0) {
+      EXPECT_NEAR(h->sum_ms(), want_ms, 1e-3) << where << ": " << labels;
+    }
+  };
+  EXPECT_EQ(counter("paleo_runs_total"), 1) << where;
+  EXPECT_EQ(counter("paleo_runs_found_total"), r.found() ? 1 : 0) << where;
+  histogram("paleo_run_ms", "", -1.0);
+  histogram("paleo_step_ms", "step=\"find_predicates\"",
+            r.timings.find_predicates_ms);
+  histogram("paleo_step_ms", "step=\"find_ranking\"",
+            r.timings.find_ranking_ms);
+  histogram("paleo_step_ms", "step=\"validation\"", r.timings.validation_ms);
+  EXPECT_EQ(counter("paleo_candidate_predicates_total"),
+            r.candidate_predicates)
+      << where;
+  EXPECT_EQ(counter("paleo_candidate_queries_total"), r.candidate_queries)
+      << where;
+  EXPECT_EQ(counter("paleo_validation_candidates_total",
+                    "outcome=\"executed\""),
+            r.executed_queries)
+      << where;
+  EXPECT_EQ(counter("paleo_validation_candidates_total",
+                    "outcome=\"speculative\""),
+            r.speculative_executions)
+      << where;
+  EXPECT_EQ(counter("paleo_validation_candidates_total",
+                    "outcome=\"skipped\""),
+            r.skip_events)
+      << where;
+  EXPECT_EQ(counter("paleo_validation_passes_total"), r.validation_passes)
+      << where;
+  EXPECT_EQ(counter("paleo_near_misses_total"),
+            static_cast<int64_t>(r.near_misses.size()))
+      << where;
+  EXPECT_EQ(counter("paleo_executor_queries_total"),
+            r.executor_stats.queries_executed)
+      << where;
+  EXPECT_EQ(counter("paleo_executor_rows_scanned_total"),
+            r.executor_stats.rows_scanned)
+      << where;
+  EXPECT_EQ(counter("paleo_executor_index_assisted_total"),
+            r.executor_stats.index_assisted)
+      << where;
+  EXPECT_EQ(counter("paleo_chunks_skipped_total"),
+            r.executor_stats.chunks_skipped)
+      << where;
+  EXPECT_EQ(counter("paleo_morsels_total"), r.executor_stats.morsels)
+      << where;
+  EXPECT_EQ(counter("paleo_cache_hits_total"), r.cache_stats.hits) << where;
+  EXPECT_EQ(counter("paleo_cache_misses_total"), r.cache_stats.misses)
+      << where;
+  EXPECT_EQ(counter("paleo_cache_evictions_total"), r.cache_stats.evictions)
+      << where;
+  EXPECT_EQ(counter("paleo_validations_refuted_early_total"),
+            r.executions_aborted_early)
+      << where;
+  EXPECT_EQ(counter("paleo_rows_saved_by_threshold_total"),
+            r.executor_stats.rows_saved)
+      << where;
+  EXPECT_EQ(counter("paleo_degraded_runs_total"),
+            r.degraded_events > 0 ? 1 : 0)
+      << where;
+  // Two series that only echoed state are gone.
+  EXPECT_EQ(registry.histogram("paleo_scan_parallelism"), nullptr) << where;
+  EXPECT_EQ(registry.gauge("paleo_cache_resident_bytes"), nullptr) << where;
+  EXPECT_GT(r.executor_stats.queries_executed, 0) << where;
+}
+
+/// L = sum(x) (equally avg(x)) of A, B and C over R, each of which has
+/// one row, so over R' max(x) reproduces L too and the Figure 4 walk
+/// stops there. But D's max ranks into max(x)'s top 3 over R, so no
+/// first-pass candidate validates, and progressive deepening finds the
+/// answer.
+Table ShadowedByMaxTable() {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+  });
+  EXPECT_TRUE(schema.ok());
+  Table t(*schema);
+  const std::pair<const char*, double> rows[] = {
+      {"A", 10.0}, {"B", 7.0}, {"C", 5.0}, {"D", 6.0}, {"D", -2.0}};
+  for (const auto& [e, x] : rows) {
+    EXPECT_TRUE(
+        t.AppendRow({Value::String(e), Value::String("p"), Value::Double(x)})
+            .ok());
+  }
+  return t;
+}
+
 TEST_F(RunRequestTest, MetricsRegistryCountsMatchReport) {
   Paleo paleo(&table(), PaleoOptions{});
   const WorkloadQuery& wq = workload()[0];
-  obs::MetricsRegistry registry;
 
+  {  // Sequential.
+    obs::MetricsRegistry registry;
+    RunRequest request;
+    request.input = &wq.list;
+    request.metrics = &registry;
+    auto report = paleo.Run(request);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->found());
+    ExpectRegistryEqualsReport(registry, *report, "sequential");
+    EXPECT_GT(report->executor_stats.index_assisted, 0);
+    // Sequentially, every execution the executor counts is committed.
+    EXPECT_EQ(report->executor_stats.queries_executed,
+              report->executed_queries);
+
+    // A second run accumulates into the same instruments.
+    auto again = paleo.Run(request);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(registry.counter("paleo_runs_total")->value(), 2);
+    EXPECT_EQ(registry.histogram("paleo_run_ms")->count(), 2);
+    EXPECT_EQ(registry.counter("paleo_executor_queries_total")->value(),
+              report->executor_stats.queries_executed +
+                  again->executor_stats.queries_executed);
+
+    // The rendered exposition covers every outcome label.
+    std::string text = registry.RenderText();
+    EXPECT_NE(text.find("outcome=\"executed\""), std::string::npos);
+    EXPECT_NE(text.find("outcome=\"speculative\""), std::string::npos);
+    EXPECT_NE(text.find("outcome=\"skipped\""), std::string::npos);
+  }
+
+  {  // Parallel validation of every candidate, scanning R through the
+     // atom cache.
+    PaleoOptions parallel_options;
+    parallel_options.num_threads = 4;
+    parallel_options.use_dimension_index = false;
+    parallel_options.stop_at_first_valid = false;
+    ThreadPool pool(4);
+    obs::MetricsRegistry registry;
+    RunRequest request;
+    request.input = &wq.list;
+    request.pool = &pool;
+    request.options_override = &parallel_options;
+    request.metrics = &registry;
+    auto report = paleo.Run(request);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report->found());
+    ExpectRegistryEqualsReport(registry, *report, "parallel");
+    EXPECT_GT(report->executor_stats.rows_scanned, 0);
+    EXPECT_GT(report->cache_stats.misses, 0);
+    EXPECT_GT(report->cache_stats.hits, 0);
+  }
+
+  {  // A run that deepens: one observation per step all the same.
+    Table shadowed = ShadowedByMaxTable();
+    Paleo deep(&shadowed, PaleoOptions{});
+    TopKList input;
+    input.Append("A", 10.0);
+    input.Append("B", 7.0);
+    input.Append("C", 5.0);
+    obs::MetricsRegistry registry;
+    RunRequest request;
+    request.input = &input;
+    request.metrics = &registry;
+    request.collect_trace = true;
+    auto report = deep.Run(request);
+    ASSERT_TRUE(report.ok());
+    ASSERT_NE(report->trace, nullptr);
+    ASSERT_NE(report->trace->FindSpan("deepen"), nullptr);
+    ASSERT_TRUE(report->found());
+    // Both validations ran: the first pass rejected max(x).
+    EXPECT_GE(report->validation_passes, 2);
+    EXPECT_GT(report->valid[0].executions_at_discovery, 1);
+    ExpectRegistryEqualsReport(registry, *report, "deepening");
+  }
+}
+
+TEST_F(RunRequestTest, FailedRunExportsOnlyRunCountAndLatency) {
+  // An injected hard error at the start of validation fails the run
+  // after mining and ranking have counted their candidates.
+  FaultSpec spec;
+  spec.code = StatusCode::kInternal;
+  spec.at_hit = 1;
+  spec.max_fires = 1;
+  FaultPoints::Arm("validator.validate.begin", spec);
+  Paleo paleo(&table(), PaleoOptions{});
+  obs::MetricsRegistry registry;
   RunRequest request;
-  request.input = &wq.list;
+  request.input = &workload()[0].list;
   request.metrics = &registry;
   auto report = paleo.Run(request);
-  ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(report->found());
-
+  FaultPoints::DisarmAll();
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsInternal()) << report.status().ToString();
   EXPECT_EQ(registry.counter("paleo_runs_total")->value(), 1);
-  EXPECT_EQ(registry.counter("paleo_runs_found_total")->value(), 1);
   EXPECT_EQ(registry.histogram("paleo_run_ms")->count(), 1);
-  // Per-outcome validation counters agree with the report's totals.
-  EXPECT_EQ(registry
-                .counter("paleo_validation_candidates_total",
-                         "outcome=\"executed\"")
-                ->value(),
-            report->executed_queries);
-  EXPECT_EQ(registry
-                .counter("paleo_validation_candidates_total",
-                         "outcome=\"skipped\"")
-                ->value(),
-            report->skip_events);
-  EXPECT_EQ(registry
-                .counter("paleo_validation_candidates_total",
-                         "outcome=\"speculative\"")
-                ->value(),
-            report->speculative_executions);
-  EXPECT_EQ(registry.counter("paleo_candidate_predicates_total")->value(),
-            report->candidate_predicates);
-  EXPECT_EQ(registry.counter("paleo_candidate_queries_total")->value(),
-            report->candidate_queries);
-  // The request-private executor reported its side of the story.
-  EXPECT_GE(registry.counter("paleo_executor_queries_total")->value(),
-            report->executed_queries);
-
-  // A second run accumulates into the same instruments.
-  auto again = paleo.Run(request);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(registry.counter("paleo_runs_total")->value(), 2);
-  EXPECT_EQ(registry.histogram("paleo_run_ms")->count(), 2);
-
-  // The rendered exposition covers every outcome label.
-  std::string text = registry.RenderText();
-  EXPECT_NE(text.find("outcome=\"executed\""), std::string::npos);
-  EXPECT_NE(text.find("outcome=\"speculative\""), std::string::npos);
-  EXPECT_NE(text.find("outcome=\"skipped\""), std::string::npos);
+  EXPECT_EQ(registry.size(), 2u) << registry.RenderText();
 }
 
 TEST_F(RunRequestTest, TraceCoversPipelineStages) {

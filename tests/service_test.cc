@@ -149,7 +149,7 @@ TEST_F(ServiceTest, SingleRequestLifecycle) {
   DiscoveryServiceOptions service_options;
   service_options.num_workers = 2;
   DiscoveryService service(MakeCatalog(), service_options);
-  auto session = service.Submit(workload()[0].list);
+  auto session = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(session.ok());
   SessionState state = (*session)->Wait();
   EXPECT_EQ(state, SessionState::kDone);
@@ -187,7 +187,8 @@ TEST_F(ServiceTest, StressConcurrentRequestsMatchBaseline) {
         const size_t wi =
             static_cast<size_t>(slot) % workload().size();
         workload_index[static_cast<size_t>(slot)] = wi;
-        auto session = service.Submit(workload()[wi].list);
+        auto session = service.Submit(ServiceRequest{
+            .input = workload()[wi].list});
         if (!session.ok()) {
           failures.fetch_add(1);
           continue;
@@ -217,7 +218,7 @@ TEST_F(ServiceTest, ExactlyOneTerminalStateUnderRepeatedPolling) {
   DiscoveryServiceOptions service_options;
   service_options.num_workers = 2;
   DiscoveryService service(MakeCatalog(), service_options);
-  auto session = service.Submit(workload()[1].list);
+  auto session = service.Submit(ServiceRequest{.input = workload()[1].list});
   ASSERT_TRUE(session.ok());
   SessionState first = (*session)->Wait();
   ASSERT_TRUE(IsTerminal(first));
@@ -241,8 +242,9 @@ TEST_F(ServiceTest, AdmissionShedsWhenQueueFull) {
   std::vector<std::shared_ptr<Session>> admitted;
   for (int i = 0; i < kFlood; ++i) {
     auto session =
-        service.Submit(workload()[static_cast<size_t>(i) %
-                                  workload().size()].list);
+        service.Submit(ServiceRequest{
+            .input = workload()[static_cast<size_t>(i) %
+                                workload().size()].list});
     if (session.ok()) {
       admitted.push_back(*session);
     } else {
@@ -269,8 +271,8 @@ TEST_F(ServiceTest, CancelMidFlightNeverDeadlocks) {
 
   std::vector<std::shared_ptr<Session>> sessions;
   for (int i = 0; i < 24; ++i) {
-    auto session = service.Submit(
-        workload()[static_cast<size_t>(i) % workload().size()].list);
+    auto session = service.Submit(ServiceRequest{
+        .input = workload()[static_cast<size_t>(i) % workload().size()].list});
     ASSERT_TRUE(session.ok());
     sessions.push_back(*session);
   }
@@ -311,8 +313,8 @@ TEST_F(ServiceTest, DeadlineExpiresQueuedAndRunningSessions) {
 
   std::vector<std::shared_ptr<Session>> sessions;
   for (int i = 0; i < 16; ++i) {
-    auto session = service.Submit(
-        workload()[static_cast<size_t>(i) % workload().size()].list);
+    auto session = service.Submit(ServiceRequest{
+        .input = workload()[static_cast<size_t>(i) % workload().size()].list});
     ASSERT_TRUE(session.ok());
     sessions.push_back(*session);
   }
@@ -345,7 +347,8 @@ TEST_F(ServiceTest, PerRequestDeadlineOverridesDefault) {
   std::vector<std::shared_ptr<Session>> sessions;
   for (int i = 0; i < 8; ++i) {
     auto session =
-        service.Submit(workload()[0].list, request_options);
+        service.Submit(ServiceRequest{
+            .input = workload()[0].list, .options = request_options});
     ASSERT_TRUE(session.ok());
     sessions.push_back(*session);
   }
@@ -364,8 +367,8 @@ TEST_F(ServiceTest, CancelAllFinishesEverything) {
   DiscoveryService service(MakeCatalog(), service_options);
   std::vector<std::shared_ptr<Session>> sessions;
   for (int i = 0; i < 16; ++i) {
-    auto session = service.Submit(
-        workload()[static_cast<size_t>(i) % workload().size()].list);
+    auto session = service.Submit(ServiceRequest{
+        .input = workload()[static_cast<size_t>(i) % workload().size()].list});
     ASSERT_TRUE(session.ok());
     sessions.push_back(*session);
   }
@@ -385,8 +388,9 @@ TEST_F(ServiceTest, DestructionWithInFlightSessionsIsSafe) {
     service_options.queue_capacity = 64;
     DiscoveryService service(MakeCatalog(), service_options);
     for (int i = 0; i < 12; ++i) {
-      auto session = service.Submit(
-          workload()[static_cast<size_t>(i) % workload().size()].list);
+      auto session = service.Submit(ServiceRequest{
+          .input = workload()[static_cast<size_t>(i) %
+                              workload().size()].list});
       ASSERT_TRUE(session.ok());
       sessions.push_back(*session);
     }
@@ -582,7 +586,7 @@ TEST_F(ServiceTest, SubmitAfterShutdownRejected) {
   // destruction. A submit racing destruction is the client's bug; the
   // contract we can test is that a destroyed service finished all its
   // sessions (above) and that stats are coherent right up to the end.
-  auto session = service->Submit(workload()[0].list);
+  auto session = service->Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(session.ok());
   (*session)->Wait();
   auto stats = service->stats();
@@ -630,10 +634,9 @@ TEST_F(ServiceTest, CancelAllRacingSubmitUnderArmedEnqueueFault) {
   for (int c = 0; c < kSubmitters; ++c) {
     submitters.emplace_back([&, c] {
       for (int r = 0; r < kPerSubmitter; ++r) {
-        auto session = service.Submit(
-            workload()[static_cast<size_t>(c * kPerSubmitter + r) %
-                       workload().size()]
-                .list);
+        auto session = service.Submit(ServiceRequest{
+            .input = workload()[static_cast<size_t>(c * kPerSubmitter + r) %
+                                workload().size()].list});
         if (!session.ok()) {
           injected_rejections.fetch_add(1);
           continue;
@@ -678,13 +681,14 @@ TEST_F(ServiceTest, LateAdmissionAfterCancelAllStillReachesTerminal) {
       MakeCatalog(), service_options);
   std::vector<std::shared_ptr<Session>> sessions;
   for (int i = 0; i < 4; ++i) {
-    auto session = service->Submit(
-        workload()[static_cast<size_t>(i) % workload().size()].list);
+    auto session = service->Submit(ServiceRequest{
+        .input = workload()[static_cast<size_t>(i) % workload().size()].list});
     ASSERT_TRUE(session.ok());
     sessions.push_back(*session);
   }
   service->CancelAll();
-  auto late = service->Submit(workload()[1].list);  // missed the sweep
+  auto late = service->Submit(ServiceRequest{
+      .input = workload()[1].list});  // missed the sweep
   ASSERT_TRUE(late.ok());
   sessions.push_back(*late);
   service.reset();

@@ -107,7 +107,7 @@ TEST_F(SnapshotIsolationTest, SessionPinsAdmissionVersionForWholeRun) {
   DiscoveryService service(catalog, options);
   Ingestor ingestor(catalog.get());
 
-  auto session = service.Submit(workload()[0].list);
+  auto session = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(session.ok());
   const uint64_t pinned = (*session)->snapshot_version();
   EXPECT_EQ(pinned, 1u);
@@ -124,7 +124,7 @@ TEST_F(SnapshotIsolationTest, SessionPinsAdmissionVersionForWholeRun) {
   ExpectMatchesPinnedSnapshot(**session, "pinned run");
 
   // A new admission pins the latest version.
-  auto later = service.Submit(workload()[0].list);
+  auto later = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(later.ok());
   EXPECT_EQ((*later)->snapshot_version(), 4u);
   ASSERT_EQ((*later)->Wait(), SessionState::kDone);
@@ -168,7 +168,8 @@ TEST_F(SnapshotIsolationTest, IngestStormDifferentialAgainstPinnedSnapshots) {
       for (int r = 0; r < kRequestsPerClient; ++r) {
         const size_t wi = static_cast<size_t>(
             rng.Uniform(static_cast<uint64_t>(workload().size())));
-        auto session = service.Submit(workload()[wi].list);
+        auto session = service.Submit(ServiceRequest{
+            .input = workload()[wi].list});
         if (!session.ok()) continue;
         const uint64_t at_submit = catalog->CurrentVersion();
         if (rng.Bernoulli(0.2)) (*session)->Cancel();

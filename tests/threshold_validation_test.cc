@@ -224,9 +224,7 @@ void ExpectPrunedEquivalent(Executor& ex, const Table& t,
 TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
   Rng rng(20260809);
   ThreadPool pool(4);
-  Executor scalar;
-  scalar.SetVectorized(false);
-  Executor vec;  // vectorized by default
+  Executor ex;
   int workloads = 0;
   int refuted_somewhere = 0;
   for (int ti = 0; ti < 70; ++ti) {
@@ -235,27 +233,27 @@ TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
     // The input list L to validate against: a random truth query's
     // genuine result over the table.
     const TopKQuery truth = RandomQuery(rng);
-    auto input = vec.Execute(t, truth, ExecContext{});
+    auto input = ex.Execute(t, truth, ExecContext{});
     ASSERT_TRUE(input.ok());
     if (input->empty()) continue;
     ThresholdMonitor monitor(t, *input, truth.order, 1e-9);
 
-    const ExecContext scalar_ctx{};
+    const ExecContext scalar_ctx{.vectorized = false};
     const ExecContext vec_ctx{};
     const ExecContext par_ctx{.pool = &pool, .scan_threads = 4};
     for (int ci = 0; ci < 8; ++ci) {
       // First candidate is the truth itself: it must NEVER be refuted
       // on any path (soundness), the rest perturb around it.
       const TopKQuery cand = ci == 0 ? truth : PerturbQuery(rng, truth);
-      ExpectPrunedEquivalent(scalar, t, cand, *input, monitor, scalar_ctx,
+      ExpectPrunedEquivalent(ex, t, cand, *input, monitor, scalar_ctx,
                              workloads);
-      ExpectPrunedEquivalent(vec, t, cand, *input, monitor, vec_ctx,
+      ExpectPrunedEquivalent(ex, t, cand, *input, monitor, vec_ctx,
                              workloads);
-      ExpectPrunedEquivalent(vec, t, cand, *input, monitor, par_ctx,
+      ExpectPrunedEquivalent(ex, t, cand, *input, monitor, par_ctx,
                              workloads);
       ExecContext probe_ctx = vec_ctx;
       probe_ctx.threshold = &monitor;
-      if (!vec.Execute(t, cand, probe_ctx).ok()) ++refuted_somewhere;
+      if (!ex.Execute(t, cand, probe_ctx).ok()) ++refuted_somewhere;
       ++workloads;
     }
   }
@@ -442,7 +440,7 @@ TEST(ThresholdValidationTest, PipelineValidSetIdenticalPruningOnOff) {
     EXPECT_EQ(off.executed_queries, on.executed_queries) << wq.name;
     EXPECT_EQ(off.skip_events, on.skip_events) << wq.name;
     EXPECT_EQ(off.executions_aborted_early, 0) << wq.name;
-    EXPECT_GE(on.rows_saved, 0) << wq.name;
+    EXPECT_GE(on.executor_stats.rows_saved, 0) << wq.name;
     total_refuted += on.executions_aborted_early;
   }
   EXPECT_GT(total_refuted, 0)

@@ -116,9 +116,8 @@ TopKQuery RandomQuery(Rng& rng) {
 
 TEST(VectorizedExecTest, DifferentialScalarVsVectorizedVsCached) {
   Rng rng(20260807);
-  Executor scalar;
-  scalar.SetVectorized(false);
-  Executor vec;  // vectorized by default
+  Executor scalar;  // runs with ExecContext::vectorized = false
+  Executor vec;
   int workloads = 0;
   for (int ti = 0; ti < 40; ++ti) {
     // Sizes straddle word (64) and batch (2048) boundaries.
@@ -127,7 +126,7 @@ TEST(VectorizedExecTest, DifferentialScalarVsVectorizedVsCached) {
     AtomSelectionCache cache(static_cast<size_t>(4) << 20);
     for (int qi = 0; qi < 3; ++qi) {
       TopKQuery q = RandomQuery(rng);
-      auto ref = scalar.Execute(t, q, ExecContext{});
+      auto ref = scalar.Execute(t, q, ExecContext{.vectorized = false});
       auto plain = vec.Execute(t, q, ExecContext{});
       auto cached_cold = vec.Execute(t, q, ExecContext{.cache = &cache});
       auto cached_warm = vec.Execute(t, q, ExecContext{.cache = &cache});
@@ -141,8 +140,8 @@ TEST(VectorizedExecTest, DifferentialScalarVsVectorizedVsCached) {
       EXPECT_TRUE(*ref == *cached_cold) << "workload " << workloads;
       EXPECT_TRUE(*ref == *cached_warm) << "workload " << workloads;
 
-      const size_t ref_count =
-          scalar.CountMatching(t, q.predicate, ExecContext{});
+      const size_t ref_count = scalar.CountMatching(
+          t, q.predicate, ExecContext{.vectorized = false});
       EXPECT_EQ(ref_count, vec.CountMatching(t, q.predicate, ExecContext{}));
       EXPECT_EQ(ref_count,
                 vec.CountMatching(t, q.predicate, ExecContext{.cache = &cache}));
@@ -165,15 +164,13 @@ TEST(VectorizedExecTest, RowsScannedMatchesScalarAccounting) {
   Table t = RandomTable(rng, 3000);
   TopKQuery q = RandomQuery(rng);
   Executor scalar;
-  scalar.SetVectorized(false);
   Executor vec;
-  ASSERT_TRUE(scalar.Execute(t, q, ExecContext{}).ok());
+  ASSERT_TRUE(scalar.Execute(t, q, ExecContext{.vectorized = false}).ok());
   ASSERT_TRUE(vec.Execute(t, q, ExecContext{}).ok());
   // Both paths charge exactly the consumption pass: n rows per
   // completed full scan.
-  EXPECT_EQ(scalar.stats().rows_scanned.load(),
-            vec.stats().rows_scanned.load());
-  EXPECT_EQ(vec.stats().rows_scanned.load(), 3000);
+  EXPECT_EQ(scalar.stats().rows_scanned, vec.stats().rows_scanned);
+  EXPECT_EQ(vec.stats().rows_scanned, 3000);
 }
 
 // ---- Budget interruption ------------------------------------------------
@@ -188,8 +185,8 @@ TEST(VectorizedExecTest, PreTrippedBudgetCancelsBothPaths) {
   budget.set_cancellation_token(&token);
   for (bool vectorized : {false, true}) {
     Executor ex;
-    ex.SetVectorized(vectorized);
-    auto result = ex.Execute(t, q, ExecContext{.budget = &budget});
+    auto result = ex.Execute(
+        t, q, ExecContext{.budget = &budget, .vectorized = vectorized});
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(result.status().IsCancelled());
   }
@@ -215,8 +212,7 @@ TEST(VectorizedExecTest, InterruptedScanNeverCachesPartialBitmaps) {
       << "a partial bitmap must never be retained";
   // The same cache then serves a complete, correct execution.
   Executor scalar;
-  scalar.SetVectorized(false);
-  auto ref = scalar.Execute(t, q, ExecContext{});
+  auto ref = scalar.Execute(t, q, ExecContext{.vectorized = false});
   auto warm = vec.Execute(t, q, ExecContext{.cache = &cache});
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(warm.ok());
@@ -231,10 +227,10 @@ TEST(VectorizedExecTest, ConcurrentSharedCacheMatchesScalarReference) {
   std::vector<TopKQuery> queries;
   std::vector<TopKList> refs;
   Executor scalar;
-  scalar.SetVectorized(false);
   for (int i = 0; i < 6; ++i) {
     queries.push_back(RandomQuery(rng));
-    auto ref = scalar.Execute(t, queries.back(), ExecContext{});
+    auto ref =
+        scalar.Execute(t, queries.back(), ExecContext{.vectorized = false});
     ASSERT_TRUE(ref.ok());
     refs.push_back(*std::move(ref));
   }
@@ -343,8 +339,7 @@ TEST(AtomSelectionCacheTest, TableMutationInvalidatesThroughEpoch) {
   // The mutated table must be rescanned, not served the stale bitmap:
   // the new row ranks first under max(v).
   Executor scalar;
-  scalar.SetVectorized(false);
-  auto ref = scalar.Execute(t, q, ExecContext{});
+  auto ref = scalar.Execute(t, q, ExecContext{.vectorized = false});
   auto got = vec.Execute(t, q, ExecContext{.cache = &cache});
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(got.ok());
