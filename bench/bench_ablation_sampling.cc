@@ -49,7 +49,7 @@ int Run() {
       PaleoOptions options = paleo.options();
       options.validation_strategy = ValidationStrategy::kSmart;
       options.stop_at_first_valid = true;
-      options.max_query_executions = env.max_executions;
+      options.max_validation_executions = env.max_executions;
       options.max_predicate_size = 2;
       // By-entity samples keep complete entities, so full coverage of
       // the *kept* entities is the right bar; the run still treats R''

@@ -51,7 +51,7 @@ inline QueryEval EvaluateFull(Paleo* paleo, const TopKList& input,
   options.include_empty_predicate = false;  // match the paper's counts
   options.validation_strategy = strategy;
   options.stop_at_first_valid = !count_all_valid;
-  options.max_query_executions = count_all_valid ? 0 : max_executions;
+  options.max_validation_executions = count_all_valid ? 0 : max_executions;
   RunRequest request;
   request.input = &input;
   request.options_override = &options;
@@ -83,7 +83,7 @@ inline QueryEval EvaluateSampled(Paleo* paleo, const TopKList& input,
   options.include_empty_predicate = false;  // match the paper's counts
   options.validation_strategy = strategy;
   options.stop_at_first_valid = true;
-  options.max_query_executions = max_executions;
+  options.max_validation_executions = max_executions;
 
   auto sample = Sampler::UniformPerEntity(
       paleo->index(), input.DistinctEntities(), sample_fraction, seed);

@@ -11,15 +11,14 @@
 //                    first one)
 //   --partial        accept approximate matches (Section 3.3)
 //   --max-pred N     cap conjunction size (default 3)
-//   --budget N       cap candidate-query executions per validation pass
-//                    (default unlimited; stops silently, paper's knob)
 //   --timeout-ms N   wall-clock deadline for the whole run; on expiry
 //                    prints the queries validated in time plus the best
 //                    unvalidated candidates as near misses
 //   --max-executions N
-//                    governed cap on executions across all validation
-//                    passes; like --timeout-ms, degrades gracefully
-//                    with near misses instead of stopping silently
+//                    cap on candidate-query executions for the whole
+//                    run (default unlimited); like --timeout-ms, on
+//                    reaching it prints the queries validated so far
+//                    plus near misses
 //   --sep C          field separator for both files (default ',')
 //   --execute SQL    skip reverse engineering: run the given template
 //                    query over the relation and print its result list
@@ -69,7 +68,7 @@ paleo::StatusOr<paleo::Table> LoadRelation(const std::string& path,
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <relation.csv> [<topk_list.csv>] [--all] "
-               "[--partial] [--max-pred N] [--budget N] [--timeout-ms N] "
+               "[--partial] [--max-pred N] [--timeout-ms N] "
                "[--max-executions N] [--sep C] [--execute SQL] "
                "[--verbose] [--trace-out FILE]\n",
                argv0);
@@ -124,11 +123,6 @@ int main(int argc, char** argv) {
       int64_t v = 0;
       if (!ParseInt64Flag("--max-pred", argv[++i], &v)) return 2;
       options.max_predicate_size = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      if (!ParseInt64Flag("--budget", argv[++i],
-                          &options.max_query_executions)) {
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
       if (!ParseInt64Flag("--timeout-ms", argv[++i],
                           &options.deadline_ms)) {

@@ -88,8 +88,6 @@ struct PaleoOptions {
   /// normalized value distance.
   double partial_min_entity_jaccard = 0.6;
   double partial_max_value_distance = 0.2;
-  /// Stop after this many candidate query executions (0 = unlimited).
-  int64_t max_query_executions = 0;
   /// Stop at the first valid query (the paper's headline metric) or
   /// enumerate all valid queries.
   bool stop_at_first_valid = true;
@@ -108,24 +106,22 @@ struct PaleoOptions {
   /// best candidates that never got executed are surfaced as
   /// near_misses.
   int64_t deadline_ms = 0;
-  /// Cap on candidate-query executions per run, counted across all
-  /// validation passes; 0 = unlimited. Unlike max_query_executions
-  /// (the paper's per-pass knob above, which stops silently), hitting
-  /// this cap is reported as TerminationReason::kExecutionBudget with
-  /// near misses. Both caps may be set; the tighter one wins.
+  /// The run's one cap on candidate-query executions, counted across
+  /// the main and the deepening validation; 0 = unlimited. Hitting it
+  /// is reported as TerminationReason::kExecutionBudget with near
+  /// misses. A RunRequest::budget cap (RunBudget::set_max_executions)
+  /// is the same cap; the tighter one wins.
   int64_t max_validation_executions = 0;
 
-  /// Fan candidate-query executions of the validation step out across
-  /// a ThreadPool (RunRequest::pool, or the Validator's pool):
-  /// up to this many executions run concurrently, results commit in
-  /// suitability-rank order, and the first validated query cancels
-  /// outstanding lower-rank siblings. <= 1, or a missing pool, keeps
-  /// the sequential paths. The set of valid queries (and with
-  /// stop_at_first_valid the single reported query) is identical to a
-  /// sequential run — speculation beyond the commit point is discarded
-  /// exactly where the sequential smart scheduler would have skipped
-  /// or stopped — but wall-clock-dependent side counts
-  /// (speculative_executions, timings) differ.
+  /// Validation window: with a ThreadPool (RunRequest::pool), up to
+  /// this many candidate executions run ahead of the commit point,
+  /// results commit in suitability-rank order, and the first validated
+  /// query cancels outstanding lower-rank siblings. <= 1, a missing
+  /// pool, or fewer than two candidates gives a window of one: each
+  /// candidate executes on the calling thread at its commit. The
+  /// committed outcome (valid queries, executions, skip events,
+  /// passes) is the same at any window; speculative_executions and
+  /// timings are not.
   int num_threads = 1;
 
   /// Evaluate full-table scans through the vectorized selection

@@ -180,38 +180,48 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
   if (options.vectorized_execution && options.atom_cache_bytes > 0) {
     atom_cache = std::make_unique<AtomSelectionCache>(options.atom_cache_bytes);
   }
-  step_timer.Reset();
-  obs::ScopedSpan validate_span(trace, "validate", run_span.id());
-  Validator validator(*base_, &executor, options, request.pool,
-                      obs::TraceContext{trace, validate_span.id()},
-                      atom_cache.get());
-  ValidationOutcome outcome;
-  if (report.termination == TerminationReason::kCompleted) {
-    PALEO_ASSIGN_OR_RETURN(
-        outcome, validator.Validate(candidates, input, governed,
-                                    /*prior_executions=*/0));
-    note_termination(outcome.termination);
-    AppendNearMisses(candidates, outcome.unvalidated, &report);
-  } else {
-    // The budget ran out before validation started: nothing was
-    // executed, so every assembled candidate is a near miss.
-    for (size_t i = 0;
-         i < candidates.size() && i < kMaxNearMisses; ++i) {
-      report.near_misses.push_back(candidates[i]);
+  // One validation step, for the first-pass candidates and again for
+  // the fresh candidates of progressive deepening: validates `list`
+  // unless the budget already ran out (then nothing is executed and
+  // every candidate is a near miss), and folds the outcome into the
+  // report.
+  auto validate = [&](const std::vector<CandidateQuery>& list,
+                      obs::Trace::SpanId parent) -> Status {
+    Timer timer;
+    obs::ScopedSpan span(trace, "validate", parent);
+    ValidationOutcome outcome;
+    if (report.termination == TerminationReason::kCompleted) {
+      Validator validator(*base_, &executor, options, request.pool,
+                          obs::TraceContext{trace, span.id()},
+                          atom_cache.get());
+      PALEO_ASSIGN_OR_RETURN(
+          outcome, validator.Validate(list, input, governed,
+                                      report.executed_queries));
+      note_termination(outcome.termination);
+      AppendNearMisses(list, outcome.unvalidated, &report);
+    } else {
+      for (size_t i = 0;
+           i < list.size() && report.near_misses.size() < kMaxNearMisses;
+           ++i) {
+        report.near_misses.push_back(list[i]);
+      }
     }
-  }
-  report.valid = std::move(outcome.valid);
-  report.executed_queries = outcome.executions;
-  report.speculative_executions = outcome.speculative_executions;
-  report.skip_events = outcome.skip_events;
-  report.validation_passes = outcome.passes;
-  report.executions_aborted_early = outcome.refuted_early;
-  report.timings.validation_ms = step_timer.ElapsedMillis();
-  validate_span.AddAttr("executed", outcome.executions);
-  validate_span.AddAttr("skipped", outcome.skip_events);
-  validate_span.AddAttr("valid",
-                        static_cast<int64_t>(report.valid.size()));
-  validate_span.End();
+    span.AddAttr("executed", outcome.executions);
+    span.AddAttr("skipped", outcome.skip_events);
+    span.AddAttr("valid", static_cast<int64_t>(outcome.valid.size()));
+    for (ValidQuery& vq : outcome.valid) {
+      vq.executions_at_discovery += report.executed_queries;
+      report.valid.push_back(std::move(vq));
+    }
+    report.executed_queries += outcome.executions;
+    report.speculative_executions += outcome.speculative_executions;
+    report.skip_events += outcome.skip_events;
+    report.validation_passes += outcome.passes;
+    report.executions_aborted_early += outcome.refuted_early;
+    report.timings.validation_ms += timer.ElapsedMillis();
+    return Status::OK();
+  };
+  PALEO_RETURN_NOT_OK(validate(candidates, run_span.id()));
 
   // ---- Progressive deepening (complete R' only) ----
   // The Figure 4 walk stops at the first technique with exact criteria,
@@ -252,41 +262,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
                            static_cast<int64_t>(fresh.size()));
     deep_rank_span.End();
 
-    step_timer.Reset();
-    obs::ScopedSpan deep_validate_span(trace, "validate",
-                                       deepen_span.id());
-    Validator deep_validator(
-        *base_, &executor, options, request.pool,
-        obs::TraceContext{trace, deep_validate_span.id()},
-        atom_cache.get());
-    ValidationOutcome retry;
-    if (report.termination == TerminationReason::kCompleted) {
-      PALEO_ASSIGN_OR_RETURN(
-          retry, deep_validator.Validate(fresh, input, governed,
-                                         report.executed_queries));
-      note_termination(retry.termination);
-      AppendNearMisses(fresh, retry.unvalidated, &report);
-    } else {
-      for (size_t i = 0;
-           i < fresh.size() && report.near_misses.size() < kMaxNearMisses;
-           ++i) {
-        report.near_misses.push_back(fresh[i]);
-      }
-    }
-    for (ValidQuery& vq : retry.valid) {
-      vq.executions_at_discovery += report.executed_queries;
-      report.valid.push_back(std::move(vq));
-    }
-    report.executed_queries += retry.executions;
-    report.speculative_executions += retry.speculative_executions;
-    report.skip_events += retry.skip_events;
-    report.validation_passes += retry.passes;
-    report.executions_aborted_early += retry.refuted_early;
-    report.timings.validation_ms += step_timer.ElapsedMillis();
-    deep_validate_span.AddAttr("executed", retry.executions);
-    deep_validate_span.AddAttr(
-        "valid", static_cast<int64_t>(retry.valid.size()));
-    deep_validate_span.End();
+    PALEO_RETURN_NOT_OK(validate(fresh, deepen_span.id()));
     if (keep_candidates) {
       for (CandidateQuery& cq : fresh) candidates.push_back(std::move(cq));
     }

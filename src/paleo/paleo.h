@@ -80,14 +80,15 @@ struct ReverseEngineerReport {
   int64_t candidate_queries = 0;
 
   /// Validation effort. executed_queries counts committed executions
-  /// and is identical under sequential and parallel validation;
-  /// speculative_executions counts parallel-only discarded look-ahead
-  /// work (always 0 sequentially).
+  /// and does not depend on the validation window;
+  /// speculative_executions counts discarded look-ahead work (always 0
+  /// with a window of one).
   int64_t executed_queries = 0;
   int64_t speculative_executions = 0;
   int64_t skip_events = 0;
   /// Passes over the candidate list (Algorithm 3 rounds; 1 per ranked
-  /// validation), summed over validation and progressive deepening.
+  /// validation of a non-empty list), summed over validation and
+  /// progressive deepening.
   int64_t validation_passes = 0;
   /// Committed executions the threshold monitor refuted mid-scan (a
   /// subset of executed_queries; 0 with options.threshold_pruning off).
@@ -137,8 +138,10 @@ struct ReverseEngineerReport {
   /// The run's span tree (set when RunRequest::collect_trace; shared
   /// so the report stays copyable). Root span "run" with children
   /// "find_predicates" / "find_ranking" / "validate" (and "deepen"
-  /// when the progressive-deepening pass ran); per-candidate
-  /// "execute" / "commit" spans hang under the validation spans.
+  /// when the progressive-deepening pass ran); one "execute" span per
+  /// committed candidate hangs under the validation spans, at any
+  /// validation window, plus one marked "speculative" per discarded
+  /// look-ahead result.
   std::shared_ptr<obs::Trace> trace;
 };
 

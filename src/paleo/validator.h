@@ -1,35 +1,35 @@
 // Candidate query validation against the base relation (Sections 3.2
 // and 7).
 //
-// RankedValidation executes candidates in suitability order until a
-// valid query appears. SmartValidation is the paper's Algorithm 3: it
-// additionally learns from the first execution whose entity overlap
-// with L crosses the Jaccard threshold ("first match query" Qfm) and
-// skips candidates that share no predicate atoms with Qfm — and, once
-// the ranking criterion is confirmed by value overlap, candidates with
-// a different criterion. Skipped candidates are retried in later
-// passes, so no valid query is ever lost.
+// Validate runs one scheduler for both of the paper's step-3 schedules.
+// Ranked validation (Section 6.3) executes candidates in suitability
+// order until a valid query appears. Smart validation is the paper's
+// Algorithm 3: it additionally learns from the first execution whose
+// entity overlap with L crosses the Jaccard threshold ("first match
+// query" Qfm) and skips candidates that share no predicate atoms with
+// Qfm — and, once the ranking criterion is confirmed by value overlap,
+// candidates with a different criterion. Skipped candidates are retried
+// in later passes, so no valid query is ever lost.
 //
-// Both strategies are resource-governed: with a RunBudget they poll
-// the deadline/cancellation before every execution (and the executor
-// polls mid-scan), count executions against the budget's cap, and on
-// exhaustion wind down gracefully — the outcome keeps every query
-// validated so far, records the termination reason, and lists the
-// candidates that never got executed so the caller can surface them
-// as near misses.
+// The scheduler COMMITS results strictly in suitability-rank order. With
+// a ThreadPool, options.num_threads > 1 and at least two candidates, it
+// launches up to max(2, num_threads) executions ahead of the commit
+// point; otherwise its window is one and each candidate executes on the
+// calling thread when its turn comes. The commit replays the paper's
+// semantics bit-for-bit at any window: Qfm is the first committed result
+// crossing the Jaccard threshold, a speculative execution the skip rule
+// rejects at commit is discarded and retried next pass, and the first
+// validated query cancels outstanding lower-rank siblings through a
+// CancellationToken wired into their executions. The valid set,
+// execution count, skip events, and pass count therefore do not depend
+// on the window; only wall clock and speculative_executions do.
 //
-// With a ThreadPool and options.num_threads > 1, candidate executions
-// fan out across the pool: up to num_threads run concurrently while
-// results COMMIT strictly in suitability-rank order, which keeps the
-// paper's semantics bit-for-bit — Qfm is still the first committed
-// result crossing the Jaccard threshold, skip decisions replay the
-// sequential smart schedule (a speculative execution the sequential
-// scheduler would have skipped is discarded and retried next pass),
-// and the first validated query cancels outstanding lower-rank
-// siblings through a CancellationToken wired into their executions.
-// The valid set, execution count, skip events, and pass count are
-// identical to the sequential run; only wall clock and the
-// speculative_executions side counter differ.
+// Validation is resource-governed: with a RunBudget it polls the
+// deadline, cancellation and execution cap before every commit (and the
+// executor polls mid-scan), and on exhaustion winds down gracefully —
+// the outcome keeps every query validated so far, records the
+// termination reason, and lists the candidates that never got executed
+// so the caller can surface them as near misses.
 
 #ifndef PALEO_PALEO_VALIDATOR_H_
 #define PALEO_PALEO_VALIDATOR_H_
@@ -64,7 +64,9 @@ struct ValidationOutcome {
   int64_t executions = 0;
   /// Candidates skipped at least once by the smart strategy.
   int64_t skip_events = 0;
-  /// Passes over the candidate list (smart strategy; 1 for ranked).
+  /// Passes over the candidate list: 1 for ranked, one more per retry
+  /// of skipped candidates for smart, and 0 for an empty list under
+  /// either strategy.
   int passes = 0;
   /// kCompleted when every candidate was considered; otherwise the
   /// RunBudget ran out and `unvalidated` lists the indices (into the
@@ -72,10 +74,9 @@ struct ValidationOutcome {
   /// never executed.
   TerminationReason termination = TerminationReason::kCompleted;
   std::vector<size_t> unvalidated;
-  /// Parallel validation only: executions whose results were discarded
-  /// because the rank-order commit decided the sequential scheduler
-  /// would have skipped (or never reached) them. Not counted in
-  /// `executions`.
+  /// Executions launched ahead of the commit point whose results were
+  /// discarded because the commit skipped (or never reached) them; 0
+  /// with a window of one. Not counted in `executions`.
   int64_t speculative_executions = 0;
   /// Executions the threshold monitor aborted mid-scan (counted in
   /// `executions` too: a refuted candidate is an executed-and-rejected
@@ -87,20 +88,19 @@ struct ValidationOutcome {
 /// \brief Executes candidate queries against R and accepts matches.
 class Validator {
  public:
-  /// `pool` (optional, not owned) enables parallel validation when
-  /// options.num_threads > 1; nullptr keeps every path sequential.
+  /// `pool` (optional, not owned) lets validation launch executions
+  /// ahead of the commit point when options.num_threads > 1; the
+  /// executor also draws scan morsels from it (options.scan_threads).
   ///
-  /// `trace` (null trace = off) records per-candidate outcomes; their
-  /// counts are in the ValidationOutcome. Sequential validation records one
-  /// "execute" span per execution; parallel validation records one
-  /// "commit" span per committed candidate, from the single-threaded
-  /// commit loop only (a Trace is not thread-safe, so pool workers
-  /// never touch it).
+  /// `trace` (null trace = off) records one "execute" span per
+  /// committed or discarded execution, from the single-threaded commit
+  /// loop only (a Trace is not thread-safe, so pool workers never touch
+  /// it); a span whose result was discarded is marked "speculative".
   /// `cache` (optional, not owned, internally synchronized) is the
   /// run's shared AtomSelectionCache: every candidate execution —
-  /// sequential or across pool workers — passes it to the executor so
-  /// candidates sharing predicate atoms reuse each other's selection
-  /// bitmaps instead of rescanning R.
+  /// on the calling thread or on pool workers — passes it to the
+  /// executor so candidates sharing predicate atoms reuse each other's
+  /// selection bitmaps instead of rescanning R.
   Validator(const Table& base, Executor* executor,
             const PaleoOptions& options, ThreadPool* pool = nullptr,
             obs::TraceContext trace = {}, AtomSelectionCache* cache = nullptr)
@@ -115,35 +115,16 @@ class Validator {
   /// options.match_mode.
   bool Accepts(const TopKList& result, const TopKList& input) const;
 
-  /// Sequential execution in the given (suitability) order.
-  /// `prior_executions` is the pipeline-wide execution count before
-  /// this call, charged against the budget's execution cap.
-  StatusOr<ValidationOutcome> RankedValidation(
-      const std::vector<CandidateQuery>& candidates, const TopKList& input,
-      const RunBudget* budget = nullptr,
-      int64_t prior_executions = 0) const;
-
-  /// Algorithm 3.
-  StatusOr<ValidationOutcome> SmartValidation(
-      const std::vector<CandidateQuery>& candidates, const TopKList& input,
-      const RunBudget* budget = nullptr,
-      int64_t prior_executions = 0) const;
-
-  /// Dispatches on options.validation_strategy, and onto the parallel
-  /// rank-order-commit implementation when a pool is attached and
-  /// options.num_threads > 1.
+  /// Validates `candidates` (in suitability order) under
+  /// options.validation_strategy. `budget` (nullable) caps the run;
+  /// `prior_executions` is the run's execution count before this call,
+  /// charged against the budget's execution cap.
   StatusOr<ValidationOutcome> Validate(
       const std::vector<CandidateQuery>& candidates, const TopKList& input,
       const RunBudget* budget = nullptr,
       int64_t prior_executions = 0) const;
 
  private:
-  /// Windowed parallel validation; `smart` replays Algorithm 3's skip
-  /// schedule, false gives parallel ranked validation.
-  StatusOr<ValidationOutcome> ParallelValidation(
-      const std::vector<CandidateQuery>& candidates, const TopKList& input,
-      bool smart, const RunBudget* budget, int64_t prior_executions) const;
-
   /// The run's ThresholdMonitor (engine/threshold_monitor.h), or
   /// nullptr when pruning is off, the match mode is not exact (a
   /// refuted scan has no result list to partial-score), there are no

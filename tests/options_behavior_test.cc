@@ -150,17 +150,6 @@ TEST(OptionsBehaviorTest, MaxPredicateSizeBoundsMinedConjunctions) {
   }
 }
 
-TEST(OptionsBehaviorTest, ExecutionBudgetStopsEarly) {
-  TpchFixture f = TpchFixture::Make();
-  PaleoOptions options;
-  options.max_query_executions = 1;
-  options.validation_strategy = ValidationStrategy::kRanked;
-  Paleo paleo(&f.table, options);
-  auto report = paleo.Run({.input = &f.query.list});
-  ASSERT_TRUE(report.ok());
-  EXPECT_LE(report->executed_queries, 2);  // 1 per validation pass
-}
-
 TEST(OptionsBehaviorTest, MinCountAggregatesAreOptIn) {
   auto table = TrafficGen::PaperExample();
   ASSERT_TRUE(table.ok());

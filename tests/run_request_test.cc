@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_points.h"
@@ -370,6 +373,92 @@ TEST_F(RunRequestTest, MetricsRegistryCountsMatchReport) {
     EXPECT_GT(report->valid[0].executions_at_discovery, 1);
     ExpectRegistryEqualsReport(registry, *report, "deepening");
   }
+}
+
+/// The "executed" count of the run's first "validate" span, the one
+/// under "run" (progressive deepening's comes later).
+int64_t FirstPassExecutions(const obs::Trace& trace) {
+  const obs::Span* validate = trace.FindSpan("validate");
+  EXPECT_NE(validate, nullptr);
+  if (validate == nullptr) return -1;
+  for (const obs::SpanAttr& attr : validate->attrs) {
+    if (attr.key == "executed") return attr.i;
+  }
+  return -1;
+}
+
+TEST_F(RunRequestTest, ExecutionCapCountsAcrossDeepening) {
+  // The cap is the run's, not a validation pass's: capped one past the
+  // first pass, a run enumerating every valid query deepens, spends its
+  // last execution there and stops with the rest as near misses.
+  Table shadowed = ShadowedByMaxTable();
+  PaleoOptions all_valid;
+  all_valid.stop_at_first_valid = false;
+  Paleo deep(&shadowed, all_valid);
+  TopKList input;
+  input.Append("A", 10.0);
+  input.Append("B", 7.0);
+  input.Append("C", 5.0);
+  RunRequest request;
+  request.input = &input;
+  request.collect_trace = true;
+  auto uncapped = deep.Run(request);
+  ASSERT_TRUE(uncapped.ok());
+  const int64_t first_pass = FirstPassExecutions(*uncapped->trace);
+  ASSERT_GT(first_pass, 0);
+  ASSERT_GT(uncapped->executed_queries, first_pass + 1);
+  ASSERT_EQ(uncapped->termination, TerminationReason::kCompleted);
+
+  ThreadPool pool(4);
+  for (ThreadPool* maybe_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(maybe_pool == nullptr ? "no pool" : "pool");
+    PaleoOptions options = all_valid;
+    options.max_validation_executions = first_pass + 1;
+    options.num_threads = maybe_pool == nullptr ? 1 : 4;
+    request.pool = maybe_pool;
+    request.options_override = &options;
+    auto report = deep.Run(request);
+    ASSERT_TRUE(report.ok());
+    ASSERT_NE(report->trace->FindSpan("deepen"), nullptr);
+    EXPECT_EQ(report->executed_queries, first_pass + 1);
+    EXPECT_EQ(report->termination, TerminationReason::kExecutionBudget);
+    EXPECT_FALSE(report->near_misses.empty());
+  }
+}
+
+TEST_F(RunRequestTest, RequestCancelStopsSequentialScanMidway) {
+  // With a window of one the scan runs under the request's own budget,
+  // so a request cancel stops a running scan at its next gate tick: the
+  // first execution is slowed, the token trips while it runs, and the
+  // run commits no execution at all.
+  FaultSpec slow;
+  slow.action = FaultAction::kDelay;
+  slow.delay_micros = 200000;
+  slow.probability = 1.0;
+  FaultPoints::Arm("executor.execute.scan", slow);
+  CancellationToken token;
+  RunBudget budget;
+  budget.set_cancellation_token(&token);
+  std::atomic<bool> done{false};
+  std::thread canceller([&] {
+    while (!done.load() &&
+           FaultPoints::StatsFor("executor.execute.scan").hits < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.Cancel();
+  });
+  Paleo paleo(&table(), PaleoOptions{});
+  RunRequest request;
+  request.input = &workload()[0].list;
+  request.budget = &budget;
+  auto report = paleo.Run(request);
+  done.store(true);
+  canceller.join();
+  FaultPoints::DisarmAll();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->termination, TerminationReason::kCancelled);
+  EXPECT_EQ(report->executed_queries, 0);
+  EXPECT_FALSE(report->near_misses.empty());
 }
 
 TEST_F(RunRequestTest, FailedRunExportsOnlyRunCountAndLatency) {

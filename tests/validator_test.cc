@@ -1,7 +1,14 @@
-// Tests for ranked and smart (Algorithm 3) validation.
+// Tests for ranked and smart (Algorithm 3) validation. Each case runs
+// under both strategies with no pool and with a pool at two window
+// sizes, and must commit the same outcome in all three.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/thread_pool.h"
 #include "datagen/traffic_gen.h"
 #include "paleo/validator.h"
 
@@ -95,148 +102,201 @@ TEST(ValidatorTest, PartialMatchModeAcceptsNearMisses) {
   EXPECT_FALSE(validator.Accepts(TopKList(), f.list));
 }
 
+/// What one strategy's validation of a case must produce.
+struct Want {
+  int64_t executions = 0;
+  int64_t skip_events = 0;
+  int passes = 0;
+  /// Valid queries with their executions_at_discovery, in commit order.
+  std::vector<std::pair<TopKQuery, int64_t>> valid;
+};
+
+/// One validation case, run under both strategies in every window mode.
+struct Case {
+  std::vector<CandidateQuery> candidates;
+  TopKList input;
+  bool stop_at_first_valid = true;
+  const RunBudget* budget = nullptr;
+  int64_t prior_executions = 0;
+  TerminationReason termination = TerminationReason::kCompleted;
+  /// Indices never executed, under either strategy.
+  std::vector<size_t> unvalidated;
+  Want ranked;
+  Want smart;
+};
+
+/// Validates `c` under {ranked, smart} x {no pool, a 4-worker pool at
+/// num_threads 2, the same pool at 4}. Every mode must give the
+/// strategy's expected counts and valid queries and the case's
+/// unvalidated candidates.
+void ExpectCase(const Fixture& f, const Case& c) {
+  ThreadPool pool(4);
+  struct Mode {
+    const char* name;
+    ThreadPool* pool;
+    int num_threads;
+  };
+  const Mode modes[] = {{"no pool", nullptr, 1},
+                        {"pool, num_threads 2", &pool, 2},
+                        {"pool, num_threads 4", &pool, 4}};
+  for (ValidationStrategy strategy :
+       {ValidationStrategy::kRanked, ValidationStrategy::kSmart}) {
+    const bool smart = strategy == ValidationStrategy::kSmart;
+    const Want& want = smart ? c.smart : c.ranked;
+    for (const Mode& mode : modes) {
+      SCOPED_TRACE(std::string(smart ? "smart, " : "ranked, ") + mode.name);
+      PaleoOptions options;
+      options.validation_strategy = strategy;
+      options.stop_at_first_valid = c.stop_at_first_valid;
+      options.num_threads = mode.num_threads;
+      Executor executor;
+      Validator validator(f.table, &executor, options, mode.pool);
+      auto outcome = validator.Validate(c.candidates, c.input, c.budget,
+                                        c.prior_executions);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_EQ(outcome->executions, want.executions);
+      EXPECT_EQ(outcome->skip_events, want.skip_events);
+      EXPECT_EQ(outcome->passes, want.passes);
+      EXPECT_EQ(outcome->termination, c.termination);
+      ASSERT_EQ(outcome->valid.size(), want.valid.size());
+      for (size_t i = 0; i < want.valid.size(); ++i) {
+        EXPECT_TRUE(outcome->valid[i].query == want.valid[i].first) << i;
+        EXPECT_EQ(outcome->valid[i].executions_at_discovery,
+                  want.valid[i].second)
+            << i;
+      }
+      EXPECT_EQ(outcome->unvalidated, c.unvalidated);
+      if (c.budget != nullptr) {
+        // Nothing is launched past the cap, so no execution is wasted.
+        EXPECT_EQ(outcome->speculative_executions, 0);
+        EXPECT_EQ(executor.stats().queries_executed, want.executions);
+      }
+    }
+  }
+}
+
 TEST(ValidatorTest, RankedValidationFindsFirstValid) {
   Fixture f = Fixture::Make();
-  PaleoOptions options;
-  Validator validator(f.table, &f.executor, options);
-  std::vector<CandidateQuery> candidates = {
+  Case c;
+  c.candidates = {
       f.MakeCandidate(f.WrongRanking(), 0.9),
       f.MakeCandidate(f.truth, 0.8),
       f.MakeCandidate(f.WrongPredicate(), 0.7),
   };
-  auto outcome = validator.RankedValidation(candidates, f.list);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome->found());
-  EXPECT_EQ(outcome->executions, 2);  // wrong ranking, then truth
-  EXPECT_TRUE(outcome->valid[0].query == f.truth);
-  EXPECT_EQ(outcome->valid[0].executions_at_discovery, 2);
+  c.input = f.list;
+  // Wrong ranking, then truth; smart takes the wrong ranking as Qfm
+  // (same entities as L), and truth shares its predicate.
+  c.ranked = {2, 0, 1, {{f.truth, 2}}};
+  c.smart = {2, 0, 1, {{f.truth, 2}}};
+  ExpectCase(f, c);
 }
 
 TEST(ValidatorTest, RankedValidationExhaustsWithoutMatch) {
   Fixture f = Fixture::Make();
-  PaleoOptions options;
-  Validator validator(f.table, &f.executor, options);
-  std::vector<CandidateQuery> candidates = {
+  Case c;
+  c.candidates = {
       f.MakeCandidate(f.WrongRanking(), 0.9),
       f.MakeCandidate(f.WrongPredicate(), 0.7),
   };
-  auto outcome = validator.RankedValidation(candidates, f.list);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_FALSE(outcome->found());
-  EXPECT_EQ(outcome->executions, 2);
+  c.input = f.list;
+  c.ranked = {2, 0, 1, {}};
+  // Smart skips the unrelated predicate after Qfm and executes it in a
+  // second pass.
+  c.smart = {2, 1, 2, {}};
+  ExpectCase(f, c);
 }
 
 TEST(ValidatorTest, RankedValidationFindsAllWhenRequested) {
   Fixture f = Fixture::Make();
-  PaleoOptions options;
-  options.stop_at_first_valid = false;
-  Validator validator(f.table, &f.executor, options);
   TopKQuery with_plan = f.truth;
   with_plan.predicate =
       *f.truth.predicate.And({f.schema.FieldIndex("plan"),
                               Value::String("XL")});
-  std::vector<CandidateQuery> candidates = {
+  Case c;
+  c.candidates = {
       f.MakeCandidate(f.truth, 0.9),
       f.MakeCandidate(f.WrongRanking(), 0.8),
       f.MakeCandidate(with_plan, 0.7),
   };
-  auto outcome = validator.RankedValidation(candidates, f.list);
-  ASSERT_TRUE(outcome.ok());
+  c.input = f.list;
+  c.stop_at_first_valid = false;
   // Both the original and the plan-augmented query are valid (the
   // paper's Section 1 observation).
-  EXPECT_EQ(outcome->valid.size(), 2u);
-  EXPECT_EQ(outcome->executions, 3);
-}
-
-TEST(ValidatorTest, ExecutionBudgetIsHonored) {
-  Fixture f = Fixture::Make();
-  PaleoOptions options;
-  options.max_query_executions = 1;
-  Validator validator(f.table, &f.executor, options);
-  std::vector<CandidateQuery> candidates = {
-      f.MakeCandidate(f.WrongRanking(), 0.9),
-      f.MakeCandidate(f.truth, 0.8),
-  };
-  auto ranked = validator.RankedValidation(candidates, f.list);
-  ASSERT_TRUE(ranked.ok());
-  EXPECT_FALSE(ranked->found());
-  EXPECT_EQ(ranked->executions, 1);
-  auto smart = validator.SmartValidation(candidates, f.list);
-  ASSERT_TRUE(smart.ok());
-  EXPECT_LE(smart->executions, 1);
+  c.ranked = {3, 0, 1, {{f.truth, 1}, {with_plan, 3}}};
+  // truth is Qfm with a confirmed ranking, so the wrong ranking is
+  // skipped until the second pass.
+  c.smart = {3, 1, 2, {{f.truth, 1}, {with_plan, 2}}};
+  ExpectCase(f, c);
 }
 
 TEST(ValidatorTest, SmartValidationSkipsUnrelatedPredicates) {
   Fixture f = Fixture::Make();
-  PaleoOptions options;
-  Validator validator(f.table, &f.executor, options);
-
   // First candidate: right predicate family, wrong ranking -> its
   // result shares all entities with L (max(sms) over CA customers
   // ranks the same five people), making it the "first match" Qfm.
   // Unrelated-predicate candidates afterwards must be skipped.
-  std::vector<CandidateQuery> candidates = {
+  Case c;
+  c.candidates = {
       f.MakeCandidate(f.WrongRanking(), 0.9),
       f.MakeCandidate(f.WrongPredicate(), 0.8),
       f.MakeCandidate(f.truth, 0.7),
   };
-  auto outcome = validator.SmartValidation(candidates, f.list);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome->found());
-  EXPECT_TRUE(outcome->valid[0].query == f.truth);
-  // Executed: WrongRanking (becomes Qfm), truth. WrongPredicate skipped.
-  EXPECT_EQ(outcome->executions, 2);
-  EXPECT_EQ(outcome->skip_events, 1);
+  c.input = f.list;
+  c.ranked = {3, 0, 1, {{f.truth, 3}}};
+  c.smart = {2, 1, 1, {{f.truth, 2}}};
+  ExpectCase(f, c);
 }
 
 TEST(ValidatorTest, SmartValidationRetriesSkippedCandidates) {
   Fixture f = Fixture::Make();
-  PaleoOptions options;
-  Validator validator(f.table, &f.executor, options);
-
-  // The only valid query hides behind a predicate unrelated to the
-  // first match; a second pass must recover it.
-  TopKQuery xl_truth = f.truth;
-  xl_truth.predicate = Predicate::Atom(f.schema.FieldIndex("plan"),
-                                       Value::String("XL"));
-  Executor ex;
-  auto xl_list = ex.Execute(f.table, xl_truth, ExecContext{});
-  ASSERT_TRUE(xl_list.ok());
-
-  std::vector<CandidateQuery> candidates = {
-      f.MakeCandidate(f.WrongRanking(), 0.9),  // Qfm (same entities as L)
-      f.MakeCandidate(xl_truth, 0.8),          // no atoms shared with Qfm
+  // The valid query hides behind a predicate unrelated to the first
+  // match: max(sms) ascending over XL customers lists four of L's five
+  // entities (Jaccard 0.67 >= tau), so it becomes Qfm, but it shares no
+  // atom with state = 'CA'. Smart validation skips truth in the first
+  // pass and must recover it in the second.
+  TopKQuery first_match = f.WrongRanking();
+  first_match.predicate = Predicate::Atom(f.schema.FieldIndex("plan"),
+                                          Value::String("XL"));
+  first_match.order = SortOrder::kAsc;
+  Case c;
+  c.candidates = {
+      f.MakeCandidate(first_match, 0.9),
+      f.MakeCandidate(f.truth, 0.8),
   };
-  auto outcome = validator.SmartValidation(candidates, *xl_list);
-  ASSERT_TRUE(outcome.ok());
-  // Whether pass 1 accepts it depends on Qfm selection; the important
-  // property: the valid query is eventually found despite skipping.
-  ASSERT_TRUE(outcome->found());
-  EXPECT_TRUE(outcome->valid[0].query == xl_truth);
+  c.input = f.list;
+  c.ranked = {2, 0, 1, {{f.truth, 2}}};
+  c.smart = {2, 1, 2, {{f.truth, 2}}};
+  ExpectCase(f, c);
 }
 
-TEST(ValidatorTest, ValidateDispatchesOnStrategy) {
+TEST(ValidatorTest, ExecutionBudgetIsHonored) {
   Fixture f = Fixture::Make();
-  PaleoOptions options;
-  options.validation_strategy = ValidationStrategy::kRanked;
-  Validator ranked(f.table, &f.executor, options);
-  std::vector<CandidateQuery> candidates = {f.MakeCandidate(f.truth, 1.0)};
-  auto outcome = ranked.Validate(candidates, f.list);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome->found());
-  EXPECT_EQ(outcome->passes, 1);
+  // A cap of 3 with 2 executions already spent earlier in the run
+  // leaves room for one.
+  RunBudget budget;
+  budget.set_max_executions(3);
+  Case c;
+  c.candidates = {
+      f.MakeCandidate(f.WrongRanking(), 0.9),
+      f.MakeCandidate(f.truth, 0.8),
+  };
+  c.input = f.list;
+  c.budget = &budget;
+  c.prior_executions = 2;
+  c.termination = TerminationReason::kExecutionBudget;
+  c.unvalidated = {1};
+  c.ranked = {1, 0, 1, {}};
+  c.smart = {1, 0, 1, {}};
+  ExpectCase(f, c);
 }
 
 TEST(ValidatorTest, EmptyCandidateListIsNotAnError) {
   Fixture f = Fixture::Make();
-  PaleoOptions options;
-  Validator validator(f.table, &f.executor, options);
-  auto ranked = validator.RankedValidation({}, f.list);
-  ASSERT_TRUE(ranked.ok());
-  EXPECT_FALSE(ranked->found());
-  auto smart = validator.SmartValidation({}, f.list);
-  ASSERT_TRUE(smart.ok());
-  EXPECT_FALSE(smart->found());
+  Case c;
+  c.input = f.list;
+  c.ranked = {0, 0, 0, {}};
+  c.smart = {0, 0, 0, {}};
+  ExpectCase(f, c);
 }
 
 }  // namespace
