@@ -1,17 +1,16 @@
-// Microbenchmarks for the vectorized execution layer (PR "vectorized
-// kernels + atom-selection cache"): one iteration replays a
-// validation-shaped workload — a set of candidate queries whose
-// conjunctions are built from a small shared pool of predicate atoms,
-// exactly the shape apriori mining produces — through three executor
-// configurations:
+// Microbenchmarks for the vectorized execution layer: one iteration
+// replays a validation-shaped workload — a set of candidate queries
+// whose conjunctions are built from a small shared pool of predicate
+// atoms, exactly the shape apriori mining produces — through two
+// executor configurations:
 //
-//   Scalar            row-at-a-time BoundPredicate::Matches scan
 //   Vectorized        per-atom selection kernels + word-wise AND
 //   VectorizedCached  kernels + per-run AtomSelectionCache (each atom
 //                     scanned once per run, then bitmap AND only)
 //
-// The Scalar/VectorizedCached pair is the before/after recorded in
-// BENCH_pr5.json by bench/run_benchmarks.sh.
+// bench/run_benchmarks.sh prints the cache's speedup over Vectorized.
+// BENCH_pr5.json keeps the numbers of a former row-at-a-time Scalar
+// configuration, deleted since, as history.
 
 #include <benchmark/benchmark.h>
 
@@ -74,21 +73,16 @@ std::vector<TopKQuery> CandidateSet(const Table& table) {
   return candidates;
 }
 
-enum class Mode { kScalar, kVectorized, kVectorizedCached };
-
-void RunCandidates(benchmark::State& state, Mode mode) {
+void RunCandidates(benchmark::State& state, bool cached) {
   const Table& table = SharedTpch();
   const std::vector<TopKQuery> candidates = CandidateSet(table);
   Executor ex;
-  const bool vectorized = mode != Mode::kScalar;
   for (auto _ : state) {
     // One validation run: a fresh cache shared across its candidates.
     AtomSelectionCache cache(static_cast<size_t>(32) << 20);
-    AtomSelectionCache* cache_ptr =
-        mode == Mode::kVectorizedCached ? &cache : nullptr;
+    AtomSelectionCache* cache_ptr = cached ? &cache : nullptr;
     for (const TopKQuery& q : candidates) {
-      auto result = ex.Execute(
-          table, q, ExecContext{.cache = cache_ptr, .vectorized = vectorized});
+      auto result = ex.Execute(table, q, ExecContext{.cache = cache_ptr});
       benchmark::DoNotOptimize(result.ok());
     }
   }
@@ -97,35 +91,27 @@ void RunCandidates(benchmark::State& state, Mode mode) {
                           static_cast<int64_t>(table.num_rows()));
 }
 
-void BM_RepeatedCandidates_Scalar(benchmark::State& state) {
-  RunCandidates(state, Mode::kScalar);
-}
-BENCHMARK(BM_RepeatedCandidates_Scalar);
-
 void BM_RepeatedCandidates_Vectorized(benchmark::State& state) {
-  RunCandidates(state, Mode::kVectorized);
+  RunCandidates(state, /*cached=*/false);
 }
 BENCHMARK(BM_RepeatedCandidates_Vectorized);
 
 void BM_RepeatedCandidates_VectorizedCached(benchmark::State& state) {
-  RunCandidates(state, Mode::kVectorizedCached);
+  RunCandidates(state, /*cached=*/true);
 }
 BENCHMARK(BM_RepeatedCandidates_VectorizedCached);
 
-void RunCounts(benchmark::State& state, Mode mode) {
+void RunCounts(benchmark::State& state, bool cached) {
   const Table& table = SharedTpch();
   const std::vector<TopKQuery> candidates = CandidateSet(table);
   Executor ex;
-  const bool vectorized = mode != Mode::kScalar;
   for (auto _ : state) {
     AtomSelectionCache cache(static_cast<size_t>(32) << 20);
-    AtomSelectionCache* cache_ptr =
-        mode == Mode::kVectorizedCached ? &cache : nullptr;
+    AtomSelectionCache* cache_ptr = cached ? &cache : nullptr;
     size_t total = 0;
     for (const TopKQuery& q : candidates) {
-      total += ex.CountMatching(
-          table, q.predicate,
-          ExecContext{.cache = cache_ptr, .vectorized = vectorized});
+      total += ex.CountMatching(table, q.predicate,
+                                ExecContext{.cache = cache_ptr});
     }
     benchmark::DoNotOptimize(total);
   }
@@ -134,18 +120,13 @@ void RunCounts(benchmark::State& state, Mode mode) {
                           static_cast<int64_t>(table.num_rows()));
 }
 
-void BM_CountMatching_Scalar(benchmark::State& state) {
-  RunCounts(state, Mode::kScalar);
-}
-BENCHMARK(BM_CountMatching_Scalar);
-
 void BM_CountMatching_Vectorized(benchmark::State& state) {
-  RunCounts(state, Mode::kVectorized);
+  RunCounts(state, /*cached=*/false);
 }
 BENCHMARK(BM_CountMatching_Vectorized);
 
 void BM_CountMatching_VectorizedCached(benchmark::State& state) {
-  RunCounts(state, Mode::kVectorizedCached);
+  RunCounts(state, /*cached=*/true);
 }
 BENCHMARK(BM_CountMatching_VectorizedCached);
 

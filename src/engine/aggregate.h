@@ -31,6 +31,17 @@ constexpr AggFn kAllAggFns[] = {AggFn::kMax,   AggFn::kAvg, AggFn::kSum,
                                 AggFn::kNone,  AggFn::kMin, AggFn::kCount};
 
 /// \brief Streaming aggregation state for one group.
+///
+/// NaN rule: sum and avg propagate a NaN row (the sum becomes NaN).
+/// max and min ignore NaN rows — both comparisons in Add are false —
+/// unless every row of the group is NaN: Finish then returns NaN, not
+/// the -inf/+inf seeds, which no row holds. The raw state of such a
+/// group keeps the seeds (max < min, the only state where that holds
+/// with count > 0). The threshold monitor reads the raw state: it
+/// skips such a group when it is foreign to the target list, since a
+/// NaN result ranks last and never beats the cut, and bounds it by the
+/// seeds when it is in the list, since a NaN result cannot equal a
+/// numeric target.
 struct AggState {
   double sum = 0.0;
   double max = -std::numeric_limits<double>::infinity();
@@ -47,9 +58,9 @@ struct AggState {
   /// Folds another group's partial state into this one (chunk-merge of
   /// the morsel-parallel scan). Merging partials in ascending chunk
   /// order is the CANONICAL aggregation order: every executor path
-  /// (scalar, vectorized, morsel-parallel) computes per-chunk partials
-  /// and merges them this way, so float accumulation is byte-identical
-  /// across paths by construction.
+  /// (sequential, morsel-parallel, index-assisted) computes per-chunk
+  /// partials and merges them this way, so float accumulation is
+  /// byte-identical across paths by construction.
   void Merge(const AggState& other) {
     sum += other.sum;
     if (other.max > max) max = other.max;
@@ -57,13 +68,14 @@ struct AggState {
     count += other.count;
   }
 
-  /// Final value under `fn`. Precondition: count > 0 and fn != kNone.
+  /// Final value under `fn` (NaN rule above). Precondition: count > 0
+  /// and fn != kNone.
   double Finish(AggFn fn) const {
     switch (fn) {
       case AggFn::kMax:
-        return max;
+        return max < min ? std::numeric_limits<double>::quiet_NaN() : max;
       case AggFn::kMin:
-        return min;
+        return max < min ? std::numeric_limits<double>::quiet_NaN() : min;
       case AggFn::kSum:
         return sum;
       case AggFn::kAvg:

@@ -61,10 +61,10 @@ std::shared_ptr<const SelectionBitmap> AtomSelectionCache::Insert(
     // a genuine out-of-memory still propagates (nothing sane is left).
     return std::make_shared<const SelectionBitmap>(std::move(bitmap));
   }
-  if (byte_budget_ == 0 || under_pressure()) {
+  MutexLock lock(mutex_);
+  if (effective_budget_ == 0) {
     return shared;  // retention disabled (configured off or degraded)
   }
-  MutexLock lock(mutex_);
   Key key{epoch, chunk, atom};
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -95,12 +95,8 @@ void AtomSelectionCache::ShrinkOnPressureLocked() {
   ++pressure_events_;
   effective_budget_ /= 2;
   if (effective_budget_ < kMinRetentionBytes) {
-    // The ladder's last rung: retention off; the executor sees
-    // under_pressure() and degrades to its scalar path.
+    // The ladder's last rung: retention off for the rest of the run.
     effective_budget_ = 0;
-    // relaxed: one-way advisory flag; a reader that misses it by one
-    // execution just probes the cache once more under the mutex.
-    retention_disabled_.store(true, std::memory_order_relaxed);
   }
   EvictLocked();
 }

@@ -30,7 +30,6 @@
 #ifndef PALEO_ENGINE_ATOM_CACHE_H_
 #define PALEO_ENGINE_ATOM_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -88,20 +87,13 @@ class AtomSelectionCache {
   /// halves its effective budget, evicts down to it, and hands the
   /// caller an UNRETAINED copy — the run keeps its correct bitmap and
   /// only loses reuse. Once the effective budget shrinks below a small
-  /// floor, retention shuts down and under_pressure() turns true, at
-  /// which point the executor degrades to its scalar path.
+  /// floor, retention shuts down for good: every later Insert hands
+  /// back an unretained bitmap, and the scan goes on computing fresh
+  /// per-chunk bitmaps with identical results.
   std::shared_ptr<const SelectionBitmap> Insert(uint64_t epoch,
                                                 uint32_t chunk,
                                                 const AtomicPredicate& atom,
                                                 SelectionBitmap bitmap);
-
-  /// True once repeated allocation failures shut retention down; the
-  /// executor then takes the scalar path. Lock-free, cheap enough for
-  /// the per-execution check. relaxed: advisory one-way flag, no data
-  /// is published through it.
-  bool under_pressure() const {
-    return retention_disabled_.load(std::memory_order_relaxed);
-  }
 
   Stats stats() const;
   size_t byte_budget() const { return byte_budget_; }
@@ -137,9 +129,6 @@ class AtomSelectionCache {
   void ShrinkOnPressureLocked() REQUIRES(mutex_);
 
   const size_t byte_budget_;
-  // relaxed: one-way pressure flag read outside mutex_ (see
-  // under_pressure()); all cache state is guarded by mutex_ below.
-  std::atomic<bool> retention_disabled_{false};
 
   mutable Mutex mutex_;
   /// Front = most recently used.

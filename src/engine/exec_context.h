@@ -1,11 +1,17 @@
 // ExecContext: the one-stop parameter block for Executor scans.
 //
-// Execute / ExecuteOnRows / CountMatching used to accumulate positional
-// parameters (budget pointer, atom-cache pointer, and with chunked
-// storage a thread pool and morsel knobs would have made it worse).
-// All per-call execution state now travels in this struct, passed by
-// const reference; the old positional overloads were deleted in PR 9
-// and the paleo_lint exec-context rule bans the call shape tree-wide.
+// Execute / CountMatching used to accumulate positional parameters
+// (budget pointer, atom-cache pointer, and with chunked storage a
+// thread pool and morsel knobs would have made it worse). All per-call
+// execution state now travels in this struct, passed by const
+// reference; the old positional overloads are gone, and the paleo_lint
+// exec-context rule bans the call shape tree-wide.
+//
+// No field selects a different scan algorithm: every context runs the
+// one chunk-canonical scan (engine/executor.h), so a list returned
+// under any context is byte-identical to the default context's. The
+// budget can only interrupt an execution (Status::Cancelled) and the
+// threshold monitor only refute one (Status::QueryRefuted).
 //
 // An ExecContext is cheap to construct (a handful of pointers and
 // flags) and carries NO ownership: every pointer is optional, borrowed,
@@ -48,11 +54,6 @@ struct ExecContext {
   /// result is byte-identical at any setting (rank-order merge of
   /// per-chunk partials).
   int scan_threads = 1;
-
-  /// Vectorized selection kernels for full scans (default on); false
-  /// forces the scalar row-at-a-time scan. Results are identical either
-  /// way.
-  bool vectorized = true;
 
   /// Consult per-chunk zone maps to skip chunks no row of which can
   /// match the predicate (default on). Skipped chunks are excluded from

@@ -58,13 +58,11 @@ struct HeapEntry {
   uint32_t group;  // entity code, or row id for kNone
 };
 
-/// The BudgetGate stride of the scalar per-row scan loops: one clock
-/// read every ~4096 rows.
-constexpr uint32_t kScalarGateStride = 4096;
-/// The vectorized kernels tick the gate once per kSelectionBatchRows
-/// batch; stride 2 polls the clock every other batch, i.e. at the same
-/// ~4096-row cadence as the scalar path.
-constexpr uint32_t kVectorGateStride = 2;
+/// The kernels tick the BudgetGate once per kSelectionBatchRows batch;
+/// stride 2 polls the clock every other batch, i.e. every ~4096 rows.
+constexpr uint32_t kChunkGateStride = 2;
+/// The posting loop ticks once per row: the same ~4096-row cadence.
+constexpr uint32_t kPostingGateStride = 4096;
 
 /// What a chunk scan produces per chunk.
 enum class ScanMode { kRows, kGroups, kCount };
@@ -75,8 +73,9 @@ enum class ScanMode { kRows, kGroups, kCount };
 struct ChunkOutcome {
   /// Zone maps refuted the whole chunk; nothing else is populated.
   bool skipped = false;
-  /// The scanner fully handled this chunk (skip or scan); outcomes of
-  /// unclaimed / interrupted chunks stay false and must be ignored.
+  /// The chunk was fully handled (skipped, scanned, or its postings
+  /// folded); outcomes of unclaimed / interrupted chunks, and of chunks
+  /// without postings, stay false and must be ignored.
   bool completed = false;
   /// Rows visited by the consumption pass (rows_scanned accounting).
   size_t visited = 0;
@@ -94,24 +93,35 @@ struct ChunkScratch {
   std::vector<AggState> groups;
 };
 
-/// \brief Chunk-granular scan engine shared by Execute and
-/// CountMatching: everything invariant across the chunks of one full
-/// scan. Const after construction; ProcessChunk is called concurrently
-/// by morsel workers (per-worker gate/scratch/outcome, internally
-/// synchronized cache).
+/// Moves the dense per-chunk aggregates into the outcome's compact
+/// (touched, partials) form and zeroes the touched scratch slots, so
+/// the scratch is clean for the next chunk. Runs even after an
+/// interrupt (the partial outcome is discarded by the caller, but the
+/// scratch must not leak state across chunks).
+void CompactGroups(ChunkScratch* scratch, ChunkOutcome* out) {
+  out->partials.reserve(out->touched.size());
+  for (uint32_t code : out->touched) {
+    out->partials.push_back(scratch->groups[code]);
+    scratch->groups[code] = AggState{};
+  }
+}
+
+/// \brief Chunk-granular scan engine of the full scan: everything
+/// invariant across the chunks of one scan. Const after construction;
+/// ProcessChunk is called concurrently by morsel workers (per-worker
+/// gate/scratch/outcome, internally synchronized cache).
 class ChunkScanner {
  public:
   ChunkScanner(const Table& table, const TableView& view,
                const Predicate& predicate, const BoundPredicate& bound,
-               ScanMode mode, const TopKQuery* query, bool vectorized,
-               bool zone_skip, AtomSelectionCache* cache)
+               ScanMode mode, const TopKQuery* query, bool zone_skip,
+               AtomSelectionCache* cache)
       : table_(table),
         view_(view),
         predicate_(predicate),
         bound_(bound),
         mode_(mode),
         query_(query),
-        vectorized_(vectorized),
         zone_skip_(zone_skip),
         cache_(cache),
         epoch_(view.epoch()),
@@ -129,11 +139,8 @@ class ChunkScanner {
       out->completed = true;
       return true;
     }
-    const bool ok = vectorized_ ? ScanVectorized(chunk_index, ch, gate,
-                                                 scratch, out)
-                                : ScanScalar(ch, gate, scratch, out);
-    out->completed = ok;
-    return ok;
+    out->completed = Scan(chunk_index, ch, gate, scratch, out);
+    return out->completed;
   }
 
  private:
@@ -187,27 +194,8 @@ class ChunkScanner {
     return true;
   }
 
-  void EnsureScratch(ChunkScratch* scratch) const {
-    if (scratch->groups.size() < dict_size_) {
-      scratch->groups.resize(dict_size_);
-    }
-  }
-
-  /// Moves the dense per-chunk aggregates into the outcome's compact
-  /// (touched, partials) form and zeroes the touched scratch slots, so
-  /// the scratch is clean for the worker's next chunk. Runs even after
-  /// an interrupt (the partial outcome is discarded by the caller, but
-  /// the scratch must not leak state across chunks).
-  void CompactGroups(ChunkScratch* scratch, ChunkOutcome* out) const {
-    out->partials.reserve(out->touched.size());
-    for (uint32_t code : out->touched) {
-      out->partials.push_back(scratch->groups[code]);
-      scratch->groups[code] = AggState{};
-    }
-  }
-
-  bool ScanVectorized(size_t chunk_index, const Chunk& ch, BudgetGate* gate,
-                      ChunkScratch* scratch, ChunkOutcome* out) const {
+  bool Scan(size_t chunk_index, const Chunk& ch, BudgetGate* gate,
+            ChunkScratch* scratch, ChunkOutcome* out) const {
     SelectionBitmap sel;
     if (!BuildChunkSelection(chunk_index, ch, gate, &sel)) return false;
     switch (mode_) {
@@ -231,7 +219,9 @@ class ChunkScanner {
         return true;
       }
       case ScanMode::kGroups: {
-        EnsureScratch(scratch);
+        if (scratch->groups.size() < dict_size_) {
+          scratch->groups.resize(dict_size_);
+        }
         size_t visited = 0;
         const bool done = FusedGroupAggregate(
             sel, table_, query_->expr, entity_codes_, gate, &scratch->groups,
@@ -244,47 +234,12 @@ class ChunkScanner {
     return true;
   }
 
-  bool ScanScalar(const Chunk& ch, BudgetGate* gate, ChunkScratch* scratch,
-                  ChunkOutcome* out) const {
-    if (mode_ == ScanMode::kGroups) EnsureScratch(scratch);
-    size_t visited = 0;
-    bool completed = true;
-    for (RowId r = ch.begin_row; r < ch.end_row; ++r) {
-      if (gate->Tick() != TerminationReason::kCompleted) {
-        completed = false;
-        break;
-      }
-      ++visited;
-      if (!bound_.Matches(r)) continue;
-      switch (mode_) {
-        case ScanMode::kCount:
-          ++out->match_count;
-          break;
-        case ScanMode::kRows:
-          out->row_entries.push_back(HeapEntry{query_->expr.Eval(table_, r),
-                                               r});
-          break;
-        case ScanMode::kGroups: {
-          const uint32_t code = entity_codes_[r];
-          AggState& g = scratch->groups[code];
-          if (g.count == 0) out->touched.push_back(code);
-          g.Add(query_->expr.Eval(table_, r));
-          break;
-        }
-      }
-    }
-    out->visited += visited;
-    if (mode_ == ScanMode::kGroups) CompactGroups(scratch, out);
-    return completed;
-  }
-
   const Table& table_;
   const TableView& view_;
   const Predicate& predicate_;
   const BoundPredicate& bound_;
   const ScanMode mode_;
   const TopKQuery* query_;  // null for kCount
-  const bool vectorized_;
   const bool zone_skip_;
   AtomSelectionCache* cache_;
   const uint64_t epoch_;
@@ -301,9 +256,8 @@ class ChunkScanner {
 /// independent of claim interleaving. Returns kCompleted, or the first
 /// interrupting termination reason (the scan is then abandoned).
 TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
-                               const RunBudget* budget, uint32_t gate_stride,
-                               ThreadPool* pool, int workers,
-                               ThresholdState* threshold,
+                               const RunBudget* budget, ThreadPool* pool,
+                               int workers, ThresholdState* threshold,
                                std::vector<ChunkOutcome>* outcomes) {
   // relaxed: next_chunk is a pure work-claim ticket and abort/reason
   // are advisory flags; chunk-outcome visibility is provided by the
@@ -312,7 +266,7 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
   std::atomic<bool> abort{false};
   std::atomic<TerminationReason> reason{TerminationReason::kCompleted};
   auto worker = [&]() {
-    BudgetGate gate(budget, gate_stride);
+    BudgetGate gate(budget, kChunkGateStride);
     ChunkScratch scratch;
     while (!abort.load(std::memory_order_relaxed)) {
       // Threshold refutation stops claiming but is not an interrupt:
@@ -353,7 +307,120 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
   return reason.load(std::memory_order_relaxed);
 }
 
+/// Folds index postings (ascending row ids, each satisfying the whole
+/// conjunction) into one outcome per chunk of `table`, in the full
+/// scan's shape: rows of one chunk aggregate from zero in row order and
+/// compact exactly as a scanned chunk does, so the caller's
+/// ascending-chunk merge gives the full scan's sums. Chunks without
+/// postings stay uncompleted. Returns false when the gate interrupted
+/// the loop.
+bool ScanPostings(const Table& table, const std::vector<RowId>& rows,
+                  const TopKQuery& query, BudgetGate* gate,
+                  std::vector<ChunkOutcome>* outcomes, size_t* visited) {
+  const bool grouped = query.agg != AggFn::kNone;
+  const uint32_t* entity_codes = table.entity_column().codes().data();
+  const size_t chunk_rows = table.chunk_rows();
+  outcomes->resize(table.num_chunks());
+  ChunkScratch scratch;
+  if (grouped) scratch.groups.resize(table.entity_column().dict()->size());
+  ChunkOutcome* out = nullptr;
+  auto close_chunk = [&]() {
+    if (out != nullptr && grouped) CompactGroups(&scratch, out);
+  };
+  for (RowId r : rows) {
+    if (gate->Tick() != TerminationReason::kCompleted) return false;
+    ++*visited;
+    ChunkOutcome* chunk_out = &(*outcomes)[r / chunk_rows];
+    if (chunk_out != out) {
+      close_chunk();
+      out = chunk_out;
+      out->completed = true;
+    }
+    if (grouped) {
+      const uint32_t code = entity_codes[r];
+      AggState& g = scratch.groups[code];
+      if (g.count == 0) out->touched.push_back(code);
+      g.Add(query.expr.Eval(table, r));
+    } else {
+      out->row_entries.push_back(HeapEntry{query.expr.Eval(table, r), r});
+    }
+  }
+  close_chunk();
+  return true;
+}
+
 }  // namespace
+
+/// What one full chunk scan leaves for its caller.
+struct Executor::ChunkScan {
+  /// Per-chunk outcomes, at their chunk index.
+  std::vector<ChunkOutcome> outcomes;
+  /// kCompleted, or the reason the budget interrupted the scan.
+  TerminationReason reason = TerminationReason::kCompleted;
+  /// Rows visited by the consumption passes.
+  size_t visited = 0;
+  /// Rows left unscanned when threshold refutation stopped the scan
+  /// early; 0 when it did not (or every chunk completed anyway).
+  size_t rows_saved = 0;
+};
+
+Executor::ChunkScan Executor::ScanChunks(const Table& table,
+                                         const Predicate& predicate,
+                                         const TopKQuery* query,
+                                         const ExecContext& ctx) {
+  const ScanMode mode = query == nullptr              ? ScanMode::kCount
+                        : query->agg == AggFn::kNone ? ScanMode::kRows
+                                                     : ScanMode::kGroups;
+  BoundPredicate bound(predicate, table);
+  TableView view(table);
+  const size_t num_chunks = view.num_chunks();
+  ChunkScanner scanner(table, view, predicate, bound, mode, query,
+                       ctx.zone_map_skipping, ctx.cache);
+  int workers = 1;
+  if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
+    workers = static_cast<int>(
+        std::min<size_t>(static_cast<size_t>(ctx.scan_threads), num_chunks));
+  }
+  // Threshold pruning engages only on grouped multi-chunk scans whose
+  // shape matches the monitor's targets: single-chunk tables have no
+  // "remaining chunks" to bound against, so the check could never fire
+  // before the scan finished anyway.
+  std::unique_ptr<ThresholdState> tstate;
+  if (ctx.threshold != nullptr && mode == ScanMode::kGroups &&
+      num_chunks > 1 && ctx.threshold->AppliesTo(*query)) {
+    tstate = std::make_unique<ThresholdState>(ctx.threshold, table, view,
+                                              *query);
+  }
+  ChunkScan scan;
+  scan.outcomes.resize(num_chunks);
+  scan.reason = RunChunkScan(scanner, num_chunks, ctx.budget,
+                             workers > 1 ? ctx.pool : nullptr, workers,
+                             tstate.get(), &scan.outcomes);
+  // Refutation is only actionable when some chunk was actually left
+  // unscanned: when every chunk completed anyway (the flag tripped on
+  // the last chunk, or racing workers drained the table first), the
+  // full canonical result stands — refutation is sound, so the caller's
+  // comparison rejects it identically, and the sequential and parallel
+  // outcomes stay consistent.
+  const bool refuted = tstate != nullptr && tstate->refuted();
+  int64_t skipped = 0;
+  int64_t morsels = 0;
+  for (size_t i = 0; i < num_chunks; ++i) {
+    const ChunkOutcome& o = scan.outcomes[i];
+    scan.visited += o.visited;
+    if (o.skipped) {
+      ++skipped;
+    } else if (o.completed) {
+      ++morsels;
+    } else if (refuted) {
+      scan.rows_saved += view.chunk(i).num_rows() - o.visited;
+    }
+  }
+  // relaxed: pure tallies (see the counter members).
+  chunks_skipped_.fetch_add(skipped, std::memory_order_relaxed);
+  morsels_.fetch_add(morsels, std::memory_order_relaxed);
+  return scan;
+}
 
 Executor::Stats Executor::stats() const {
   // relaxed: a sample of independent tallies; counters of in-flight
@@ -362,7 +429,6 @@ Executor::Stats Executor::stats() const {
   s.queries_executed = queries_executed_.load(std::memory_order_relaxed);
   s.rows_scanned = rows_scanned_.load(std::memory_order_relaxed);
   s.index_assisted = index_assisted_.load(std::memory_order_relaxed);
-  s.scalar_fallbacks = scalar_fallbacks_.load(std::memory_order_relaxed);
   s.chunks_skipped = chunks_skipped_.load(std::memory_order_relaxed);
   s.morsels = morsels_.load(std::memory_order_relaxed);
   s.executions_aborted_early =
@@ -376,23 +442,10 @@ void Executor::ResetStats() {
   // concurrent accumulator needs ordering against them.
   for (std::atomic<int64_t>* counter :
        {&queries_executed_, &rows_scanned_, &index_assisted_,
-        &scalar_fallbacks_, &chunks_skipped_, &morsels_,
-        &executions_aborted_early_, &rows_saved_}) {
+        &chunks_skipped_, &morsels_, &executions_aborted_early_,
+        &rows_saved_}) {
     counter->store(0, std::memory_order_relaxed);
   }
-}
-
-StatusOr<TopKList> Executor::Execute(const Table& table,
-                                     const TopKQuery& query,
-                                     const ExecContext& ctx) {
-  return ExecuteImpl(table, nullptr, query, ctx);
-}
-
-StatusOr<TopKList> Executor::ExecuteOnRows(const Table& table,
-                                           const std::vector<RowId>& rows,
-                                           const TopKQuery& query,
-                                           const ExecContext& ctx) {
-  return ExecuteImpl(table, &rows, query, ctx);
 }
 
 size_t Executor::CountMatching(const Table& table, const Predicate& predicate,
@@ -401,45 +454,19 @@ size_t Executor::CountMatching(const Table& table, const Predicate& predicate,
       !predicate.IsTrue() && dimension_index_->Covers(predicate)) {
     return dimension_index_->Match(predicate).size();
   }
-  BoundPredicate bound(predicate, table);
-  const bool use_vectorized = ctx.vectorized;
-  TableView view(table);
-  const size_t num_chunks = view.num_chunks();
-  ChunkScanner scanner(table, view, predicate, bound, ScanMode::kCount,
-                       nullptr, use_vectorized, ctx.zone_map_skipping,
-                       ctx.cache);
-  int workers = 1;
-  if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
-    workers = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(ctx.scan_threads), num_chunks));
-  }
-  std::vector<ChunkOutcome> outcomes(num_chunks);
   // A count cannot be partially returned, so CountMatching ignores
-  // ctx.budget (as the positional API always did): the gate never trips.
-  RunChunkScan(scanner, num_chunks, nullptr,
-               use_vectorized ? kVectorGateStride : kScalarGateStride,
-               workers > 1 ? ctx.pool : nullptr, workers, nullptr, &outcomes);
+  // ctx.budget: the gate never trips.
+  ExecContext count_ctx = ctx;
+  count_ctx.budget = nullptr;
+  const ChunkScan scan = ScanChunks(table, predicate, nullptr, count_ctx);
   size_t count = 0;
-  int64_t skipped = 0;
-  int64_t morsels = 0;
-  for (const ChunkOutcome& o : outcomes) {
-    count += o.match_count;
-    if (o.skipped) {
-      ++skipped;
-    } else if (o.completed) {
-      ++morsels;
-    }
-  }
-  // relaxed: pure tallies (see the counter members).
-  chunks_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  morsels_.fetch_add(morsels, std::memory_order_relaxed);
+  for (const ChunkOutcome& o : scan.outcomes) count += o.match_count;
   return count;
 }
 
-StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
-                                         const std::vector<RowId>* rows,
-                                         const TopKQuery& query,
-                                         const ExecContext& ctx) {
+StatusOr<TopKList> Executor::Execute(const Table& table,
+                                     const TopKQuery& query,
+                                     const ExecContext& ctx) {
   PALEO_RETURN_NOT_OK(ValidateQuery(table, query));
   // Chaos hook: an injected Cancelled simulates a mid-scan budget
   // interruption (wind-down, not failure); other codes simulate a hard
@@ -449,268 +476,125 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   // relaxed: pure tallies (see the counter members).
   queries_executed_.fetch_add(1, std::memory_order_relaxed);
 
-  BoundPredicate bound(query.predicate, table);
-  const Column& entities = table.entity_column();
-  const StringDictionary& dict = *entities.dict();
-  const bool desc = query.order == SortOrder::kDesc;
-
-  // Index-assisted path: a fully covered conjunction over the indexed
-  // base table resolves to its matching rows via posting intersection,
-  // skipping the scan and the per-row predicate checks.
-  std::vector<RowId> index_rows;
-  bool from_index = false;
-  if (rows == nullptr && dimension_index_ != nullptr &&
-      indexed_table_ == &table && !query.predicate.IsTrue() &&
-      dimension_index_->Covers(query.predicate)) {
-    index_rows = dimension_index_->Match(query.predicate);
-    rows = &index_rows;
-    from_index = true;
+  // Phase 1 — per-chunk outcomes, from one of two sources:
+  //
+  //  * Index-assisted: a fully covered conjunction over the indexed
+  //    base table resolves to its matching rows via posting
+  //    intersection; the posting loop folds them chunk by chunk.
+  //    Sequential, never threshold-pruned, no morsels or zone skips.
+  //  * Full scan: chunk-canonical (see the header comment), possibly
+  //    zone-skipped, morsel-parallel or threshold-refuted.
+  std::vector<ChunkOutcome> outcomes;
+  size_t visited = 0;
+  size_t rows_saved = 0;
+  TerminationReason reason = TerminationReason::kCompleted;
+  if (dimension_index_ != nullptr && indexed_table_ == &table &&
+      !query.predicate.IsTrue() && dimension_index_->Covers(query.predicate)) {
     // relaxed: pure tallies (see the counter members).
     index_assisted_.fetch_add(1, std::memory_order_relaxed);
+    BudgetGate gate(ctx.budget, kPostingGateStride);
+    if (!ScanPostings(table, dimension_index_->Match(query.predicate), query,
+                      &gate, &outcomes, &visited)) {
+      reason = gate.reason();
+    }
+  } else {
+    ChunkScan scan = ScanChunks(table, query.predicate, &query, ctx);
+    outcomes = std::move(scan.outcomes);
+    visited = scan.visited;
+    rows_saved = scan.rows_saved;
+    reason = scan.reason;
   }
-
-  // Full scans take the vectorized chunk path: per-atom per-chunk
-  // selection bitmaps (cache-shared across candidates), word-wise AND,
-  // and bitmap-driven consumption. Row-restricted executions (R' tuple
-  // sets, index postings) stay scalar — their row lists are already the
-  // selection.
-  //
-  // Degradation ladder: when the attached cache is under memory
-  // pressure (its budget shrank to zero after allocation failures) or
-  // an allocation failure is injected here, the execution falls back
-  // to the scalar row-at-a-time path — byte-identical results, fewer
-  // bitmap allocations — instead of failing the run.
-  bool use_vectorized = ctx.vectorized && rows == nullptr;
-  if (use_vectorized &&
-      ((ctx.cache != nullptr && ctx.cache->under_pressure()) ||
-       PALEO_FAULT_POINT("executor.selection.alloc").alloc_failure())) {
-    use_vectorized = false;
-    // relaxed: pure tallies (see the counter members).
-    scalar_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  auto account_rows = [&](size_t visited) {
-    // relaxed: pure tallies (see the counter members).
-    rows_scanned_.fetch_add(static_cast<int64_t>(visited),
-                            std::memory_order_relaxed);
-  };
-  auto interrupted = [](TerminationReason reason) -> Status {
+  // Interrupted and refuted executions still report the rows they
+  // visited. relaxed: pure tallies (see the counter members).
+  rows_scanned_.fetch_add(static_cast<int64_t>(visited),
+                          std::memory_order_relaxed);
+  // A budget interrupt outranks refutation: the wind-down contract
+  // (Status::Cancelled, identical to the unpruned path) must not depend
+  // on whether the bounds happened to trip first.
+  if (reason != TerminationReason::kCompleted) {
     return Status::Cancelled(std::string("query execution interrupted (") +
                              TerminationReasonToString(reason) + ")");
-  };
-
-  // Orders a before b when a ranks better (RanksBefore: NaN last);
-  // ties by entity name ascending, then by group id for full
-  // determinism.
-  auto better = [&](double sa, const std::string& na, uint32_t ga, double sb,
-                    const std::string& nb, uint32_t gb) {
-    if (RanksBefore(sa, sb, desc)) return true;
-    if (RanksBefore(sb, sa, desc)) return false;
-    if (na != nb) return na < nb;
-    return ga < gb;
-  };
-
-  // Phase 1 — scan. Produces either ranked row entries (kNone) or the
-  // merged dense group aggregates, through one of two scan shapes:
-  //
-  //  * Row-restricted (tuple sets, index postings): a scalar pass over
-  //    the row list in its own order, polled every few thousand rows.
-  //  * Full scan: chunk-canonical. Each chunk yields a partial outcome
-  //    (possibly skipped via zone maps); partials merge in ascending
-  //    chunk order, so scalar / vectorized / morsel-parallel runs are
-  //    byte-identical by construction.
-  std::vector<HeapEntry> results;        // kNone entries
-  std::vector<AggState> groups;          // merged dense group states
-  std::vector<uint32_t> touched;         // codes in canonical order
-
-  if (rows != nullptr) {
-    BudgetGate gate(ctx.budget, kScalarGateStride);
-    size_t visited = 0;
-    bool completed = true;
-    const bool grouped = query.agg != AggFn::kNone;
-    if (grouped) {
-      groups.resize(dict.size());
-      // At most one slot per distinct entity is ever touched; reserving
-      // at the dictionary size caps reallocation churn at one upfront
-      // allocation (dictionaries are small relative to row counts).
-      touched.reserve(dict.size());
-    }
-    for (RowId r : *rows) {
-      if (gate.Tick() != TerminationReason::kCompleted) {
-        completed = false;
-        break;
-      }
-      ++visited;
-      // Postings already satisfy the whole conjunction when the rows
-      // came from the index.
-      if (!from_index && !bound.Matches(r)) continue;
-      if (grouped) {
-        const uint32_t code = entities.CodeAt(r);
-        AggState& g = groups[code];
-        if (g.count == 0) touched.push_back(code);
-        g.Add(query.expr.Eval(table, r));
-      } else {
-        results.push_back(HeapEntry{query.expr.Eval(table, r), r});
-      }
-    }
-    account_rows(visited);
-    if (!completed) return interrupted(gate.reason());
-  } else {
-    TableView view(table);
-    const size_t num_chunks = view.num_chunks();
-    const ScanMode mode =
-        query.agg == AggFn::kNone ? ScanMode::kRows : ScanMode::kGroups;
-    ChunkScanner scanner(table, view, query.predicate, bound, mode, &query,
-                         use_vectorized, ctx.zone_map_skipping, ctx.cache);
-    int workers = 1;
-    if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
-      workers = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(ctx.scan_threads), num_chunks));
-    }
-    // Threshold pruning engages only on grouped multi-chunk full scans
-    // whose shape matches the monitor's targets: single-chunk tables
-    // have no "remaining chunks" to bound against, so the check could
-    // never fire before the scan finished anyway.
-    std::unique_ptr<ThresholdState> tstate;
-    if (ctx.threshold != nullptr && mode == ScanMode::kGroups &&
-        num_chunks > 1 && ctx.threshold->AppliesTo(query)) {
-      tstate = std::make_unique<ThresholdState>(ctx.threshold, table, view,
-                                                query);
-    }
-    std::vector<ChunkOutcome> outcomes(num_chunks);
-    const TerminationReason scan_reason = RunChunkScan(
-        scanner, num_chunks, ctx.budget,
-        use_vectorized ? kVectorGateStride : kScalarGateStride,
-        workers > 1 ? ctx.pool : nullptr, workers, tstate.get(), &outcomes);
-
-    // Accounting first (interrupted executions still report the rows
-    // they visited, as the row-restricted path does).
-    size_t visited = 0;
-    int64_t skipped = 0;
-    int64_t morsels = 0;
-    for (const ChunkOutcome& o : outcomes) {
-      visited += o.visited;
-      if (o.skipped) {
-        ++skipped;
-      } else if (o.completed) {
-        ++morsels;
-      }
-    }
-    account_rows(visited);
+  }
+  if (rows_saved > 0) {
     // relaxed: pure tallies (see the counter members).
-    chunks_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-    morsels_.fetch_add(morsels, std::memory_order_relaxed);
-    if (scan_reason != TerminationReason::kCompleted) {
-      // A budget interrupt outranks refutation: the wind-down contract
-      // (Status::Cancelled, identical to the unpruned path) must not
-      // depend on whether the bounds happened to trip first.
-      return interrupted(scan_reason);
-    }
-    if (tstate != nullptr && tstate->refuted()) {
-      // Refutation is only actionable when some chunk was actually left
-      // unscanned: when every chunk completed anyway (the flag tripped
-      // on the last chunk, or racing workers drained the table first),
-      // fall through and return the full canonical result — refutation
-      // is sound, so the caller's comparison rejects it identically,
-      // and the sequential/parallel outcomes stay consistent.
-      size_t saved = 0;
-      for (size_t i = 0; i < num_chunks; ++i) {
-        const ChunkOutcome& o = outcomes[i];
-        if (o.completed) continue;
-        saved += view.chunk(i).num_rows() - o.visited;
-      }
-      if (saved > 0) {
-        // relaxed: pure tallies (see the counter members).
-        executions_aborted_early_.fetch_add(1, std::memory_order_relaxed);
-        rows_saved_.fetch_add(static_cast<int64_t>(saved),
-                              std::memory_order_relaxed);
-        return Status::QueryRefuted(
-            "threshold bounds prove the candidate cannot reproduce the "
-            "target list");
-      }
-    }
+    executions_aborted_early_.fetch_add(1, std::memory_order_relaxed);
+    rows_saved_.fetch_add(static_cast<int64_t>(rows_saved),
+                          std::memory_order_relaxed);
+    return Status::QueryRefuted(
+        "threshold bounds prove the candidate cannot reproduce the target "
+        "list");
+  }
 
-    // Rank-order merge: strictly ascending chunk index. For kRows this
-    // concatenates per-chunk entries back into global ascending row
-    // order; for kGroups the first partial touching a code is COPIED
-    // (not folded into a zero state) and later partials merge in chunk
-    // order — single-chunk tables therefore reproduce the historical
-    // single-pass bit pattern exactly.
-    if (mode == ScanMode::kRows) {
-      size_t total = 0;
-      for (const ChunkOutcome& o : outcomes) total += o.row_entries.size();
-      results.reserve(total);
-      for (const ChunkOutcome& o : outcomes) {
-        results.insert(results.end(), o.row_entries.begin(),
-                       o.row_entries.end());
-      }
-    } else {
-      groups.resize(dict.size());
-      touched.reserve(dict.size());
-      for (const ChunkOutcome& o : outcomes) {
-        if (o.skipped || !o.completed) continue;
-        for (size_t i = 0; i < o.touched.size(); ++i) {
-          const uint32_t code = o.touched[i];
-          AggState& g = groups[code];
-          if (g.count == 0) {
-            touched.push_back(code);
-            g = o.partials[i];
-          } else {
-            g.Merge(o.partials[i]);
-          }
+  // Phase 2 — rank-order merge: strictly ascending chunk index. For
+  // kNone this concatenates per-chunk entries back into global
+  // ascending row order; for groups the first partial touching a code
+  // is COPIED (not folded into a zero state) and later partials merge
+  // in chunk order — single-chunk tables therefore reproduce the
+  // single-pass bit pattern exactly.
+  const Column& entities = table.entity_column();
+  const StringDictionary& dict = *entities.dict();
+  const bool grouped = query.agg != AggFn::kNone;
+  std::vector<HeapEntry> results;
+  if (!grouped) {
+    size_t total = 0;
+    for (const ChunkOutcome& o : outcomes) total += o.row_entries.size();
+    results.reserve(total);
+    for (const ChunkOutcome& o : outcomes) {
+      results.insert(results.end(), o.row_entries.begin(),
+                     o.row_entries.end());
+    }
+  } else {
+    std::vector<AggState> groups(dict.size());
+    std::vector<uint32_t> touched;  // codes in canonical order
+    touched.reserve(dict.size());
+    for (const ChunkOutcome& o : outcomes) {
+      if (o.skipped || !o.completed) continue;
+      for (size_t i = 0; i < o.touched.size(); ++i) {
+        const uint32_t code = o.touched[i];
+        AggState& g = groups[code];
+        if (g.count == 0) {
+          touched.push_back(code);
+          g = o.partials[i];
+        } else {
+          g.Merge(o.partials[i]);
         }
       }
     }
+    results.reserve(touched.size());
+    for (uint32_t code : touched) {
+      results.push_back(HeapEntry{groups[code].Finish(query.agg), code});
+    }
   }
 
-  // Phase 2 — rank and truncate (shared by every scan shape).
-  if (query.agg == AggFn::kNone) {
-    auto name_of = [&](uint32_t row) -> const std::string& {
-      return dict.Get(entities.CodeAt(row));
-    };
-    auto row_cmp = [&](const HeapEntry& a, const HeapEntry& b) {
-      return better(a.score, name_of(a.group), a.group, b.score,
-                    name_of(b.group), b.group);
-    };
-    // Only the best k survive: partial_sort does O(n log k) work where
-    // a full sort did O(n log n). The comparator is a strict total
-    // order (NaN scores included), so the first k entries are identical
-    // to sort-then-truncate.
-    if (results.size() > static_cast<size_t>(query.k)) {
-      std::partial_sort(results.begin(),
-                        results.begin() + static_cast<ptrdiff_t>(query.k),
-                        results.end(), row_cmp);
-      results.resize(static_cast<size_t>(query.k));
-    } else {
-      std::sort(results.begin(), results.end(), row_cmp);
-    }
-    TopKList out;
-    for (const HeapEntry& e : results) {
-      out.Append(name_of(e.group), e.score);
-    }
-    return out;
-  }
-
-  results.reserve(touched.size());
-  for (uint32_t code : touched) {
-    results.push_back(HeapEntry{groups[code].Finish(query.agg), code});
-  }
-  auto cmp = [&](const HeapEntry& a, const HeapEntry& b) {
-    return better(a.score, dict.Get(a.group), a.group, b.score,
-                  dict.Get(b.group), b.group);
+  // Phase 3 — rank and truncate. A ranks before b when its score does
+  // (RanksBefore: NaN last); ties by entity name ascending, then by
+  // group id (code, or row id for kNone) for full determinism.
+  const bool desc = query.order == SortOrder::kDesc;
+  auto name_of = [&](const HeapEntry& e) -> const std::string& {
+    return dict.Get(grouped ? e.group : entities.CodeAt(e.group));
   };
+  auto better = [&](const HeapEntry& a, const HeapEntry& b) {
+    if (RanksBefore(a.score, b.score, desc)) return true;
+    if (RanksBefore(b.score, a.score, desc)) return false;
+    const std::string& na = name_of(a);
+    const std::string& nb = name_of(b);
+    if (na != nb) return na < nb;
+    return a.group < b.group;
+  };
+  // Only the best k survive: partial_sort does O(n log k) work where a
+  // full sort did O(n log n). The comparator is a strict total order
+  // (NaN scores included), so the first k entries are identical to
+  // sort-then-truncate.
   if (results.size() > static_cast<size_t>(query.k)) {
     std::partial_sort(results.begin(),
                       results.begin() + static_cast<ptrdiff_t>(query.k),
-                      results.end(), cmp);
+                      results.end(), better);
     results.resize(static_cast<size_t>(query.k));
   } else {
-    std::sort(results.begin(), results.end(), cmp);
+    std::sort(results.begin(), results.end(), better);
   }
   TopKList out;
-  for (const HeapEntry& e : results) {
-    out.Append(dict.Get(e.group), e.score);
-  }
+  for (const HeapEntry& e : results) out.Append(name_of(e), e.score);
   return out;
 }
 

@@ -8,30 +8,30 @@
 // Full-table scans are CHUNK-CANONICAL: the table's fixed-size chunks
 // (storage/table_view.h) are the scan granules. Per chunk, predicate
 // atoms first consult the chunk's zone maps — a refuted chunk is
-// skipped without touching row data — then the surviving chunk is
-// evaluated either by the vectorized selection kernels
-// (engine/selection_kernels.h, default) or the scalar row-at-a-time
-// loop, producing per-chunk partial results. Partials are merged in
-// ascending chunk order (rank-order merge), which defines the one
-// canonical aggregation order shared by every path: scalar,
-// vectorized, and morsel-parallel results are byte-identical by
-// construction. With an ExecContext carrying a ThreadPool and
-// scan_threads > 1, chunks are dispatched as morsels claimed by pool
-// workers (the caller donates itself via WaitHelping, so scans
-// launched from inside pool tasks cannot deadlock).
+// skipped without touching row data — then the vectorized selection
+// kernels (engine/selection_kernels.h) evaluate the surviving chunk
+// into a per-chunk partial result. Partials are merged in ascending
+// chunk order (rank-order merge), which defines the one canonical
+// aggregation order: each chunk's rows fold in row order from a zero
+// state, and chunks fold in ascending order. Sequential, cached,
+// morsel-parallel and index-assisted executions all follow it, so
+// their results are byte-identical by construction; the naive oracle
+// in tests/oracle/naive_executor.h spells the same order out as a
+// plain row loop and is the reference every path is checked against.
+// With an ExecContext carrying a ThreadPool and scan_threads > 1,
+// chunks are dispatched as morsels claimed by pool workers (the caller
+// donates itself via WaitHelping, so scans launched from inside pool
+// tasks cannot deadlock).
 //
 // With an AtomSelectionCache attached to the call, per-atom per-chunk
 // bitmaps are reused across the candidate queries of a validation run,
 // which share almost all of their atoms by construction.
-// ExecContext::vectorized = false forces the scalar path for
-// differential testing and ablation.
 
 #ifndef PALEO_ENGINE_EXECUTOR_H_
 #define PALEO_ENGINE_EXECUTOR_H_
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/run_budget.h"
 #include "common/status.h"
@@ -44,24 +44,23 @@ namespace paleo {
 
 class AtomSelectionCache;
 class DimensionIndex;
-class SelectionBitmap;
 
 /// \brief Stateless query evaluation over columnar tables.
 ///
 /// Determinism: score ties are broken by entity name ascending (and by
 /// row id for no-aggregation queries), so repeated executions and
 /// executions through different-but-equivalent predicates produce
-/// identical lists — whether evaluated through the scalar path, the
-/// vectorized kernels, the morsel-parallel scan, a dimension index, or
-/// cached selections. Scores follow RanksBefore (engine/topk_list.h):
-/// a NaN score ranks last in both directions.
+/// identical lists — whether evaluated sequentially, through the
+/// morsel-parallel scan, a dimension index, or cached selections.
+/// Scores follow RanksBefore (engine/topk_list.h): a NaN score ranks
+/// last in both directions.
 ///
-/// Thread safety: Execute / ExecuteOnRows / CountMatching may be
-/// called concurrently from any number of threads — the tables they
-/// read are immutable, the counters behind stats() are relaxed atomics
-/// (totals over completed executions are exact, snapshots taken
-/// mid-flight and interrupted executions are not), and a shared
-/// AtomSelectionCache is internally synchronized. Configuration
+/// Thread safety: Execute / CountMatching may be called concurrently
+/// from any number of threads — the tables they read are immutable,
+/// the counters behind stats() are relaxed atomics (totals over
+/// completed executions are exact, snapshots taken mid-flight and
+/// interrupted executions are not), and a shared AtomSelectionCache is
+/// internally synchronized. Configuration
 /// (SetDimensionIndex, ResetStats) is not synchronized: call it before
 /// sharing the executor, never mid-flight.
 class Executor {
@@ -74,11 +73,6 @@ class Executor {
     /// Executions answered from dimension-index postings instead of a
     /// full scan.
     int64_t index_assisted = 0;
-    /// Executions that degraded from the vectorized to the scalar path
-    /// because selection-bitmap memory could not be allocated (real or
-    /// injected) or the attached cache is under memory pressure.
-    /// Results are byte-identical either way.
-    int64_t scalar_fallbacks = 0;
     /// Chunks skipped by zone-map refutation: no row of the chunk can
     /// match the predicate, so its rows never enter rows_scanned.
     int64_t chunks_skipped = 0;
@@ -101,9 +95,10 @@ class Executor {
   /// Attaches secondary dimension indexes built over `indexed_table`.
   /// Subsequent Execute calls against that exact table evaluate fully
   /// covered, non-empty predicates by posting-list intersection instead
-  /// of scanning. Results are identical either way (asserted by the
-  /// executor property tests); only wall-clock changes. Pass nullptrs
-  /// to detach.
+  /// of scanning; the postings fold chunk by chunk in the canonical
+  /// order, so results are byte-identical either way (asserted by
+  /// tests/executor_oracle_test.cc); only wall-clock changes. Pass
+  /// nullptrs to detach.
   void SetDimensionIndex(const DimensionIndex* index,
                          const Table* indexed_table) {
     dimension_index_ = index;
@@ -111,23 +106,14 @@ class Executor {
   }
 
   /// Runs `query` over `table` under `ctx` (engine/exec_context.h):
-  /// budget, atom cache, morsel-parallelism, and per-call path toggles
-  /// all travel in the context. Errors on non-numeric ranking columns
-  /// or invalid column indices; returns Status::Cancelled when the
-  /// context's budget interrupts the scan (a partially scanned result
-  /// would be wrong, so interruption cannot return a list).
+  /// budget, atom cache, morsel-parallelism, zone skipping and
+  /// threshold pruning all travel in the context. Errors on non-numeric
+  /// ranking columns or invalid column indices; returns
+  /// Status::Cancelled when the context's budget interrupts the scan (a
+  /// partially scanned result would be wrong, so interruption cannot
+  /// return a list).
   StatusOr<TopKList> Execute(const Table& table, const TopKQuery& query,
                              const ExecContext& ctx);
-
-  /// Runs `query` restricted to the given rows of `table` (used to
-  /// evaluate ranking criteria over tuple sets of R'). Rows must be
-  /// valid ids into `table`. Row-restricted executions scan the row
-  /// list itself (scalar, sequential, in list order); only `ctx.budget`
-  /// applies.
-  StatusOr<TopKList> ExecuteOnRows(const Table& table,
-                                   const std::vector<RowId>& rows,
-                                   const TopKQuery& query,
-                                   const ExecContext& ctx);
 
   /// Number of rows of `table` matching `predicate` (selectivity
   /// numerator; Table 6). Routed through the chunked selection kernels
@@ -153,10 +139,13 @@ class Executor {
   void ResetStats();
 
  private:
-  StatusOr<TopKList> ExecuteImpl(const Table& table,
-                                 const std::vector<RowId>* rows,
-                                 const TopKQuery& query,
-                                 const ExecContext& ctx);
+  struct ChunkScan;
+  /// The one full-scan path, shared by Execute (`query` set) and
+  /// CountMatching (`query` null, a count): binds `predicate`, picks the
+  /// morsel worker count, runs the chunk scan under `ctx` and adds its
+  /// chunks_skipped / morsels. rows_scanned is the caller's to count.
+  ChunkScan ScanChunks(const Table& table, const Predicate& predicate,
+                       const TopKQuery* query, const ExecContext& ctx);
 
   // relaxed: pure tallies (see Stats). Morsel workers and the
   // executions of one shared executor add to them concurrently; nothing
@@ -164,7 +153,6 @@ class Executor {
   std::atomic<int64_t> queries_executed_{0};
   std::atomic<int64_t> rows_scanned_{0};
   std::atomic<int64_t> index_assisted_{0};
-  std::atomic<int64_t> scalar_fallbacks_{0};
   std::atomic<int64_t> chunks_skipped_{0};
   std::atomic<int64_t> morsels_{0};
   std::atomic<int64_t> executions_aborted_early_{0};

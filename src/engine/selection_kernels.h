@@ -8,15 +8,16 @@
 // per-row multi-atom branch chain of BoundPredicate::Matches on the
 // executor's full-scan path.
 //
-// Scalar-equivalence contract: kernels visit rows in ascending order,
-// so floating-point accumulation (AggState::Add) happens in exactly the
-// order of the row-at-a-time scan and results are byte-identical to the
-// scalar path (asserted by tests/vectorized_exec_test.cc).
+// Oracle-equivalence contract: kernels visit rows in ascending order,
+// so floating-point accumulation (AggState::Add) within a chunk happens
+// in exactly row order — the canonical order that the naive row-loop
+// oracle (tests/oracle/naive_executor.h) reproduces bit for bit
+// (asserted by tests/executor_oracle_test.cc).
 //
-// Budget handling mirrors the scalar scan: the BudgetGate is polled
-// once per batch, and an interrupted kernel returns false with its
-// output partial — callers must discard partial state, exactly as the
-// scalar loop discards a partially aggregated execution.
+// Budget handling: the BudgetGate is polled once per batch, and an
+// interrupted kernel returns false with its output partial — callers
+// must discard partial state (the executor never returns or caches a
+// partially scanned result).
 //
 // Thread-safety: kernels are pure functions of their inputs; concurrent
 // calls over immutable tables are safe.

@@ -279,24 +279,8 @@ void ThresholdState::NoteChunk(size_t chunk_index,
       // Fold the group's refutation statistic into the foreign
       // extremum tracker (see the header note on when this is exact
       // vs merely conservative).
-      double stat = 0.0;
-      switch (agg_) {
-        case AggFn::kMax:
-          stat = g.max;
-          break;
-        case AggFn::kMin:
-          stat = g.min;
-          break;
-        case AggFn::kSum:
-          stat = g.sum;
-          break;
-        case AggFn::kCount:
-          stat = static_cast<double>(g.count);
-          break;
-        case AggFn::kAvg:
-        case AggFn::kNone:
-          continue;
-      }
+      double stat;
+      if (!ForeignStat(g, &stat)) continue;
       foreign_stat_ = desc_ ? std::max(foreign_stat_, stat)
                             : std::min(foreign_stat_, stat);
       // Integer tie displacement: under desc the group's final value f
@@ -319,6 +303,27 @@ void ThresholdState::NoteChunk(size_t chunk_index,
     }
   }
   CheckLocked();
+}
+
+bool ThresholdState::ForeignStat(const AggState& s, double* stat) const {
+  switch (agg_) {
+    case AggFn::kMax:
+    case AggFn::kMin:
+      // Every row so far NaN: the group may still finish as NaN.
+      if (s.max < s.min) return false;
+      *stat = agg_ == AggFn::kMax ? s.max : s.min;
+      return true;
+    case AggFn::kSum:
+      *stat = s.sum;
+      return true;
+    case AggFn::kCount:
+      *stat = static_cast<double>(s.count);
+      return true;
+    case AggFn::kAvg:
+    case AggFn::kNone:
+      break;
+  }
+  return false;
 }
 
 void ThresholdState::BoundsLocked(const AggState& s, double rem_hi,
@@ -424,6 +429,8 @@ void ThresholdState::VerifyForeignLocked(double rem_hi, double rem_lo) {
   for (uint32_t code : scratch_->touched) {
     if (monitor_->IsTarget(code)) continue;
     const AggState& s = scratch_->groups[code];
+    double stat;
+    if (!ForeignStat(s, &stat)) continue;
     double lb;
     double ub;
     BoundsLocked(s, rem_hi, rem_lo, &lb, &ub);
@@ -433,24 +440,6 @@ void ThresholdState::VerifyForeignLocked(double rem_hi, double rem_lo) {
       // relaxed: see refuted(); the flag is advisory and sticky.
       refuted_.store(true, std::memory_order_relaxed);
       return;
-    }
-    double stat = 0.0;
-    switch (agg_) {
-      case AggFn::kMax:
-        stat = s.max;
-        break;
-      case AggFn::kMin:
-        stat = s.min;
-        break;
-      case AggFn::kSum:
-        stat = s.sum;
-        break;
-      case AggFn::kCount:
-        stat = static_cast<double>(s.count);
-        break;
-      case AggFn::kAvg:
-      case AggFn::kNone:
-        continue;
     }
     tight = desc_ ? std::max(tight, stat) : std::min(tight, stat);
   }

@@ -42,10 +42,15 @@
 //     fires on the tie populations (small integer domains saturating
 //     many groups at the cut value) where value bounds alone never
 //     separate.
-// Empty zone maps yield infinite bounds (refute nothing), and NaN row
-// values — excluded from zone maps — poison only groups that could
-// never be accepted anyway, so the bounds stay sound (see the zone-map
-// NaN note in storage/zone_map.h).
+// Empty zone maps yield infinite bounds (refute nothing). NaN row
+// values are excluded from zone maps (see the zone-map NaN note in
+// storage/zone_map.h); a NaN row makes a SUM/AVG group's bounds NaN,
+// and NaN bounds refute nothing. A MAX/MIN group whose rows so far are all NaN
+// still holds the -inf/+inf seeds, yet may finish as NaN (AggState::
+// Finish), which ranks after every number: as a FOREIGN group it is
+// skipped, since it can never beat the cut; as an entity of L it is
+// checked by the formulas above, since a NaN result cannot equal a
+// numeric target.
 //
 // The tolerance slack is deliberately wider than the acceptance
 // rel_eps: running bounds are merged in morsel completion order, not
@@ -220,6 +225,12 @@ class ThresholdState {
   /// potentials (the header formulas).
   void BoundsLocked(const AggState& s, double rem_hi, double rem_lo,
                     double* lb, double* ub) const REQUIRES(mutex_);
+  /// The foreign tracker's statistic for group `s` (see
+  /// `foreign_stat_`), or false when `s` has none to fold: AVG tracks
+  /// nothing, and a MAX/MIN group whose rows so far are all NaN may
+  /// still finish as NaN, which ranks after every number, so it has no
+  /// bound on the side that beats the cut.
+  bool ForeignStat(const AggState& s, double* stat) const;
   /// The incremental per-chunk check: O(k) over L's targets plus an
   /// O(1) foreign-extremum test (escalating to VerifyForeignLocked
   /// only when the tracker says a foreign group might newly beat the

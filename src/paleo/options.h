@@ -124,13 +124,6 @@ struct PaleoOptions {
   /// timings are not.
   int num_threads = 1;
 
-  /// Evaluate full-table scans through the vectorized selection
-  /// kernels (engine/selection_kernels.h): per-atom selection bitmaps,
-  /// word-wise conjunction AND, fused group-by consumption. Results
-  /// are byte-identical to the scalar row-at-a-time path (asserted by
-  /// tests/vectorized_exec_test.cc); only wall-clock changes. Disable
-  /// for ablation or to debug against the reference scalar path.
-  bool vectorized_execution = true;
   /// Morsel-parallel full scans: one candidate's table scan decomposes
   /// into chunk-granular morsels (storage/table_view.h) claimed by up
   /// to this many workers of the run's ThreadPool. <= 1, or a missing
@@ -148,8 +141,8 @@ struct PaleoOptions {
   size_t chunk_rows = 0;
   /// Byte budget of the per-run AtomSelectionCache sharing per-atom
   /// selection bitmaps across candidate executions (LRU-evicted past
-  /// the budget). 0 disables the cache; ignored when
-  /// vectorized_execution is off.
+  /// the budget). 0 disables the cache; results are identical either
+  /// way.
   size_t atom_cache_bytes = static_cast<size_t>(32) << 20;
 
   /// Threshold-pruned validation (engine/threshold_monitor.h): abort a

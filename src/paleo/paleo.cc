@@ -175,9 +175,8 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
   // atoms, so each distinct atom is scanned once per run instead of
   // once per candidate. Scoped to the run because the cache pins bitmap
   // memory and the candidate sets of different runs rarely overlap.
-  // Only the vectorized scan reads it.
   std::unique_ptr<AtomSelectionCache> atom_cache;
-  if (options.vectorized_execution && options.atom_cache_bytes > 0) {
+  if (options.atom_cache_bytes > 0) {
     atom_cache = std::make_unique<AtomSelectionCache>(options.atom_cache_bytes);
   }
   // One validation step, for the first-pass candidates and again for
@@ -271,8 +270,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
   // Every execution has joined: the snapshots are the run's totals.
   report.executor_stats = executor.stats();
   if (atom_cache != nullptr) report.cache_stats = atom_cache->stats();
-  report.degraded_events = report.executor_stats.scalar_fallbacks +
-                           report.cache_stats.pressure_events;
+  report.degraded_events = report.cache_stats.pressure_events;
   run_span.AddAttr("termination",
                    TerminationReasonToString(report.termination));
   run_span.AddAttr("valid", static_cast<int64_t>(report.valid.size()));

@@ -100,7 +100,7 @@ struct ReverseEngineerReport {
   /// run ends. Unlike executed_queries they include speculative
   /// executions; executor_stats.rows_saved holds the base-table rows
   /// that threshold refutation skipped. cache_stats stays zero when the
-  /// run built no cache (scalar execution or atom_cache_bytes = 0).
+  /// run built no cache (atom_cache_bytes = 0).
   Executor::Stats executor_stats;
   AtomSelectionCache::Stats cache_stats;
 
@@ -123,12 +123,11 @@ struct ReverseEngineerReport {
   /// but actionable.
   std::vector<CandidateQuery> near_misses;
 
-  /// Graceful-degradation events observed during the run: executor
-  /// scalar fallbacks (selection-allocation failure or cache memory
-  /// pressure) plus atom-cache shrinks. 0 for a fully healthy run.
-  /// Degraded runs produce byte-identical results — only reuse and
-  /// wall-clock suffer. paleo_degraded_runs_total counts the runs where
-  /// it is positive.
+  /// Graceful-degradation events observed during the run: the atom
+  /// cache's memory-pressure shrinks (cache_stats.pressure_events). 0
+  /// for a fully healthy run. Degraded runs produce byte-identical
+  /// results — only reuse and wall-clock suffer.
+  /// paleo_degraded_runs_total counts the runs where it is positive.
   int64_t degraded_events = 0;
 
   /// The scored candidate list (retained when

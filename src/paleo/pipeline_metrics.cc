@@ -119,8 +119,8 @@ void ExportRunMetrics(obs::MetricsRegistry* registry, double run_ms,
   registry
       ->FindOrCreateCounter(
           "paleo_degraded_runs_total",
-          "Runs that degraded gracefully (scalar fallback or atom-cache "
-          "shrink under memory pressure) instead of failing.")
+          "Runs whose atom cache shrank under memory pressure instead "
+          "of failing.")
       ->Add(r.degraded_events > 0 ? 1 : 0);
 }
 

@@ -134,8 +134,7 @@ StatusOr<ValidationOutcome> Validator::Validate(
       .budget = pool != nullptr ? &task_budget : budget,
       .cache = cache_,
       .pool = pool_,
-      .scan_threads = options_.scan_threads,
-      .vectorized = options_.vectorized_execution};
+      .scan_threads = options_.scan_threads};
   ExecContext pruned_ctx = unpruned_ctx;
   pruned_ctx.threshold = monitor.get();
 

@@ -12,7 +12,7 @@
 //   * service stats and the metrics registry stay consistent,
 //   * every session that completes (kDone) reports results
 //     byte-identical to the unfaulted sequential baseline, even when
-//     the run degraded (scalar fallback, cache shrink) or was retried.
+//     the run degraded (atom-cache shrink) or was retried.
 //
 // Replay: a failure prints the base seed and iteration; rerun with
 // PALEO_CHAOS_SEED=<seed> to reproduce the same fault pattern.
@@ -200,7 +200,6 @@ class ChaosTest : public ::testing::Test {
     maybe_arm("thread-pool.worker.wait", spurious_spec(), 0.4);
     maybe_arm("validator.validate.begin", error_spec(), 0.3);
     maybe_arm("executor.execute.scan", error_spec(), 0.3);
-    maybe_arm("executor.selection.alloc", alloc_spec(), 0.4);
     maybe_arm("atom-cache.insert.alloc", alloc_spec(), 0.4);
     // Ingestion-side sites: no-ops in storms that never ingest, load-
     // bearing in the ingest storm below.
@@ -403,11 +402,11 @@ TEST_F(ChaosTest, NonRetryableDispatchFaultFailsWithoutRetry) {
   EXPECT_EQ(service.stats().retries, 0);
 }
 
-TEST_F(ChaosTest, MemoryPressureDegradesToScalarNotFailure) {
+TEST_F(ChaosTest, MemoryPressureDegradesCacheNotFailure) {
   // The dimension index answers covered predicates without touching
-  // the vectorized selection or atom-cache paths, so it would hide the
-  // allocation sites this test starves. Results are identical either
-  // way (options_behavior_test pins that), so the baseline still holds.
+  // the selection bitmaps or the atom cache, so it would hide the
+  // allocation site this test starves. Results are identical either
+  // way (executor_oracle_test pins that), so the baseline still holds.
   PaleoOptions engine_options;
   engine_options.use_dimension_index = false;
   DiscoveryService service(MakeCatalog(engine_options),
@@ -417,7 +416,6 @@ TEST_F(ChaosTest, MemoryPressureDegradesToScalarNotFailure) {
   alloc.probability = 1.0;
   alloc.seed = 17;
   FaultPoints::Arm("atom-cache.insert.alloc", alloc);
-  FaultPoints::Arm("executor.selection.alloc", alloc);
 
   auto session = service.Submit(ServiceRequest{.input = workload()[0].list});
   ASSERT_TRUE(session.ok());

@@ -1,10 +1,9 @@
 // Chunked-storage and morsel-scan tests: chunk-layout invariants under
 // AppendRows / SetChunkRows / DeepCopy, zone-map maintenance and
-// skipping correctness (including dictionary-encoded columns), and a
-// randomized differential sweep asserting that the scalar, vectorized,
-// and morsel-parallel scan paths — with and without zone-map skipping —
-// produce byte-identical TopKLists at chunk boundaries the small-table
-// suites never cross. Plus the ExecStats reset contract.
+// skipping correctness (including dictionary-encoded columns), morsel
+// accounting and budget interruption. Plus the ExecStats reset
+// contract. Results of every scan context are checked against the
+// naive oracle in tests/executor_oracle_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "common/random.h"
 #include "common/run_budget.h"
 #include "common/thread_pool.h"
-#include "engine/atom_cache.h"
 #include "engine/exec_context.h"
 #include "engine/executor.h"
 #include "storage/table.h"
@@ -23,7 +21,7 @@
 namespace paleo {
 namespace {
 
-// ---- Randomized workload generation (mirrors vectorized_exec_test) ------
+// ---- Randomized workload generation -------------------------------------
 
 Schema DiffSchema() {
   auto schema = Schema::Make({
@@ -263,68 +261,7 @@ TEST(ZoneMapTest, CountMatchingSkipsRefutedChunks) {
   EXPECT_EQ(ex.stats().morsels, 1);
 }
 
-// ---- Differential sweep -------------------------------------------------
-
-// The tentpole acceptance sweep: every full-scan mode must reproduce
-// the sequential scalar no-skip reference byte-for-byte, across table
-// sizes that are not multiples of chunk_rows, with single-chunk and
-// many-chunk layouts, sequentially and morsel-parallel.
-TEST(ChunkedScanTest, DifferentialScalarVsVectorizedVsMorselSweep) {
-  Rng rng(20260809);
-  ThreadPool pool(4);
-  int workloads = 0;
-  for (int ti = 0; ti < 40; ++ti) {
-    const size_t sizes[] = {1, 63, 64, 65, 129, 500, 2047, 2048, 2049};
-    const size_t chunk_sizes[] = {64, 128, 256};
-    Table t = RandomTable(rng, sizes[rng.Uniform(9)]);
-    t.SetChunkRows(chunk_sizes[rng.Uniform(3)]);
-    AtomSelectionCache cache(static_cast<size_t>(4) << 20);
-
-    Executor scalar;  // runs with ExecContext::vectorized = false
-    Executor vec;
-    for (int qi = 0; qi < 3; ++qi) {
-      TopKQuery q = RandomQuery(rng);
-      // Reference: sequential scalar, no zone skipping, no cache.
-      auto ref = scalar.Execute(
-          t, q, ExecContext{.vectorized = false, .zone_map_skipping = false});
-      ASSERT_TRUE(ref.ok());
-      const ExecContext variants[] = {
-          {},                                               // vectorized seq
-          {.zone_map_skipping = false},                     // no skipping
-          {.cache = &cache},                                // cached
-          {.pool = &pool, .scan_threads = 4},               // morsel-parallel
-          {.cache = &cache, .pool = &pool, .scan_threads = 4},
-          {.pool = &pool, .scan_threads = 4,
-           .zone_map_skipping = false},
-          {.pool = &pool, .scan_threads = 2},
-      };
-      for (const ExecContext& ctx : variants) {
-        auto got = vec.Execute(t, q, ctx);
-        ASSERT_TRUE(got.ok());
-        EXPECT_TRUE(*ref == *got)
-            << "workload " << workloads << " threads=" << ctx.scan_threads
-            << " skip=" << ctx.zone_map_skipping;
-        ExecContext scalar_ctx = ctx;
-        scalar_ctx.vectorized = false;
-        auto got_scalar = scalar.Execute(t, q, scalar_ctx);
-        ASSERT_TRUE(got_scalar.ok());
-        EXPECT_TRUE(*ref == *got_scalar) << "workload " << workloads;
-      }
-      const size_t ref_count = scalar.CountMatching(
-          t, q.predicate,
-          ExecContext{.vectorized = false, .zone_map_skipping = false});
-      EXPECT_EQ(ref_count,
-                vec.CountMatching(t, q.predicate, ExecContext{}));
-      EXPECT_EQ(ref_count,
-                vec.CountMatching(t, q.predicate,
-                                  ExecContext{.cache = &cache,
-                                              .pool = &pool,
-                                              .scan_threads = 4}));
-      ++workloads;
-    }
-  }
-  EXPECT_GE(workloads, 100);
-}
+// ---- Morsel scans -------------------------------------------------------
 
 TEST(ChunkedScanTest, MorselScanAccountsSkippedAndProcessedChunks) {
   Rng rng(8);

@@ -151,6 +151,44 @@ TEST(ExecutorIndexTest, IndexAssistedResultsIdenticalToScan) {
             without_index.stats().rows_scanned / 2);
 }
 
+// Sums whose value depends on the order of their terms: the postings
+// must fold per chunk in ascending chunk order, exactly as the scan
+// does, not in one row-order pass over the whole table.
+TEST(ExecutorIndexTest, IndexAssistedSumsFoldPerChunkLikeTheScan) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"state", DataType::kString, FieldRole::kDimension},
+      {"w", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table t(*schema, /*chunk_rows=*/64);
+  Rng rng(640);
+  for (int r = 0; r < 640; ++r) {
+    const double w = rng.Bernoulli(0.5) ? 1e8 * rng.UniformDouble(1.0, 2.0)
+                                        : 1e-3 * rng.UniformDouble(1.0, 2.0);
+    ASSERT_TRUE(t.AppendRow({Value::String("e" + std::to_string(r % 5)),
+                             Value::String("CA"), Value::Double(w)})
+                    .ok());
+  }
+  ASSERT_EQ(t.num_chunks(), 10u);
+  DimensionIndex index = DimensionIndex::Build(t);
+  Executor with_index, without_index;
+  with_index.SetDimensionIndex(&index, &t);
+  TopKQuery q;
+  q.predicate = Predicate::Atom(1, Value::String("CA"));
+  q.expr = RankExpr::Column(2);
+  q.agg = AggFn::kSum;
+  q.k = 5;
+  auto fast = with_index.Execute(t, q, ExecContext{});
+  auto slow = without_index.Execute(t, q, ExecContext{});
+  ASSERT_TRUE(fast.ok());
+  ASSERT_TRUE(slow.ok());
+  EXPECT_EQ(with_index.stats().index_assisted, 1);
+  EXPECT_TRUE(*fast == *slow) << "index:\n"
+                              << fast->ToString() << "scan:\n"
+                              << slow->ToString();
+}
+
 TEST(ExecutorIndexTest, IndexOnlyUsedForMatchingTable) {
   Table a = SmallTable();
   Table b = SmallTable();

@@ -1,16 +1,17 @@
 // Differential tests for threshold-pruned validation: randomized
 // chunked tables x candidate queries asserting that the pruned executor
 // path (ExecContext::threshold) accepts and rejects EXACTLY the same
-// candidates as the unpruned full scan — across the scalar, vectorized,
-// and morsel-parallel paths — plus unit tests of the ThresholdMonitor's
-// deactivation rules, budget-interrupt precedence over refutation,
-// concurrent shared-cache stress, and full-pipeline equivalence with
-// pruning on and off.
+// candidates as the unpruned full scan — sequentially and
+// morsel-parallel, with and without NaN measures — plus unit tests of
+// the ThresholdMonitor's deactivation rules, budget-interrupt
+// precedence over refutation, concurrent shared-cache stress, and
+// full-pipeline equivalence with pruning on and off.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "engine/atom_cache.h"
 #include "engine/executor.h"
 #include "engine/threshold_monitor.h"
+#include "oracle/naive_executor.h"
 #include "paleo/paleo.h"
 #include "workload/workload.h"
 
@@ -49,19 +51,34 @@ Schema DiffSchema() {
 const char* kStates[] = {"CA", "NY", "TX", "WA"};
 
 /// Random MULTI-CHUNK table: pruning only engages past one chunk, so
-/// the layout straddles several small chunks (and bitmap words).
-Table RandomChunkedTable(Rng& rng, size_t num_rows) {
+/// the layout straddles several small chunks (and bitmap words). With
+/// `nan_measures`, w trends up or down with the row position, so the
+/// later chunks' zone maps bound the groups seen early, and w is NaN on
+/// every row of e0 and on about one other row in eight: sums turn NaN,
+/// and some max/min groups finish NaN.
+Table RandomChunkedTable(Rng& rng, size_t num_rows,
+                         bool nan_measures = false) {
   Table t(DiffSchema());
   const int num_entities = static_cast<int>(rng.UniformInt(3, 40));
+  const bool trend_up = nan_measures && rng.Uniform(2) == 0;
   for (size_t r = 0; r < num_rows; ++r) {
-    std::string e = "e" + std::to_string(rng.UniformInt(0, num_entities - 1));
+    const int64_t id = rng.UniformInt(0, num_entities - 1);
     std::string s1 = kStates[rng.Uniform(4)];
     std::string s2 = "g" + std::to_string(rng.Uniform(8));
-    EXPECT_TRUE(t.AppendRow({Value::String(e), Value::String(s1),
-                             Value::String(s2),
-                             Value::Int64(rng.UniformInt(0, 10)),
-                             Value::Int64(rng.UniformInt(-100, 100)),
-                             Value::Double(rng.UniformDouble(0.0, 100.0))})
+    const int64_t d1 = rng.UniformInt(0, 10);
+    const int64_t v = rng.UniformInt(-100, 100);
+    double w = rng.UniformDouble(0.0, 100.0);
+    if (nan_measures) {
+      const double pos = static_cast<double>(r) / static_cast<double>(num_rows);
+      w = w / 10.0 + 100.0 * (trend_up ? pos : 1.0 - pos);
+      if (id == 0 || rng.Uniform(8) == 0) {
+        w = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+    EXPECT_TRUE(t.AppendRow({Value::String("e" + std::to_string(id)),
+                             Value::String(s1), Value::String(s2),
+                             Value::Int64(d1), Value::Int64(v),
+                             Value::Double(w)})
                     .ok());
   }
   const size_t chunk_sizes[] = {64, 128, 256};
@@ -207,7 +224,7 @@ void ExpectPrunedEquivalent(Executor& ex, const Table& t,
   pruned_ctx.threshold = &monitor;
   auto pruned = ex.Execute(t, candidate, pruned_ctx);
   if (pruned.ok()) {
-    EXPECT_TRUE(*pruned == *unpruned)
+    EXPECT_EQ(oracle::BitwiseDiff(*pruned, *unpruned), "")
         << "workload " << workload
         << ": a non-refuted pruned run must be byte-identical";
   } else {
@@ -221,15 +238,17 @@ void ExpectPrunedEquivalent(Executor& ex, const Table& t,
   EXPECT_EQ(accept_unpruned, accept_pruned) << "workload " << workload;
 }
 
-TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
-  Rng rng(20260809);
+/// Draws `num_tables` random tables, a truth query per table and 8
+/// candidates around it, and checks each on the sequential and the
+/// 4-worker path. Counts the workloads, and those the pruner refutes.
+void RunPrunedDifferential(uint64_t seed, int num_tables, bool nan_measures,
+                           int* workloads, int* refuted_somewhere) {
+  Rng rng(seed);
   ThreadPool pool(4);
   Executor ex;
-  int workloads = 0;
-  int refuted_somewhere = 0;
-  for (int ti = 0; ti < 70; ++ti) {
+  for (int ti = 0; ti < num_tables; ++ti) {
     const size_t sizes[] = {200, 500, 1000, 2048, 3000};
-    Table t = RandomChunkedTable(rng, sizes[rng.Uniform(5)]);
+    Table t = RandomChunkedTable(rng, sizes[rng.Uniform(5)], nan_measures);
     // The input list L to validate against: a random truth query's
     // genuine result over the table.
     const TopKQuery truth = RandomQuery(rng);
@@ -238,29 +257,103 @@ TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
     if (input->empty()) continue;
     ThresholdMonitor monitor(t, *input, truth.order, 1e-9);
 
-    const ExecContext scalar_ctx{.vectorized = false};
     const ExecContext vec_ctx{};
     const ExecContext par_ctx{.pool = &pool, .scan_threads = 4};
     for (int ci = 0; ci < 8; ++ci) {
       // First candidate is the truth itself: it must NEVER be refuted
       // on any path (soundness), the rest perturb around it.
       const TopKQuery cand = ci == 0 ? truth : PerturbQuery(rng, truth);
-      ExpectPrunedEquivalent(ex, t, cand, *input, monitor, scalar_ctx,
-                             workloads);
       ExpectPrunedEquivalent(ex, t, cand, *input, monitor, vec_ctx,
-                             workloads);
+                             *workloads);
       ExpectPrunedEquivalent(ex, t, cand, *input, monitor, par_ctx,
-                             workloads);
+                             *workloads);
       ExecContext probe_ctx = vec_ctx;
       probe_ctx.threshold = &monitor;
-      if (!ex.Execute(t, cand, probe_ctx).ok()) ++refuted_somewhere;
-      ++workloads;
+      if (!ex.Execute(t, cand, probe_ctx).ok()) ++*refuted_somewhere;
+      ++*workloads;
     }
   }
+}
+
+TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
+  int workloads = 0;
+  int refuted_somewhere = 0;
+  RunPrunedDifferential(20260809, 70, false, &workloads, &refuted_somewhere);
   // The acceptance bar: at least 500 distinct randomized workloads,
   // and the pruner actually fired (the suite is vacuous otherwise).
   EXPECT_GE(workloads, 500);
   EXPECT_GT(refuted_somewhere, 0) << "no workload ever refuted";
+}
+
+// The same contract where max/min groups can finish NaN and rank last:
+// a foreign group still all NaN mid-scan must not refute the truth.
+TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedWithNanMeasures) {
+  int workloads = 0;
+  int refuted_somewhere = 0;
+  RunPrunedDifferential(20261019, 150, true, &workloads, &refuted_somewhere);
+  EXPECT_GE(workloads, 1000);
+  EXPECT_GT(refuted_somewhere, 0) << "no workload ever refuted";
+}
+
+// ---- All-NaN foreign groups ---------------------------------------------
+
+/// Two 64-row chunks: chunk 0 holds entity X with every w NaN plus A
+/// and B at w = a0 / b0; chunk 1 holds only A and B, at w = rest. X's
+/// max/min finishes as NaN and ranks last, but after chunk 0 its raw
+/// state still holds the -inf/+inf seeds.
+Table AllNanForeignTable(double a0, double b0, double rest) {
+  Table t(DiffSchema());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const char* const names[] = {"X", "A", "B"};
+  for (int r = 0; r < 128; ++r) {
+    // Chunk 0 cycles X, A, B; chunk 1 alternates A, B.
+    const int id = r < 64 ? r % 3 : 1 + r % 2;
+    const double w = r >= 64 ? rest : id == 0 ? nan : id == 1 ? a0 : b0;
+    EXPECT_TRUE(t.AppendRow({Value::String(names[id]), Value::String("CA"),
+                             Value::String("g0"), Value::Int64(0),
+                             Value::Int64(0), Value::Double(w)})
+                    .ok());
+  }
+  t.SetChunkRows(64);
+  return t;
+}
+
+TEST(ThresholdValidationTest, AllNanForeignGroupNeverRefutesTheTruth) {
+  struct Case {
+    AggFn agg;
+    SortOrder order;
+    double a0, b0, rest;
+  };
+  // With chunk 1 left, X's seed bound (max ASC: ub = max(-inf, 2);
+  // min DESC: lb = min(+inf, 8)) beats L's cut (10; 1), yet X finishes
+  // as NaN and stays out of the top 2.
+  const Case cases[] = {{AggFn::kMax, SortOrder::kAsc, 5.0, 10.0, 2.0},
+                        {AggFn::kMin, SortOrder::kDesc, 5.0, 1.0, 8.0}};
+  ThreadPool pool(2);
+  Executor ex;
+  for (const Case& c : cases) {
+    const Table t = AllNanForeignTable(c.a0, c.b0, c.rest);
+    TopKQuery q;
+    q.expr = RankExpr::Column(5);
+    q.agg = c.agg;
+    q.order = c.order;
+    q.k = 2;
+    auto input = ex.Execute(t, q, ExecContext{});
+    ASSERT_TRUE(input.ok());
+    ASSERT_TRUE(*input == ListOf({{"A", c.a0}, {"B", c.b0}}));
+    ThresholdMonitor monitor(t, *input, q.order, 1e-9);
+    ASSERT_TRUE(monitor.active());
+    for (const ExecContext& base :
+         {ExecContext{}, ExecContext{.pool = &pool, .scan_threads = 2}}) {
+      ExecContext pruned_ctx = base;
+      pruned_ctx.threshold = &monitor;
+      auto pruned = ex.Execute(t, q, pruned_ctx);
+      ASSERT_TRUE(pruned.ok())
+          << AggFnToString(c.agg) << ": " << pruned.status().ToString();
+      EXPECT_TRUE(*pruned == *input) << AggFnToString(c.agg);
+      ExpectPrunedEquivalent(ex, t, q, *input, monitor, base, 0);
+    }
+  }
 }
 
 // ---- Budget interruption vs refutation ----------------------------------
