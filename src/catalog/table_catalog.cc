@@ -30,7 +30,7 @@ TableCatalog::TableCatalog(Table base, PaleoOptions options,
       metrics_(metrics),
       catalog_metrics_(BindMetrics()) {
   EntityIndex index = EntityIndex::Build(base);
-  StatsCatalog stats = StatsCatalog::Build(base, StatsOptions());
+  StatsCatalog stats = StatsCatalog::Build(base);
   std::unique_ptr<DimensionIndex> dimension_index;
   if (options_.use_dimension_index) {
     dimension_index =
@@ -67,15 +67,6 @@ TableCatalog::CatalogMetrics TableCatalog::BindMetrics() {
       "paleo_snapshot_retired_total",
       "Snapshots whose last pin dropped (fully reclaimed versions).");
   return m;
-}
-
-CatalogOptions TableCatalog::StatsOptions() {
-  CatalogOptions options;
-  // Every snapshot keeps the delta state so the NEXT ingest can extend
-  // it; without this, the first incremental build would have nothing
-  // to fold into.
-  options.keep_delta_state = true;
-  return options;
 }
 
 std::shared_ptr<const TableSnapshot> TableCatalog::MakeSnapshot(
@@ -139,16 +130,15 @@ Status TableCatalog::Ingest(std::span<const std::vector<Value>> rows,
   {
     obs::ScopedSpan span(trace, "stats", ingest_span.id());
     if (incremental) {
-      auto extended = StatsCatalog::BuildIncremental(
-          prev->engine().catalog(), *next_table, &full_rebuilds);
-      if (extended.ok()) {
-        stats.emplace(std::move(*extended));
-      } else {
-        incremental = false;  // prev lacked delta state: rebuild all
-      }
-    }
-    if (!stats.has_value()) {
-      stats.emplace(StatsCatalog::Build(*next_table, StatsOptions()));
+      // next_table extends prev's rows, so only a broken invariant
+      // fails here.
+      PALEO_ASSIGN_OR_RETURN(
+          StatsCatalog extended,
+          StatsCatalog::BuildIncremental(prev->engine().catalog(),
+                                         *next_table, &full_rebuilds));
+      stats.emplace(std::move(extended));
+    } else {
+      stats.emplace(StatsCatalog::Build(*next_table));
       ++full_rebuilds;
     }
   }

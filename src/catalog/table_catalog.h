@@ -119,8 +119,9 @@ class TableSnapshot {
 /// the ingestion side (Ingestor).
 class TableCatalog {
  public:
-  /// Freezes `base` as snapshot version 1 (same upfront cost as one
-  /// Paleo construction, plus the ingest delta state). `options` are
+  /// Freezes `base` as snapshot version 1 (the upfront cost of one
+  /// Paleo construction: its stats catalog already carries the state
+  /// the next ingest extends). `options` are
   /// the engine options every snapshot's Paleo is built with; they
   /// also serve as the discovery service's default per-request
   /// options. `metrics`, when non-null, must outlive the catalog and
@@ -168,10 +169,6 @@ class TableCatalog {
     obs::Counter* retired = nullptr;
   };
   CatalogMetrics BindMetrics();
-
-  /// The catalog's stats options: delta state always on, so every
-  /// snapshot can be extended incrementally.
-  static CatalogOptions StatsOptions();
 
   /// Builds the next version off the current snapshot and publishes
   /// it; serialized on ingest_mutex_. An error return leaves the

@@ -1,41 +1,29 @@
 #include "index/dimension_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "paleo/tuple_set.h"
 
 namespace paleo {
 
+namespace {
+
+/// The posting key of a DOUBLE value, keyed to agree with the scan's
+/// IEEE ==: -0.0 keys as +0.0, and a NaN, which equals nothing, has no
+/// key. Both the rows posted and the constants looked up go through it.
+bool DoubleKey(double v, uint64_t* key) {
+  if (std::isnan(v)) return false;
+  *key = std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v);
+  return true;
+}
+
+}  // namespace
+
 DimensionIndex DimensionIndex::Build(const Table& table) {
   DimensionIndex index;
-  const Schema& schema = table.schema();
-  for (int c : schema.dimension_indices()) {
-    const Column& col = table.column(c);
-    ColumnPostings postings;
-    postings.type = col.type();
-    const size_t n = table.num_rows();
-    for (size_t r = 0; r < n; ++r) {
-      uint64_t key = 0;
-      switch (col.type()) {
-        case DataType::kString:
-          key = col.CodeAt(static_cast<RowId>(r));
-          break;
-        case DataType::kInt64:
-          key = static_cast<uint64_t>(col.Int64At(static_cast<RowId>(r)));
-          break;
-        case DataType::kDouble: {
-          double v = col.DoubleAt(static_cast<RowId>(r));
-          __builtin_memcpy(&key, &v, sizeof(key));
-          break;
-        }
-      }
-      postings.by_value[key].push_back(static_cast<RowId>(r));
-    }
-    if (col.type() == DataType::kString) {
-      index.dicts_.emplace(c, col.dict());
-    }
-    index.columns_.emplace(c, std::move(postings));
-  }
+  index.Append(table, 0);
   return index;
 }
 
@@ -44,34 +32,37 @@ DimensionIndex DimensionIndex::BuildIncremental(const DimensionIndex& prev,
                                                 size_t old_rows) {
   DimensionIndex index;
   index.columns_ = prev.columns_;  // copied posting maps
+  index.Append(table, old_rows);
+  return index;
+}
+
+void DimensionIndex::Append(const Table& table, size_t from) {
   for (int c : table.schema().dimension_indices()) {
     const Column& col = table.column(c);
-    ColumnPostings& postings = index.columns_[c];
+    ColumnPostings& postings = columns_[c];
     postings.type = col.type();
-    for (size_t r = old_rows; r < table.num_rows(); ++r) {
+    for (size_t r = from; r < table.num_rows(); ++r) {
+      const RowId row = static_cast<RowId>(r);
       uint64_t key = 0;
       switch (col.type()) {
         case DataType::kString:
-          key = col.CodeAt(static_cast<RowId>(r));
+          key = col.CodeAt(row);
           break;
         case DataType::kInt64:
-          key = static_cast<uint64_t>(col.Int64At(static_cast<RowId>(r)));
+          key = static_cast<uint64_t>(col.Int64At(row));
           break;
-        case DataType::kDouble: {
-          double v = col.DoubleAt(static_cast<RowId>(r));
-          __builtin_memcpy(&key, &v, sizeof(key));
+        case DataType::kDouble:
+          if (!DoubleKey(col.DoubleAt(row), &key)) continue;
           break;
-        }
       }
-      postings.by_value[key].push_back(static_cast<RowId>(r));
+      postings.by_value[key].push_back(row);
     }
     if (col.type() == DataType::kString) {
-      // The NEW table's dictionary: the snapshot must not dangle into
-      // the previous version's (deep-copied) dictionaries.
-      index.dicts_.emplace(c, col.dict());
+      // The table's own dictionary: an incremental build must not
+      // dangle into the previous version's (deep-copied) dictionaries.
+      dicts_[c] = col.dict();
     }
   }
-  return index;
 }
 
 bool DimensionIndex::KeyFor(int column, const Value& value,
@@ -90,12 +81,8 @@ bool DimensionIndex::KeyFor(int column, const Value& value,
       if (!value.is_int64()) return false;
       *key = static_cast<uint64_t>(value.int64());
       return true;
-    case DataType::kDouble: {
-      if (!value.is_numeric()) return false;
-      double v = value.AsDouble();
-      __builtin_memcpy(key, &v, sizeof(*key));
-      return true;
-    }
+    case DataType::kDouble:
+      return value.is_numeric() && DoubleKey(value.AsDouble(), key);
   }
   return false;
 }

@@ -61,15 +61,20 @@ class DimensionIndex {
  private:
   // Per indexed column: value-key -> posting. Keys normalize values to
   // 64 bits (dictionary code / int64 / double bits), consistent with
-  // the column's physical type.
+  // the column's physical type. A DOUBLE key folds -0.0 into +0.0, and
+  // NaN rows are posted nowhere, so postings agree with the scan's ==.
   struct ColumnPostings {
     DataType type = DataType::kString;
     std::unordered_map<uint64_t, std::vector<RowId>> by_value;
   };
 
+  /// Posts rows [from, table.num_rows()) of every dimension column:
+  /// the whole table for Build, the delta for BuildIncremental.
+  void Append(const Table& table, size_t from);
+
   /// Normalizes `value` to the column's key space; false if the value
   /// cannot match the column (type mismatch / unknown dictionary
-  /// string).
+  /// string / NaN).
   bool KeyFor(int column, const Value& value, uint64_t* key) const;
 
   std::unordered_map<int, ColumnPostings> columns_;

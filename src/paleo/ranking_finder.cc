@@ -79,12 +79,17 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
 
   // The distinct-count check is sound only where every value of L is a
   // value the column holds: max, min and unaggregated criteria. An
-  // average, like a sum, takes values the column never holds.
+  // average, like a sum, takes values the column never holds. A
+  // measure's count saturates at ColumnStats::kDistinctCap, so the
+  // check runs only when L has at most that many distinct values:
+  // there a count below the cap is exact, and a saturated one is at
+  // least L's.
+  const int64_t input_distinct = static_cast<int64_t>(distinct_input.size());
   auto too_few_distinct = [&](AggFn agg, const ColumnStats& stats) {
     bool sound =
         agg == AggFn::kMax || agg == AggFn::kMin || agg == AggFn::kNone;
-    return sound && stats.distinct_count <
-                        static_cast<int64_t>(distinct_input.size());
+    return sound && input_distinct <= ColumnStats::kDistinctCap &&
+           stats.distinct_count < input_distinct;
   };
 
   // The min/max checks compare L's values with a column's range. A

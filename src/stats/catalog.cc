@@ -1,110 +1,88 @@
 #include "stats/catalog.h"
 
-#include <algorithm>
-#include <limits>
-#include <unordered_set>
+#include <bit>
+#include <cmath>
 
 namespace paleo {
 
 namespace {
 
-/// Normalizes one cell to the 64-bit key space distinct counting uses:
-/// dictionary code for strings, the value itself for int64, the bit
-/// pattern for doubles (so -0.0 and 0.0 count like ColumnStats does).
-uint64_t NormalizedKey(const Column& column, RowId row) {
-  switch (column.type()) {
-    case DataType::kString:
-      return column.CodeAt(row);
-    case DataType::kInt64:
-      return static_cast<uint64_t>(column.Int64At(row));
-    case DataType::kDouble: {
-      double v = column.DoubleAt(row);
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(v));
-      __builtin_memcpy(&bits, &v, sizeof(bits));
-      return bits;
-    }
+/// Counts values[from, n) of a numeric dimension column per 64-bit
+/// pattern, folding min/max in the same pass, then boxes each distinct
+/// pattern into `counts` once.
+template <typename T>
+void CountNumeric(const std::vector<T>& values, size_t from,
+                  ColumnStats* stats, StatsCatalog::ValueCountMap* counts) {
+  std::unordered_map<uint64_t, int64_t> by_key;
+  for (size_t r = from; r < values.size(); ++r) {
+    stats->FoldMinMax(static_cast<double>(values[r]), r);
+    ++by_key[std::bit_cast<uint64_t>(values[r])];
   }
-  return 0;
+  for (const auto& [key, rows] : by_key) {
+    (*counts)[Value(std::bit_cast<T>(key))] += rows;
+  }
+}
+
+/// Folds rows [stats->row_count, column.size()) of a dimension column
+/// into its value counts and its stats, in one pass: each row is
+/// counted under its 64-bit key (a dense array over the dictionary for
+/// strings, the bit pattern for int64 and double, the key spaces of
+/// ColumnStats), then each distinct key is boxed into `counts` once.
+/// The distinct count is the number of keys, exact.
+void ExtendDimension(const Column& column, ColumnStats* stats,
+                     StatsCatalog::ValueCountMap* counts) {
+  const size_t from = static_cast<size_t>(stats->row_count);
+  switch (column.type()) {
+    case DataType::kString: {
+      const StringDictionary& dict = *column.dict();
+      std::vector<int64_t> by_code(dict.size(), 0);
+      const std::vector<uint32_t>& codes = column.codes();
+      for (size_t r = from; r < codes.size(); ++r) ++by_code[codes[r]];
+      for (uint32_t code = 0; code < by_code.size(); ++code) {
+        if (by_code[code] > 0) {
+          (*counts)[Value::String(dict.Get(code))] += by_code[code];
+        }
+      }
+      break;
+    }
+    case DataType::kInt64:
+      CountNumeric(column.ints(), from, stats, counts);
+      break;
+    case DataType::kDouble:
+      CountNumeric(column.doubles(), from, stats, counts);
+      break;
+  }
+  stats->row_count = static_cast<int64_t>(column.size());
+  stats->distinct_count = static_cast<int64_t>(counts->size());
 }
 
 }  // namespace
+
+bool StatsCatalog::SameBits::operator()(const Value& a,
+                                        const Value& b) const {
+  if (a.is_double() && b.is_double()) {
+    return std::bit_cast<uint64_t>(a.dbl()) ==
+           std::bit_cast<uint64_t>(b.dbl());
+  }
+  return a == b;
+}
 
 StatsCatalog StatsCatalog::Build(const Table& table,
                                  const CatalogOptions& options) {
   StatsCatalog catalog;
   catalog.options_ = options;
-  catalog.table_rows_ = static_cast<int64_t>(table.num_rows());
-  const Schema& schema = table.schema();
-  catalog.column_stats_.reserve(static_cast<size_t>(schema.num_fields()));
-  catalog.histograms_.resize(static_cast<size_t>(schema.num_fields()));
-  catalog.top_entities_.resize(static_cast<size_t>(schema.num_fields()));
-
-  catalog.value_counts_.resize(static_cast<size_t>(schema.num_fields()));
-  catalog.has_delta_state_ = options.keep_delta_state;
-  if (options.keep_delta_state) {
-    catalog.delta_.resize(static_cast<size_t>(schema.num_fields()));
-  }
-
-  std::unordered_set<int> measures(schema.measure_indices().begin(),
-                                   schema.measure_indices().end());
-  std::unordered_set<int> dimensions(schema.dimension_indices().begin(),
-                                     schema.dimension_indices().end());
-  for (int c = 0; c < schema.num_fields(); ++c) {
-    const Column& column = table.column(c);
-    catalog.column_stats_.push_back(ColumnStats::Build(column));
-    if (measures.count(c) > 0) {
-      catalog.histograms_[static_cast<size_t>(c)] =
-          Histogram::Build(column, options.histogram_cells);
-      std::vector<double> entity_max =
-          TopEntityList::ComputeEntityMaxes(table, c);
-      catalog.top_entities_[static_cast<size_t>(c)] =
-          TopEntityList::FromEntityMaxes(entity_max, options.top_entities);
-      if (options.keep_delta_state) {
-        catalog.delta_[static_cast<size_t>(c)].entity_max =
-            std::move(entity_max);
-      }
-    }
-    if (dimensions.count(c) > 0) {
-      ValueCountMap& counts = catalog.value_counts_[static_cast<size_t>(c)];
-      switch (column.type()) {
-        case DataType::kString: {
-          // Count codes first, then box once per distinct value.
-          std::unordered_map<uint32_t, int64_t> by_code;
-          for (uint32_t code : column.codes()) ++by_code[code];
-          for (const auto& [code, n] : by_code) {
-            counts.emplace(Value::String(column.dict()->Get(code)), n);
-          }
-          break;
-        }
-        case DataType::kInt64:
-          for (int64_t v : column.ints()) ++counts[Value::Int64(v)];
-          break;
-        case DataType::kDouble:
-          for (double v : column.doubles()) ++counts[Value::Double(v)];
-          break;
-      }
-    }
-    if (options.keep_delta_state) {
-      std::unordered_set<uint64_t>& seen =
-          catalog.delta_[static_cast<size_t>(c)].seen;
-      seen.reserve(static_cast<size_t>(
-          catalog.column_stats_[static_cast<size_t>(c)].distinct_count));
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        seen.insert(NormalizedKey(column, static_cast<RowId>(r)));
-      }
-    }
-  }
+  const size_t num_columns = static_cast<size_t>(table.num_columns());
+  catalog.column_stats_.resize(num_columns);
+  catalog.histograms_.resize(num_columns);
+  catalog.top_entities_.resize(num_columns);
+  catalog.value_counts_.resize(num_columns);
+  catalog.delta_.resize(num_columns);
+  catalog.Extend(table, /*full_rebuilds=*/nullptr);
   return catalog;
 }
 
 StatusOr<StatsCatalog> StatsCatalog::BuildIncremental(
     const StatsCatalog& prev, const Table& table, int* full_rebuilds) {
-  if (!prev.has_delta_state_) {
-    return Status::InvalidArgument(
-        "previous catalog was built without keep_delta_state; cannot "
-        "extend it incrementally");
-  }
   if (static_cast<int64_t>(table.num_rows()) < prev.table_rows_ ||
       table.num_columns() != static_cast<int>(prev.column_stats_.size())) {
     return Status::InvalidArgument(
@@ -112,88 +90,56 @@ StatusOr<StatsCatalog> StatsCatalog::BuildIncremental(
         "relation");
   }
   StatsCatalog catalog = prev;
-  const size_t old_rows = static_cast<size_t>(prev.table_rows_);
-  const Schema& schema = table.schema();
-  std::unordered_set<int> measures(schema.measure_indices().begin(),
-                                   schema.measure_indices().end());
-  std::unordered_set<int> dimensions(schema.dimension_indices().begin(),
-                                     schema.dimension_indices().end());
   int rebuilds = 0;
-  for (int c = 0; c < schema.num_fields(); ++c) {
-    catalog.ExtendColumn(table, c, old_rows, measures.count(c) > 0,
-                         dimensions.count(c) > 0,
-                         &catalog.delta_[static_cast<size_t>(c)], &rebuilds);
-  }
-  catalog.table_rows_ = static_cast<int64_t>(table.num_rows());
+  catalog.Extend(table, &rebuilds);
   if (full_rebuilds != nullptr) *full_rebuilds = rebuilds;
   return catalog;
 }
 
-void StatsCatalog::ExtendColumn(const Table& table, int column,
-                                size_t old_rows, bool is_measure,
-                                bool is_dimension, ColumnDelta* delta,
-                                int* full_rebuilds) {
-  const Column& col = table.column(column);
+void StatsCatalog::Extend(const Table& table, int* full_rebuilds) {
+  const size_t old_rows = static_cast<size_t>(table_rows_);
   const size_t n = table.num_rows();
-  ColumnStats& stats = column_stats_[static_cast<size_t>(column)];
-
-  // Basic stats: min/max fold in directly, distinct counts come from
-  // the maintained seen set (exact — the delta may repeat old values).
-  bool first = stats.row_count == 0;
-  for (size_t r = old_rows; r < n; ++r) {
-    delta->seen.insert(NormalizedKey(col, static_cast<RowId>(r)));
-    if (col.type() != DataType::kString) {
-      double v = col.NumericAt(static_cast<RowId>(r));
-      if (first) {
-        stats.min = stats.max = v;
-        first = false;
-      } else {
-        stats.min = std::min(stats.min, v);
-        stats.max = std::max(stats.max, v);
-      }
+  const Schema& schema = table.schema();
+  for (int c = 0; c < schema.num_fields(); ++c) {
+    const size_t ci = static_cast<size_t>(c);
+    const Column& col = table.column(c);
+    const FieldRole role = schema.field(c).role;
+    ColumnDelta& delta = delta_[ci];
+    if (role == FieldRole::kDimension) {
+      ExtendDimension(col, &column_stats_[ci], &value_counts_[ci]);
+    } else {
+      column_stats_[ci].Extend(col, &delta.keys);
     }
-  }
-  stats.row_count = static_cast<int64_t>(n);
-  stats.distinct_count = static_cast<int64_t>(delta->seen.size());
+    if (role != FieldRole::kMeasure) continue;
 
-  if (is_measure) {
     // Histogram: extend in place while the delta stays inside the old
     // range (boundaries unchanged => identical to a full rebuild);
     // rebuild the one column otherwise.
-    std::vector<double> values;
-    values.reserve(n - old_rows);
-    for (size_t r = old_rows; r < n; ++r) {
-      values.push_back(col.NumericAt(static_cast<RowId>(r)));
-    }
-    Histogram& hist = histograms_[static_cast<size_t>(column)];
-    if (!hist.Extend(values)) {
+    Histogram& hist = histograms_[ci];
+    if (old_rows == 0) {
       hist = Histogram::Build(col, options_.histogram_cells);
-      if (full_rebuilds != nullptr) ++*full_rebuilds;
+    } else {
+      std::vector<double> values;
+      values.reserve(n - old_rows);
+      for (size_t r = old_rows; r < n; ++r) {
+        values.push_back(col.NumericAt(static_cast<RowId>(r)));
+      }
+      if (!hist.Extend(values)) {
+        hist = Histogram::Build(col, options_.histogram_cells);
+        if (full_rebuilds != nullptr) ++*full_rebuilds;
+      }
     }
     // Top entities: fold the delta into the maintained per-entity
     // maxima (the dictionary may have grown), then reselect top-N.
-    const Column& entities = table.entity_column();
-    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-    delta->entity_max.resize(entities.dict()->size(), kNegInf);
-    for (size_t r = old_rows; r < n; ++r) {
-      uint32_t code = entities.CodeAt(static_cast<RowId>(r));
-      double v = col.NumericAt(static_cast<RowId>(r));
-      if (v > delta->entity_max[code]) delta->entity_max[code] = v;
-    }
-    top_entities_[static_cast<size_t>(column)] =
-        TopEntityList::FromEntityMaxes(delta->entity_max,
-                                       options_.top_entities);
+    TopEntityList::FoldEntityMaxes(table, c, old_rows, &delta.entity_max);
+    top_entities_[ci] = TopEntityList::FromEntityMaxes(
+        delta.entity_max, options_.top_entities);
   }
-
-  if (is_dimension) {
-    ValueCountMap& counts = value_counts_[static_cast<size_t>(column)];
-    for (size_t r = old_rows; r < n; ++r) {
-      ++counts[col.GetValue(static_cast<RowId>(r))];
-    }
-  }
+  table_rows_ = static_cast<int64_t>(n);
 }
 
 int64_t StatsCatalog::ValueCount(int column, const Value& v) const {
+  if (v.is_double() && std::isnan(v.dbl())) return 0;
   const ValueCountMap& counts = value_counts_[static_cast<size_t>(column)];
   auto it = counts.find(v);
   return it == counts.end() ? 0 : it->second;

@@ -31,40 +31,43 @@ struct CatalogOptions {
   int histogram_cells = 1000;
   /// Entities kept per top-entity list (paper: 1000).
   int top_entities = 1000;
-  /// Retain the per-column delta state (seen-value sets, per-entity
-  /// maxima) that BuildIncremental needs to extend this catalog
-  /// EXACTLY from appended rows. Off by default: a catalog that never
-  /// ingests should not pay the memory (roughly one 64-bit key per
-  /// distinct value per column).
-  bool keep_delta_state = false;
 };
 
 /// \brief Precomputed statistics for every column of a relation.
 class StatsCatalog {
  public:
-  /// Scans the table once per column.
+  /// Rows per distinct value of a dimension column. Keys compare by
+  /// bit pattern, as ValueHasher hashes them: -0.0 and 0.0 are two
+  /// keys, and all rows with one NaN pattern share one.
+  struct SameBits {
+    bool operator()(const Value& a, const Value& b) const;
+  };
+  using ValueCountMap =
+      std::unordered_map<Value, int64_t, ValueHasher, SameBits>;
+
+  /// One pass per column, each statistic as precise as its reader
+  /// needs: dimension columns are counted exactly, per 64-bit key (a
+  /// dense array over the dictionary for strings); every other column
+  /// gets min/max and a distinct count saturating at
+  /// ColumnStats::kDistinctCap.
   static StatsCatalog Build(const Table& table,
                             const CatalogOptions& options = CatalogOptions());
 
-  /// Extends `prev` (which must have been built with keep_delta_state)
-  /// to cover `table`, whose first prev.table_rows() rows are exactly
-  /// the rows prev was built from and whose remainder is the appended
-  /// delta. Every published quantity of the result equals
-  /// Build(table, prev.options()) — distinct counts come from
-  /// maintained seen-value sets, top-entity lists from maintained
-  /// per-entity maxima, and histograms are extended in place when the
-  /// delta stays inside the old [min, max] (falling back to a
-  /// per-column rebuild when the range grew; `full_rebuilds`, when
-  /// non-null, receives the number of such fallbacks). The result
-  /// keeps delta state, so ingestion chains incrementally forever.
-  /// InvalidArgument when prev carries no delta state or the row
-  /// prefix does not match.
+  /// Extends `prev` to cover `table`, whose first prev.table_rows()
+  /// rows are exactly the rows prev was built from and whose remainder
+  /// is the appended delta. Every published quantity of the result
+  /// equals Build(table, prev.options()): dimension value counts and
+  /// each unsaturated column's distinct keys grow by the delta's,
+  /// top-entity lists are reselected from the maintained per-entity
+  /// maxima, and histograms are extended in place when the delta stays
+  /// inside the old [min, max] (falling back to a per-column rebuild
+  /// when the range grew; `full_rebuilds`, when non-null, receives the
+  /// number of such fallbacks). Every catalog carries that state, so
+  /// ingestion chains incrementally forever. InvalidArgument when the
+  /// row prefix does not match.
   static StatusOr<StatsCatalog> BuildIncremental(const StatsCatalog& prev,
                                                  const Table& table,
                                                  int* full_rebuilds = nullptr);
-
-  /// True when this catalog retains the state BuildIncremental needs.
-  bool has_delta_state() const { return has_delta_state_; }
 
   const CatalogOptions& options() const { return options_; }
 
@@ -83,11 +86,19 @@ class StatsCatalog {
     return top_entities_[static_cast<size_t>(column)];
   }
 
+  /// Every distinct value of a dimension column with its number of
+  /// rows; empty for other columns. Its size is the column's
+  /// distinct_count.
+  const ValueCountMap& value_counts(int column) const {
+    return value_counts_[static_cast<size_t>(column)];
+  }
+
   /// Number of rows in the relation the catalog was built from.
   int64_t table_rows() const { return table_rows_; }
 
   /// Occurrences of `v` in a dimension column (0 if absent or not a
-  /// dimension column).
+  /// dimension column). A NaN reads 0: it equals no row under the
+  /// scan's IEEE ==.
   int64_t ValueCount(int column, const Value& v) const;
 
   /// Estimated fraction of R's rows matching the conjunction, under
@@ -99,33 +110,29 @@ class StatsCatalog {
   double PredicateSelectivity(const Predicate& predicate) const;
 
  private:
-  using ValueCountMap = std::unordered_map<Value, int64_t, ValueHasher>;
-
-  /// Per-column ingredients carried across incremental builds
-  /// (keep_delta_state only): exactly what the published summaries
-  /// cannot recover. `seen` holds every value normalized to 64 bits
-  /// (dictionary code / int64 / double bit pattern — the same key
-  /// spaces ColumnStats::Build counts distinct over), `entity_max` the
-  /// per-entity maxima of measure columns (code-indexed, -inf absent).
+  /// Per-column ingredients BuildIncremental extends, beyond the
+  /// published summaries: `keys`, the distinct keys of a non-dimension
+  /// column while its count is below ColumnStats::kDistinctCap (so
+  /// fewer than that many; a saturated column keeps none), and
+  /// `entity_max`, the per-entity maxima of a measure column
+  /// (code-indexed, -inf absent). A dimension column's state is its
+  /// value_counts entry.
   struct ColumnDelta {
-    std::unordered_set<uint64_t> seen;
+    std::unordered_set<uint64_t> keys;
     std::vector<double> entity_max;
   };
 
-  /// Folds one column's delta rows into stats / histogram /
-  /// top-entities / value-counts, using and maintaining `delta`.
-  /// `full_rebuilds` is bumped when the histogram fallback fired.
-  void ExtendColumn(const Table& table, int column, size_t old_rows,
-                    bool is_measure, bool is_dimension, ColumnDelta* delta,
-                    int* full_rebuilds);
+  /// Folds rows [table_rows_, table.num_rows()) of every column into
+  /// the statistics and their delta state. `full_rebuilds` is bumped
+  /// for each histogram the delta's range growth forced to rebuild.
+  void Extend(const Table& table, int* full_rebuilds);
 
   CatalogOptions options_;
   std::vector<ColumnStats> column_stats_;
   std::vector<Histogram> histograms_;
   std::vector<TopEntityList> top_entities_;
   std::vector<ValueCountMap> value_counts_;  // dimension columns only
-  std::vector<ColumnDelta> delta_;           // keep_delta_state only
-  bool has_delta_state_ = false;
+  std::vector<ColumnDelta> delta_;
   int64_t table_rows_ = 0;
 };
 

@@ -1,53 +1,72 @@
 #include "stats/column_stats.h"
 
-#include <algorithm>
-#include <unordered_set>
+#include <bit>
 
 namespace paleo {
 
-ColumnStats ColumnStats::Build(const Column& column) {
-  ColumnStats s;
-  s.row_count = static_cast<int64_t>(column.size());
-  switch (column.type()) {
-    case DataType::kString: {
-      // Dictionary codes present in the column may be a subset of the
-      // dictionary when the dictionary is shared (gathered tables), so
-      // count codes actually used.
-      std::unordered_set<uint32_t> seen(column.codes().begin(),
-                                        column.codes().end());
-      s.distinct_count = static_cast<int64_t>(seen.size());
-      return s;
-    }
-    case DataType::kInt64: {
-      std::unordered_set<int64_t> seen;
-      bool first = true;
-      for (int64_t v : column.ints()) {
-        double d = static_cast<double>(v);
-        if (first || d < s.min) s.min = d;
-        if (first || d > s.max) s.max = d;
-        first = false;
-        seen.insert(v);
+namespace {
+
+/// Folds values[from, n) into `stats`' min/max and, while `counting`,
+/// their bit patterns into `keys`; returns true when the count
+/// saturated. Once saturated, the rest of the pass only folds min/max.
+template <typename T>
+bool FoldNumeric(const std::vector<T>& values, size_t from,
+                 ColumnStats* stats, std::unordered_set<uint64_t>* keys,
+                 bool counting) {
+  bool saturated = false;
+  for (size_t r = from; r < values.size(); ++r) {
+    stats->FoldMinMax(static_cast<double>(values[r]), r);
+    if (counting) {
+      keys->insert(std::bit_cast<uint64_t>(values[r]));
+      if (static_cast<int64_t>(keys->size()) == ColumnStats::kDistinctCap) {
+        counting = false;
+        saturated = true;
       }
-      s.distinct_count = static_cast<int64_t>(seen.size());
-      return s;
-    }
-    case DataType::kDouble: {
-      std::unordered_set<uint64_t> seen;
-      bool first = true;
-      for (double v : column.doubles()) {
-        if (first || v < s.min) s.min = v;
-        if (first || v > s.max) s.max = v;
-        first = false;
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        seen.insert(bits);
-      }
-      s.distinct_count = static_cast<int64_t>(seen.size());
-      return s;
     }
   }
+  return saturated;
+}
+
+}  // namespace
+
+ColumnStats ColumnStats::Build(const Column& column) {
+  ColumnStats s;
+  std::unordered_set<uint64_t> keys;
+  s.Extend(column, &keys);
   return s;
+}
+
+void ColumnStats::Extend(const Column& column,
+                         std::unordered_set<uint64_t>* keys) {
+  const size_t from = static_cast<size_t>(row_count);
+  row_count = static_cast<int64_t>(column.size());
+  const bool counting = distinct_count < kDistinctCap;
+  bool saturated = false;
+  switch (column.type()) {
+    case DataType::kString: {
+      // No min/max: the pass ends where the count saturates.
+      const std::vector<uint32_t>& codes = column.codes();
+      for (size_t r = from; counting && r < codes.size(); ++r) {
+        keys->insert(codes[r]);
+        if (static_cast<int64_t>(keys->size()) == kDistinctCap) {
+          saturated = true;
+          break;
+        }
+      }
+      break;
+    }
+    case DataType::kInt64:
+      saturated = FoldNumeric(column.ints(), from, this, keys, counting);
+      break;
+    case DataType::kDouble:
+      saturated = FoldNumeric(column.doubles(), from, this, keys, counting);
+      break;
+  }
+  if (saturated) *keys = {};
+  if (counting) {
+    distinct_count =
+        saturated ? kDistinctCap : static_cast<int64_t>(keys->size());
+  }
 }
 
 }  // namespace paleo

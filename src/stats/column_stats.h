@@ -1,11 +1,20 @@
 // Simple descriptive column statistics (paper Section 5: "small data
 // samples, histograms, or simple descriptive statistics computed
 // upfront from the base relation R").
+//
+// Each statistic is only as precise as its reader needs. Min and max
+// are exact. Outside dimension columns a distinct count saturates at
+// ColumnStats::kDistinctCap: its one reader, the ranking finder's
+// distinct check, compares it with the number of distinct values of an
+// input list, which is at most k. The stats catalog (stats/catalog.h)
+// counts dimension columns exactly, because the probabilistic model
+// reads their distinct counts.
 
 #ifndef PALEO_STATS_COLUMN_STATS_H_
 #define PALEO_STATS_COLUMN_STATS_H_
 
 #include <cstdint>
+#include <unordered_set>
 
 #include "storage/column.h"
 
@@ -13,14 +22,36 @@ namespace paleo {
 
 /// \brief Min / max / distinct-count summary of one column.
 struct ColumnStats {
+  /// Where a distinct count outside dimension columns stops: below it
+  /// the count is exact; at it the column holds at least this many
+  /// distinct values. It is above every k the benchmarks use (at most
+  /// 100), and the ranking finder runs its distinct check only for
+  /// lists with at most this many distinct values.
+  static constexpr int64_t kDistinctCap = 1024;
+
   double min = 0.0;           // numeric columns only
   double max = 0.0;           // numeric columns only
   int64_t distinct_count = 0;
   int64_t row_count = 0;
 
-  /// One pass; distinct counting is exact (hash set over value bit
-  /// patterns for numerics, dictionary size for strings).
+  /// One pass over the column: min/max, and a distinct count that
+  /// saturates at kDistinctCap. Keys are dictionary codes for strings
+  /// and the 64-bit pattern for int64 and double.
   static ColumnStats Build(const Column& column);
+
+  /// Folds rows [row_count, column.size()) in, so Build(c) equals
+  /// Extend from default-constructed stats. `keys` holds the distinct
+  /// keys of the rows already folded while the count is below the cap
+  /// (at most kDistinctCap - 1 of them); the row that saturates the
+  /// count clears it, and a saturated column never touches it again.
+  void Extend(const Column& column, std::unordered_set<uint64_t>* keys);
+
+  /// Folds value `v` of row `row` into min and max: row 0 sets both,
+  /// and later rows widen them (a NaN never does).
+  void FoldMinMax(double v, size_t row) {
+    if (row == 0 || v < min) min = v;
+    if (row == 0 || v > max) max = v;
+  }
 };
 
 }  // namespace paleo

@@ -7,21 +7,24 @@ namespace paleo {
 
 TopEntityList TopEntityList::Build(const Table& table, int column,
                                    int top_n) {
-  return FromEntityMaxes(ComputeEntityMaxes(table, column), top_n);
+  std::vector<double> entity_max;
+  FoldEntityMaxes(table, column, 0, &entity_max);
+  return FromEntityMaxes(entity_max, top_n);
 }
 
-std::vector<double> TopEntityList::ComputeEntityMaxes(const Table& table,
-                                                      int column) {
+void TopEntityList::FoldEntityMaxes(const Table& table, int column,
+                                    size_t from,
+                                    std::vector<double>* entity_max) {
   const Column& col = table.column(column);
   const Column& entities = table.entity_column();
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> best(entities.dict()->size(), kNegInf);
-  for (size_t row = 0; row < table.num_rows(); ++row) {
+  std::vector<double>& best = *entity_max;
+  best.resize(entities.dict()->size(), kNegInf);
+  for (size_t row = from; row < table.num_rows(); ++row) {
     uint32_t code = entities.CodeAt(static_cast<RowId>(row));
     double v = col.NumericAt(static_cast<RowId>(row));
     if (v > best[code]) best[code] = v;
   }
-  return best;
 }
 
 TopEntityList TopEntityList::FromEntityMaxes(

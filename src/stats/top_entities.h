@@ -27,18 +27,19 @@ class TopEntityList {
   /// Ties are broken by entity code ascending for determinism.
   static TopEntityList Build(const Table& table, int column, int top_n);
 
-  /// Per-entity maxima of `column` over all rows, indexed by entity
-  /// dictionary code; entities with no rows hold -infinity. The raw
-  /// material Build() selects from — exposed so the table catalog can
-  /// maintain it incrementally across ingested batches (the published
-  /// top-N alone cannot be extended exactly: an entity outside it has
-  /// an unknown true max).
-  static std::vector<double> ComputeEntityMaxes(const Table& table,
-                                                int column);
+  /// Folds rows [from, table.num_rows()) of `column` into the
+  /// per-entity maxima `entity_max`, indexed by entity dictionary code
+  /// and first grown to the dictionary's size; entities with no rows
+  /// hold -infinity. The raw material Build() selects from, with
+  /// from = 0 over an empty array. The stats catalog keeps the array
+  /// and folds each ingested batch into it: the published top-N alone
+  /// cannot be extended exactly, since an entity outside it has an
+  /// unknown true max.
+  static void FoldEntityMaxes(const Table& table, int column, size_t from,
+                              std::vector<double>* entity_max);
 
-  /// Top-N selection over a precomputed per-entity max array, with the
-  /// same ordering and tie-breaking as Build():
-  /// Build(t, c, n) == FromEntityMaxes(ComputeEntityMaxes(t, c), n).
+  /// Top-N selection over a per-entity max array, with the same
+  /// ordering and tie-breaking as Build().
   static TopEntityList FromEntityMaxes(const std::vector<double>& entity_max,
                                        int top_n);
 

@@ -1,18 +1,25 @@
 // TableCatalog / Ingestor unit tests: publication ordering, snapshot
 // pinning and last-release teardown, incremental-vs-full build
-// equality, and the all-or-nothing ingest contract under injected
-// faults.
+// equality (and ingested snapshots against the naive oracle), and the
+// all-or-nothing ingest contract under injected faults.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "catalog/ingestor.h"
 #include "catalog/table_catalog.h"
 #include "common/fault_points.h"
+#include "common/random.h"
 #include "datagen/traffic_gen.h"
+#include "engine/executor.h"
 #include "obs/metrics.h"
+#include "oracle/naive_executor.h"
 #include "paleo/paleo.h"
 
 namespace paleo {
@@ -75,18 +82,32 @@ class CatalogTest : public ::testing::Test {
   }
 
   /// Byte-level equality of everything the engine consumes from a
-  /// stats catalog: per-column basic stats, histogram cells, and
-  /// top-entity lists.
+  /// stats catalog: per-column basic stats, dimension value counts,
+  /// histogram cells, and top-entity lists.
   static void ExpectStatsEqual(const StatsCatalog& a, const StatsCatalog& b,
                                int num_columns) {
     ASSERT_EQ(a.table_rows(), b.table_rows());
     for (int c = 0; c < num_columns; ++c) {
       const ColumnStats& sa = a.column_stats(c);
       const ColumnStats& sb = b.column_stats(c);
-      EXPECT_EQ(sa.min, sb.min) << "column " << c;
-      EXPECT_EQ(sa.max, sb.max) << "column " << c;
+      // By bits: a NaN in a column's first row makes both NaN.
+      EXPECT_EQ(std::bit_cast<uint64_t>(sa.min),
+                std::bit_cast<uint64_t>(sb.min))
+          << "column " << c;
+      EXPECT_EQ(std::bit_cast<uint64_t>(sa.max),
+                std::bit_cast<uint64_t>(sb.max))
+          << "column " << c;
       EXPECT_EQ(sa.distinct_count, sb.distinct_count) << "column " << c;
       EXPECT_EQ(sa.row_count, sb.row_count) << "column " << c;
+
+      const StatsCatalog::ValueCountMap& va = a.value_counts(c);
+      const StatsCatalog::ValueCountMap& vb = b.value_counts(c);
+      ASSERT_EQ(va.size(), vb.size()) << "column " << c;
+      for (const auto& [value, rows] : va) {
+        auto it = vb.find(value);
+        ASSERT_NE(it, vb.end()) << "column " << c << ": " << value.ToSql();
+        EXPECT_EQ(it->second, rows) << "column " << c << ": " << value.ToSql();
+      }
 
       const Histogram& ha = a.histogram(c);
       const Histogram& hb = b.histogram(c);
@@ -232,6 +253,134 @@ TEST_F(CatalogTest, IncrementalMatchesFullRebuild) {
   if (ra->found() && rb->found()) {
     EXPECT_TRUE(ra->valid[0].query == rb->valid[0].query);
   }
+}
+
+// The shapes incremental ingest must carry exactly: a DOUBLE dimension
+// holding -0.0, 0.0 and NaN; batches that straddle 64-row chunks and
+// bring new entities and new dictionary strings; and a key column whose
+// distinct count climbs from 1020 through ColumnStats::kDistinctCap.
+// Each published snapshot must equal a full rebuild, and its table must
+// answer like the naive oracle with and without its dimension index.
+TEST_F(CatalogTest, IngestedSnapshotsMatchFullBuildAndOracle) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"s", DataType::kString, FieldRole::kDimension},
+      {"d", DataType::kDouble, FieldRole::kDimension},
+      {"y", DataType::kInt64, FieldRole::kDimension},
+      {"k", DataType::kInt64, FieldRole::kKey},
+      {"v", DataType::kInt64, FieldRole::kMeasure},
+      {"w", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  const int k_col = schema->FieldIndex("k");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double dims[] = {-0.0, 0.0, nan, 1.5, -2.25};
+  Rng rng(20);
+  auto row = [&](int entity, const std::string& s, int64_t k) {
+    const double w = rng.Uniform(16) == 0  ? nan
+                     : rng.Uniform(16) == 0 ? -0.0
+                                            : rng.UniformDouble(-50.0, 50.0);
+    return std::vector<Value>{
+        Value::String("e" + std::to_string(entity)), Value::String(s),
+        Value::Double(dims[rng.Uniform(5)]),
+        Value::Int64(rng.UniformInt(2000, 2003)), Value::Int64(k),
+        Value::Int64(rng.UniformInt(0, 9)), Value::Double(w)};
+  };
+  const char* states[] = {"CA", "NY", "TX"};
+  Table base(*schema);
+  for (int i = 0; i < 1100; ++i) {
+    const int entity = static_cast<int>(rng.Uniform(30));
+    const std::string s = states[rng.Uniform(3)];
+    ASSERT_TRUE(base.AppendRow(row(entity, s, i % 1020)).ok());
+  }
+  PaleoOptions options;
+  options.chunk_rows = 64;
+  options.use_dimension_index = true;
+  auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
+  Ingestor ingestor(catalog.get());
+
+  // The query sweep: every aggregate over both measures, in both
+  // orders, under predicates on the zeros, NaN, a batch's new string
+  // and conjunctions of them; k = 100 exceeds the number of groups.
+  std::vector<Predicate> predicates = {
+      Predicate(),
+      Predicate::Atom(1, Value::String("CA")),
+      Predicate::Atom(1, Value::String("new1")),
+      Predicate::Atom(2, Value::Double(0.0)),
+      Predicate::Atom(2, Value::Double(-0.0)),
+      Predicate::Atom(2, Value::Double(nan)),
+      Predicate::Atom(2, Value::Double(1.5)),
+      Predicate::Atom(3, Value::Int64(2001)),
+      Predicate({{1, Value::String("NY")}, {2, Value::Double(-0.0)}}),
+      Predicate({{2, Value::Double(0.0)}, {3, Value::Int64(2002)}}),
+  };
+  const AggFn aggs[] = {AggFn::kMax, AggFn::kMin,   AggFn::kSum,
+                        AggFn::kAvg, AggFn::kCount, AggFn::kNone};
+
+  auto check_snapshot = [&](int64_t want_k_distinct) {
+    auto snapshot = catalog->Current();
+    const Table& t = snapshot->table();
+    ASSERT_EQ(t.chunk_rows(), 64u);
+    const StatsCatalog& stats = snapshot->engine().catalog();
+    EXPECT_EQ(stats.column_stats(k_col).distinct_count, want_k_distinct);
+    ExpectStatsEqual(stats, StatsCatalog::Build(t), t.num_columns());
+
+    const DimensionIndex* index = snapshot->engine().dimension_index();
+    ASSERT_NE(index, nullptr);
+    Executor scan;
+    Executor indexed;
+    indexed.SetDimensionIndex(index, &t);
+    int qi = 0;
+    for (const Predicate& p : predicates) {
+      const size_t want_count = oracle::NaiveCountMatching(t, p);
+      for (AggFn agg : aggs) {
+        for (int expr_col : {5, 6}) {
+          TopKQuery q;
+          q.predicate = p;
+          q.expr = RankExpr::Column(expr_col);
+          q.agg = agg;
+          q.order = qi % 2 == 0 ? SortOrder::kDesc : SortOrder::kAsc;
+          q.k = qi % 3 == 0 ? 100 : 5;
+          ++qi;
+          const TopKList want = oracle::NaiveExecute(t, q);
+          for (Executor* ex : {&scan, &indexed}) {
+            const char* path = ex == &scan ? "scan" : "index";
+            auto got = ex->Execute(t, q, ExecContext{});
+            ASSERT_TRUE(got.ok()) << path << ": " << q.ToSql(t.schema());
+            EXPECT_EQ(oracle::BitwiseDiff(*got, want), "")
+                << path << ", " << t.num_rows()
+                << " rows: " << q.ToSql(t.schema());
+          }
+        }
+      }
+      EXPECT_EQ(scan.CountMatching(t, p, ExecContext{}), want_count)
+          << p.ToSql(t.schema());
+      EXPECT_EQ(indexed.CountMatching(t, p, ExecContext{}), want_count)
+          << p.ToSql(t.schema());
+    }
+    EXPECT_GT(indexed.stats().index_assisted, 0);
+  };
+
+  check_snapshot(1020);
+  // Batch b brings two new k values (1022, then 1024 = the cap, then
+  // past it), new entities and the new string "new<b>".
+  const size_t sizes[] = {37, 90, 64, 130};
+  for (int b = 0; b < 4; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    std::vector<std::vector<Value>> rows;
+    for (size_t j = 0; j < sizes[b]; ++j) {
+      const int entity = j % 4 == 0 ? 30 + 5 * b + static_cast<int>(j % 5)
+                                    : static_cast<int>(rng.Uniform(30));
+      const std::string s = j % 3 == 0 ? "new" + std::to_string(b)
+                                       : states[rng.Uniform(3)];
+      const int64_t k = j < 2 ? 1020 + 2 * b + static_cast<int64_t>(j)
+                              : rng.UniformInt(0, 1019);
+      rows.push_back(row(entity, s, k));
+    }
+    ASSERT_TRUE(ingestor.Append(rows).ok());
+    check_snapshot(std::min<int64_t>(1022 + 2 * b, ColumnStats::kDistinctCap));
+  }
+  EXPECT_EQ(ingestor.stats().incremental_builds, 4u);
 }
 
 TEST_F(CatalogTest, LastReleaseTeardownRetiresSnapshot) {

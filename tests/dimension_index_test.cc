@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/random.h"
 #include "datagen/tpch_gen.h"
 #include "datagen/traffic_gen.h"
 #include "engine/executor.h"
 #include "index/dimension_index.h"
+#include "oracle/naive_executor.h"
 
 namespace paleo {
 namespace {
@@ -215,6 +219,61 @@ TEST(ExecutorIndexTest, CountMatchingUsesIndex) {
   EXPECT_EQ(ex.CountMatching(t, Predicate::Atom(1, Value::String("CA")), ExecContext{}),
             3u);
   EXPECT_EQ(ex.CountMatching(t, Predicate(), ExecContext{}), 5u);  // TRUE: scan path
+}
+
+// A DOUBLE dimension compares with IEEE ==, as the scan does: -0.0
+// equals 0.0, and NaN equals nothing, itself included. Postings keyed
+// by raw bits would split the zeros and match NaN.
+TEST(ExecutorIndexTest, DoubleKeysFollowIeeeEquality) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kDouble, FieldRole::kDimension},
+      {"v", DataType::kInt64, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table t(*schema);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(t.AppendRow({Value::String("A"), Value::Double(-0.0),
+                           Value::Int64(1)})
+                  .ok());
+  ASSERT_TRUE(
+      t.AppendRow({Value::String("B"), Value::Double(0.0), Value::Int64(2)})
+          .ok());
+  ASSERT_TRUE(
+      t.AppendRow({Value::String("C"), Value::Double(nan), Value::Int64(3)})
+          .ok());
+  DimensionIndex index = DimensionIndex::Build(t);
+  Executor indexed;
+  indexed.SetDimensionIndex(&index, &t);
+  Executor scan;
+
+  struct Case {
+    double d;
+    std::vector<RowId> rows;
+  };
+  for (const Case& c : {Case{0.0, {0, 1}}, Case{-0.0, {0, 1}},
+                        Case{nan, {}}}) {
+    const Predicate p = Predicate::Atom(1, Value::Double(c.d));
+    SCOPED_TRACE(p.ToSql(t.schema()));
+    EXPECT_EQ(index.Lookup(1, Value::Double(c.d)), c.rows);
+    TopKQuery q;
+    q.predicate = p;
+    q.expr = RankExpr::Column(2);
+    q.agg = AggFn::kSum;
+    q.k = 3;
+    const TopKList want = oracle::NaiveExecute(t, q);
+    ASSERT_EQ(want.size(), c.rows.size());
+    auto got = indexed.Execute(t, q, ExecContext{});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(oracle::BitwiseDiff(*got, want), "");
+    auto scanned = scan.Execute(t, q, ExecContext{});
+    ASSERT_TRUE(scanned.ok());
+    EXPECT_EQ(oracle::BitwiseDiff(*scanned, want), "");
+    EXPECT_EQ(indexed.CountMatching(t, p, ExecContext{}), c.rows.size());
+    EXPECT_EQ(oracle::NaiveCountMatching(t, p), c.rows.size());
+  }
+  // The zero lookups were answered from postings, not by a scan.
+  EXPECT_GE(indexed.stats().index_assisted, 2);
 }
 
 TEST(DimensionIndexTest, MemoryUsageIsPositive) {

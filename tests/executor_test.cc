@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <utility>
 
@@ -335,6 +336,17 @@ struct CrossCheckParams {
   AggFn agg;
 };
 
+std::string CrossCheckAggName(AggFn agg) {
+  const std::string name = AggFnToString(agg);
+  return name.empty() ? "none" : name;
+}
+
+// Without a PrintTo, gtest prints the parameter as its raw bytes,
+// padding included, so the listed names would differ between builds.
+void PrintTo(const CrossCheckParams& params, std::ostream* os) {
+  *os << "{" << params.seed << ", " << CrossCheckAggName(params.agg) << "}";
+}
+
 class ExecutorCrossCheckTest
     : public ::testing::TestWithParam<CrossCheckParams> {};
 
@@ -407,7 +419,11 @@ INSTANTIATE_TEST_SUITE_P(
                       CrossCheckParams{13, AggFn::kSum},
                       CrossCheckParams{14, AggFn::kAvg},
                       CrossCheckParams{15, AggFn::kCount},
-                      CrossCheckParams{16, AggFn::kNone}));
+                      CrossCheckParams{16, AggFn::kNone}),
+    [](const ::testing::TestParamInfo<CrossCheckParams>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_" +
+             CrossCheckAggName(info.param.agg);
+    });
 
 }  // namespace
 }  // namespace paleo

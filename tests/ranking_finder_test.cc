@@ -76,6 +76,60 @@ TEST(RankingFinderTest, IdentifiesMaxMinutesExactly) {
   EXPECT_TRUE(info.used_top_entities);
 }
 
+// L has more distinct values than a measure's distinct count keeps
+// (ColumnStats::kDistinctCap), so the distinct check must not run: the
+// saturated count would prune the true criterion.
+TEST(RankingFinderTest, DistinctCheckSkipsListsPastTheCap) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"region", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(table
+                    .AppendRow({Value::String("e" + std::to_string(10000 + i)),
+                                Value::String(i % 2 == 0 ? "east" : "west"),
+                                Value::Double(0.5 * i)})
+                    .ok());
+  }
+  const int x = schema->FieldIndex("x");
+  TopKQuery q;
+  q.expr = RankExpr::Column(x);
+  q.agg = AggFn::kMax;
+  q.k = 1100;
+  Executor ex;
+  auto list = ex.Execute(table, q, ExecContext{});
+  ASSERT_TRUE(list.ok());
+  ASSERT_EQ(list->size(), 1100u);
+
+  EntityIndex index = EntityIndex::Build(table);
+  StatsCatalog catalog = StatsCatalog::Build(table);
+  ASSERT_EQ(catalog.column_stats(x).distinct_count,
+            ColumnStats::kDistinctCap);
+  auto rprime = RPrime::Build(table, index, *list);
+  ASSERT_TRUE(rprime.ok());
+  PaleoOptions options;
+  // No histogram stage: only the stages behind the catalog's checks
+  // can find a max criterion.
+  options.histogram_keep_fraction = 0.0;
+  PredicateMiner miner(*rprime, options);
+  auto mining = miner.Mine();
+  ASSERT_TRUE(mining.ok());
+  RankingFinder finder(*rprime, &catalog, options);
+  auto rankings = finder.Find(mining->groups, *list,
+                              /*assume_complete=*/true);
+  ASSERT_TRUE(rankings.ok());
+  bool found = false;
+  for (const GroupRanking& gr : *rankings) {
+    for (const RankingCandidate& c : gr.candidates) {
+      found |= c.agg == AggFn::kMax && c.expr == RankExpr::Column(x);
+    }
+  }
+  EXPECT_TRUE(found) << "max(x) pruned";
+}
+
 TEST(RankingFinderTest, NoCandidatesForUnrelatedValues) {
   // A list whose values match no column aggregation.
   TopKList bogus;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <unordered_set>
+
 #include "datagen/traffic_gen.h"
 #include "stats/catalog.h"
 #include "stats/column_stats.h"
@@ -45,6 +50,63 @@ TEST(ColumnStatsTest, EmptyColumn) {
   ColumnStats s = ColumnStats::Build(col);
   EXPECT_EQ(s.row_count, 0);
   EXPECT_EQ(s.distinct_count, 0);
+}
+
+// Outside dimension columns a distinct count is exact below the cap
+// and saturates at it, for every key space.
+TEST(ColumnStatsTest, DistinctCountSaturatesAtCap) {
+  const int64_t cap = ColumnStats::kDistinctCap;
+  for (int64_t distinct : {cap - 1, cap, cap + 1}) {
+    SCOPED_TRACE(distinct);
+    Column ints(DataType::kInt64);
+    Column doubles(DataType::kDouble);
+    Column strings(DataType::kString);
+    // Two passes over the values, so every key repeats.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int64_t i = 0; i < distinct; ++i) {
+        ints.AppendInt64(i * 7 - 3000);
+        doubles.AppendDouble(0.25 * static_cast<double>(i));
+        strings.AppendString("s" + std::to_string(i));
+      }
+    }
+    const int64_t want = std::min(distinct, cap);
+    ColumnStats si = ColumnStats::Build(ints);
+    EXPECT_EQ(si.distinct_count, want);
+    EXPECT_EQ(si.row_count, 2 * distinct);
+    EXPECT_EQ(si.min, -3000.0);
+    EXPECT_EQ(si.max, static_cast<double>((distinct - 1) * 7 - 3000));
+    ColumnStats sd = ColumnStats::Build(doubles);
+    EXPECT_EQ(sd.distinct_count, want);
+    EXPECT_EQ(sd.max, 0.25 * static_cast<double>(distinct - 1));
+    EXPECT_EQ(ColumnStats::Build(strings).distinct_count, want);
+  }
+}
+
+// Extend folds appended rows into the same statistics Build computes,
+// and a column that saturates drops its keys.
+TEST(ColumnStatsTest, ExtendMatchesBuildAcrossTheCap) {
+  Column col(DataType::kDouble);
+  for (int i = 0; i < 1020; ++i) col.AppendDouble(static_cast<double>(i));
+  ColumnStats s;
+  std::unordered_set<uint64_t> keys;
+  s.Extend(col, &keys);
+  EXPECT_EQ(s.distinct_count, 1020);
+  EXPECT_EQ(keys.size(), 1020u);
+  // Repeats, then -0.0 next to the 0.0 already held: a new bit pattern.
+  col.AppendDouble(5.0);
+  col.AppendDouble(-0.0);
+  s.Extend(col, &keys);
+  EXPECT_EQ(s.distinct_count, 1021);
+  EXPECT_EQ(s.distinct_count, ColumnStats::Build(col).distinct_count);
+  for (int i = 0; i < 10; ++i) col.AppendDouble(-1.0 - i);
+  s.Extend(col, &keys);
+  const ColumnStats full = ColumnStats::Build(col);
+  EXPECT_EQ(s.distinct_count, ColumnStats::kDistinctCap);
+  EXPECT_EQ(full.distinct_count, ColumnStats::kDistinctCap);
+  EXPECT_TRUE(keys.empty());
+  EXPECT_EQ(s.min, full.min);
+  EXPECT_EQ(s.max, full.max);
+  EXPECT_EQ(s.row_count, full.row_count);
 }
 
 Table RankedTable() {
@@ -158,6 +220,53 @@ TEST(StatsCatalogTest, ValueCountsMatchData) {
   // Measure columns have no value counts.
   EXPECT_EQ(catalog.ValueCount(schema->FieldIndex("v"), Value::Int64(1)),
             0);
+}
+
+// Dimension columns are counted exactly past the cap, per bit pattern;
+// other columns saturate.
+TEST(StatsCatalogTest, DimensionCountsAreExactPastTheCap) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"city", DataType::kString, FieldRole::kDimension},
+      {"d", DataType::kDouble, FieldRole::kDimension},
+      {"k", DataType::kInt64, FieldRole::kKey},
+      {"v", DataType::kInt64, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table t(*schema);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {-0.0, 0.0, nan};
+  for (int i = 0; i < 3000; ++i) {
+    const double d = i < 6 ? specials[i % 3] : static_cast<double>(i % 1500);
+    ASSERT_TRUE(t.AppendRow({Value::String("e" + std::to_string(i % 40)),
+                             Value::String("c" + std::to_string(i % 1300)),
+                             Value::Double(d), Value::Int64(i),
+                             Value::Int64(i % 1100)})
+                    .ok());
+  }
+  StatsCatalog catalog = StatsCatalog::Build(t);
+  const int city = schema->FieldIndex("city");
+  const int d = schema->FieldIndex("d");
+  EXPECT_EQ(catalog.column_stats(city).distinct_count, 1300);
+  EXPECT_EQ(catalog.value_counts(city).size(), 1300u);
+  EXPECT_EQ(catalog.ValueCount(city, Value::String("c7")), 3);
+  EXPECT_EQ(catalog.ValueCount(city, Value::String("c1299")), 2);
+  // d: -0.0, 0.0 and NaN are three keys, next to 1.0 .. 1499.0 (0.0
+  // also comes from i = 1500).
+  EXPECT_EQ(catalog.column_stats(d).distinct_count, 1502);
+  EXPECT_EQ(catalog.ValueCount(d, Value::Double(-0.0)), 2);
+  EXPECT_EQ(catalog.ValueCount(d, Value::Double(0.0)), 3);
+  EXPECT_EQ(catalog.ValueCount(d, Value::Double(7.0)), 2);
+  // A NaN equals no row, so it reads 0, although its key is counted.
+  EXPECT_EQ(catalog.ValueCount(d, Value::Double(nan)), 0);
+  EXPECT_EQ(catalog.value_counts(d).count(Value::Double(nan)), 1u);
+  EXPECT_EQ(catalog.value_counts(d).at(Value::Double(nan)), 2);
+  EXPECT_EQ(catalog.column_stats(schema->FieldIndex("k")).distinct_count,
+            ColumnStats::kDistinctCap);
+  EXPECT_EQ(catalog.column_stats(schema->FieldIndex("v")).distinct_count,
+            ColumnStats::kDistinctCap);
+  EXPECT_EQ(catalog.column_stats(schema->FieldIndex("e")).distinct_count, 40);
+  EXPECT_TRUE(catalog.value_counts(schema->FieldIndex("v")).empty());
 }
 
 TEST(StatsCatalogTest, PredicateSelectivityMultipliesFrequencies) {

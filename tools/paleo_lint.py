@@ -32,10 +32,10 @@ cannot express, across src/ (and where noted, the whole tree):
                   name is registered at exactly one src/ site, so a
                   chaos spec armed by name targets one known line.
   exec-context    HARD BAN, tree-wide (src/, tests/, bench/,
-                  examples/): the positional Execute / ExecuteOnRows /
-                  CountMatching overloads were DELETED in PR 9; every
-                  call passes one ExecContext (engine/exec_context.h)
-                  as the final argument. A call whose argument shape
+                  examples/): the positional Execute / CountMatching
+                  overloads were DELETED; every call passes one
+                  ExecContext (engine/exec_context.h) as the final
+                  argument. A call whose argument shape
                   matches the old positional wrappers (too few
                   arguments, or a trailing budget/cache argument where
                   the context belongs) is an error.
@@ -270,15 +270,13 @@ class Linter:
     # Executor scan calls must pass an ExecContext. Member-call syntax
     # only (`.Execute(` / `->Execute(`) so declarations and the
     # Executor::... definitions themselves don't match. The ExecContext
-    # overloads have a fixed arity (Execute: 3, ExecuteOnRows: 4,
-    # CountMatching: 3) with the context last; anything shorter — or an
-    # exact-arity call whose final argument is clearly not a context —
-    # is the deleted positional shape. The deprecation grace period
-    # ended in PR 9: this is a hard ban across src/, tests/, bench/,
+    # overloads have a fixed arity (Execute: 3, CountMatching: 3) with
+    # the context last; anything shorter — or an exact-arity call whose
+    # final argument is clearly not a context — is the deleted
+    # positional shape. This is a hard ban across src/, tests/, bench/,
     # and examples/.
-    EXEC_CALL_RE = re.compile(
-        r"(?:\.|->)\s*(ExecuteOnRows|Execute|CountMatching)\s*\(")
-    EXEC_CTX_ARITY = {"Execute": 3, "ExecuteOnRows": 4, "CountMatching": 3}
+    EXEC_CALL_RE = re.compile(r"(?:\.|->)\s*(Execute|CountMatching)\s*\(")
+    EXEC_CTX_ARITY = {"Execute": 3, "CountMatching": 3}
     CTX_ARG_RE = re.compile(r"ExecContext|ctx|context", re.IGNORECASE)
 
     @staticmethod
