@@ -59,13 +59,19 @@ int Predicate::OverlapWith(const Predicate& other) const {
 
 bool Predicate::Matches(const Table& table, RowId row) const {
   for (const AtomicPredicate& a : atoms_) {
+    Value v = table.GetValue(row, a.column);
     if (a.is_range()) {
-      Value v = table.GetValue(row, a.column);
       if (!v.is_numeric() || !a.value.is_numeric() || !a.high.is_numeric())
         return false;
       double x = v.AsDouble();
       if (x < a.value.AsDouble() || x > a.high.AsDouble()) return false;
-    } else if (table.GetValue(row, a.column) != a.value) {
+    } else if (v.is_double()) {
+      // As BoundPredicate: a DOUBLE column takes any numeric constant,
+      // widened, and compares by IEEE == (NaN matches nothing).
+      if (!a.value.is_numeric() || v.dbl() != a.value.AsDouble()) {
+        return false;
+      }
+    } else if (v != a.value) {
       return false;
     }
   }

@@ -82,7 +82,10 @@ class Predicate {
   /// Number of atoms shared with `other`.
   int OverlapWith(const Predicate& other) const;
 
-  /// Row-at-a-time evaluation (boxed; for tests and small inputs).
+  /// Row-at-a-time evaluation (boxed; for tests and small inputs),
+  /// by BoundPredicate's rules: an equality atom on a DOUBLE column
+  /// widens a numeric constant and compares by IEEE ==; other columns
+  /// match a constant of their own type only.
   bool Matches(const Table& table, RowId row) const;
 
   /// Renders "p_type = 'STEEL' AND r_name = 'AMERICA'"; "TRUE" if empty.

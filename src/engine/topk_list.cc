@@ -12,6 +12,9 @@ namespace paleo {
 
 bool ValuesClose(double a, double b, double rel_eps) {
   if (a == b) return true;
+  // The tolerance below scales with the larger operand, so it would
+  // call +-inf close to every number.
+  if (!std::isfinite(a) || !std::isfinite(b)) return false;
   double scale = std::max(std::abs(a), std::abs(b));
   return std::abs(a - b) <= rel_eps * std::max(scale, 1.0);
 }

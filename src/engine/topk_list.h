@@ -87,7 +87,13 @@ class TopKList {
 };
 
 /// True when a and b agree within `rel_eps` relative tolerance
-/// (absolute tolerance near zero).
+/// (absolute tolerance near zero). A non-finite value is close only to
+/// an identical one: +inf to +inf, -inf to -inf, NaN to nothing. (A
+/// tolerance scaled by an infinite operand would call +-inf close to
+/// every number.) The ranking finder relies on this rule: with it, an
+/// entity whose ranked value InstanceEquals accepts inside a tied run
+/// lies within three steps of its value in the other list, so a value
+/// farther than four steps rejects a criterion (DESIGN.md §4).
 bool ValuesClose(double a, double b, double rel_eps = 1e-9);
 
 /// The value order of every ranked list: true when `a` ranks strictly

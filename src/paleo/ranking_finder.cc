@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/random.h"
@@ -92,15 +94,20 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
            stats.distinct_count < input_distinct;
   };
 
-  // The min/max checks compare L's values with a column's range. A
-  // kept criterion's values need only be InstanceEquals to L's, which
-  // inside a tied run lets them sit up to three ValuesClose steps away,
-  // and an aggregate can round past the column's range (an average of
-  // equal values by an ulp). So a value counts as outside the range
-  // only when it is farther from it than four steps.
+  // A kept criterion's values need only be InstanceEquals to L's,
+  // which inside a tied run lets an entity's value sit up to three
+  // ValuesClose steps from its value in L (DESIGN.md §4). Four steps
+  // cover that, with room for the rounding of the steps themselves;
+  // both the entity check below and the range checks use them.
   const double range_eps = 4 * options_.rel_eps;
+  // The min/max checks compare L's values with a column's range, which
+  // an aggregate can also round past (an average of equal values by an
+  // ulp). So a value counts as outside the range only when it is
+  // farther from it than four steps, and never when either side is
+  // non-finite: an average of finite values can overflow to +-inf.
   auto above = [range_eps](double value, double bound) {
-    return value > bound && !ValuesClose(value, bound, range_eps);
+    return value > bound && std::isfinite(value) && std::isfinite(bound) &&
+           !ValuesClose(value, bound, range_eps);
   };
 
   // Algorithm 2: min/max/distinct checks, then top-entity intersection.
@@ -190,43 +197,98 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     return RanksBefore(a, b, /*desc=*/!ascending);
   };
 
-  // Complete mode keeps a criterion only when its ranked list is
-  // InstanceEquals to L, and that test begins by comparing the lengths
-  // and then the leading values. Both are known in O(m) before any sort
-  // (the length is the number of ranked items, the leading value the
-  // first of them under `precedes`, which is what the sort puts first),
-  // so a criterion failing either is rejected here; survivors take the
-  // full test.
-  const double input_lead = input.entry(0).value;
-  auto rejected_early = [&](size_t ranked_size, double lead) {
-    return assume_complete &&
-           (ranked_size != k ||
-            !ValuesClose(lead, input_lead, options_.rel_eps));
+  // L's entities as R' entity indexes, in list order, and whether a
+  // position is its entity's first in L. R' holds exactly L's distinct
+  // entities, so a pass over L's positions reaches each of them.
+  std::vector<uint32_t> list_entity(k);
+  std::vector<bool> first_in_list(k);
+  {
+    std::unordered_map<std::string_view, uint32_t> index_of;
+    for (size_t e = 0; e < names.size(); ++e) {
+      index_of.emplace(names[e], static_cast<uint32_t>(e));
+    }
+    std::vector<bool> seen(names.size(), false);
+    for (size_t i = 0; i < k; ++i) {
+      auto it = index_of.find(input.entry(i).entity);
+      if (it == index_of.end()) {
+        return Status::InvalidArgument("entity '" + input.entry(i).entity +
+                                       "' of the input list is not in R'");
+      }
+      list_entity[i] = it->second;
+      first_in_list[i] = !seen[it->second];
+      seen[it->second] = true;
+    }
+  }
+
+  // A tuple set's rows grouped by R' entity: entity e's rows are
+  // rows[begin[e], begin[e + 1]), ascending like the tuple set, so an
+  // entity's aggregate folds its rows in the order a pass over the
+  // whole set does and comes out bit-identical. Built on a group's
+  // first grouped evaluation and kept for the rest of the walk.
+  struct EntityRows {
+    std::vector<RowId> rows;
+    std::vector<uint32_t> begin;  // m + 1 offsets; empty until built
+  };
+  std::vector<EntityRows> partitions(groups.size());
+  std::vector<uint32_t> next_slot(static_cast<size_t>(m));
+  auto entity_rows = [&](size_t g) -> const EntityRows& {
+    EntityRows& part = partitions[g];
+    if (!part.begin.empty()) return part;
+    const TupleSet& rows = groups[g].rows;
+    part.begin.assign(static_cast<size_t>(m) + 1, 0);
+    for (RowId r : rows) ++part.begin[row_entity[r] + 1];
+    for (size_t e = 0; e < static_cast<size_t>(m); ++e) {
+      part.begin[e + 1] += part.begin[e];
+    }
+    std::copy(part.begin.begin(), part.begin.end() - 1, next_slot.begin());
+    part.rows.resize(rows.size());
+    for (RowId r : rows) part.rows[next_slot[row_entity[r]]++] = r;
+    return part;
   };
 
   // Per-evaluation buffers, allocated once for the whole walk.
-  std::vector<AggState> states(static_cast<size_t>(m));
   std::vector<double> per_entity(static_cast<size_t>(m));
   std::vector<int64_t> counts(static_cast<size_t>(m));
   std::vector<std::pair<double, int>> ranked_entities;
   std::vector<std::pair<double, RowId>> ranked_rows;
-  // The two-column stage's column-wise copy of one tuple set.
-  std::vector<uint32_t> row_e;
+  // The two-column stage's column-wise copy of one tuple set, in the
+  // partition's order, and its per-entity column sums.
   std::vector<std::vector<double>> vals(measures.size());
   std::vector<std::vector<double>> col_sums(measures.size());
+
+  // Fills per_entity and counts entity by entity, visiting L's entities
+  // in list order and each once; `value_of(e)` aggregates entity e's
+  // rows of `part`. In complete mode it stops at the first entity the
+  // criterion cannot place where L does: one with no row in the tuple
+  // set, or whose value lies more than range_eps from its value in L
+  // (a ranked list InstanceEquals to L keeps each entity's value within
+  // three steps of it; see range_eps). Returns false on such a stop;
+  // every per-entity value is then left unused.
+  auto aggregate_entities = [&](const EntityRows& part, auto&& value_of) {
+    for (size_t i = 0; i < k; ++i) {
+      const uint32_t e = list_entity[i];
+      if (first_in_list[i]) {
+        counts[e] = part.begin[e + 1] - part.begin[e];
+        per_entity[e] = counts[e] > 0 ? value_of(e) : 0.0;
+      }
+      if (assume_complete &&
+          (counts[e] == 0 || !ValuesClose(per_entity[e],
+                                          input_values_in_order[i],
+                                          range_eps))) {
+        return false;
+      }
+    }
+    return true;
+  };
 
   // Ranks the covered entities (counts[e] > 0) by per_entity[e] and
   // compares the ranking with L; uncovered entities rank nowhere.
   auto rank_entities = [&](RankingCandidate* cand) {
     ranked_entities.clear();
-    double lead = 0.0;
     for (int e = 0; e < m; ++e) {
       if (counts[static_cast<size_t>(e)] == 0) continue;
-      double v = per_entity[static_cast<size_t>(e)];
-      if (ranked_entities.empty() || precedes(v, lead)) lead = v;
-      ranked_entities.emplace_back(v, e);
+      ranked_entities.emplace_back(per_entity[static_cast<size_t>(e)], e);
     }
-    if (rejected_early(ranked_entities.size(), lead)) return false;
     std::sort(ranked_entities.begin(), ranked_entities.end(),
               [&](const auto& a, const auto& b) {
                 if (precedes(a.first, b.first)) return true;
@@ -245,9 +307,10 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     return assume_complete ? cand->exact : true;
   };
 
-  // Evaluates (expr, agg) over a tuple set; returns the candidate if it
-  // qualifies (exact in complete mode, scored otherwise).
-  auto evaluate = [&](const TupleSet& rows, const RankExpr& expr, AggFn agg)
+  // Evaluates (expr, agg) over group g's tuple set; returns the
+  // candidate if it qualifies (exact in complete mode, scored
+  // otherwise).
+  auto evaluate = [&](size_t g, const RankExpr& expr, AggFn agg)
       -> std::pair<bool, RankingCandidate> {
     ++info->tuple_set_evaluations;
     RankingCandidate cand;
@@ -255,15 +318,23 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     cand.agg = agg;
 
     if (agg == AggFn::kNone) {
-      // Rank individual tuples.
+      // Rank individual tuples. Complete mode keeps the criterion only
+      // when its top k rows are InstanceEquals to L, and that test
+      // begins by comparing the lengths and then the leading values.
+      // Both are known in O(n) before the sort (the length falls short
+      // when the tuple set has fewer than k rows; the leading value is
+      // the first row under `precedes`, which is what the sort puts
+      // first), so a criterion failing either is rejected here.
       ranked_rows.clear();
       double lead = 0.0;
-      for (RowId r : rows) {
+      for (RowId r : groups[g].rows) {
         double v = expr.Eval(slice, r);
         if (ranked_rows.empty() || precedes(v, lead)) lead = v;
         ranked_rows.emplace_back(v, r);
       }
-      if (rejected_early(std::min(ranked_rows.size(), k), lead)) {
+      if (assume_complete &&
+          (ranked_rows.size() < k ||
+           !ValuesClose(lead, input_values_in_order[0], options_.rel_eps))) {
         return {false, cand};
       }
       std::sort(ranked_rows.begin(), ranked_rows.end(),
@@ -296,22 +367,16 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
       return {keep, cand};
     }
 
-    // Grouped aggregation per input entity.
-    std::fill(states.begin(), states.end(), AggState());
-    for (RowId r : rows) {
-      states[row_entity[r]].Add(expr.Eval(slice, r));
-    }
-    for (int e = 0; e < m; ++e) {
-      const AggState& st = states[static_cast<size_t>(e)];
-      counts[static_cast<size_t>(e)] = st.count;
-      double v = 0.0;
-      if (st.count > 0) {
-        v = st.Finish(agg);
-        if (agg == AggFn::kSum) v *= sum_scale[static_cast<size_t>(e)];
+    const EntityRows& part = entity_rows(g);
+    auto value_of = [&](uint32_t e) {
+      AggState st;
+      for (uint32_t t = part.begin[e]; t < part.begin[e + 1]; ++t) {
+        st.Add(expr.Eval(slice, part.rows[t]));
       }
-      per_entity[static_cast<size_t>(e)] = v;
-    }
-    bool keep = rank_entities(&cand);
+      double v = st.Finish(agg);
+      return agg == AggFn::kSum ? v * sum_scale[e] : v;
+    };
+    bool keep = aggregate_entities(part, value_of) && rank_entities(&cand);
     return {keep, cand};
   };
 
@@ -322,7 +387,6 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     bool any_exact = false;
     for (size_t g = 0; g < groups.size(); ++g) {
       if (gate.exhausted()) break;
-      const TupleSet& rows = groups[g].rows;
       auto already_have = [&](const RankExpr& expr) {
         for (const RankingCandidate& existing : rankings[g].candidates) {
           if (existing.expr == expr && existing.agg == stage.agg)
@@ -336,70 +400,61 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
           rankings[g].candidates.push_back(std::move(scored.second));
         }
       };
-      // Scores a sum(A+B) / sum(A*B) pair from per_entity and counts.
-      auto emit_pair = [&](const RankExpr& expr) {
-        ++info->tuple_set_evaluations;
-        RankingCandidate cand;
-        cand.expr = expr;
-        cand.agg = AggFn::kSum;
-        bool keep = rank_entities(&cand);
-        emit({keep, std::move(cand)});
-      };
       if (stage.two_column) {
-        // Materialize the tuple set column-wise once: contiguous value
-        // arrays make the per-pair product passes pure array math, and
-        // per-entity counts/sums come out of the same pass. sum(A+B)
-        // pairs then combine sums in O(m) without touching the rows;
-        // sum(A*B) pairs scan the materialized arrays (products do not
-        // decompose).
-        const size_t n_rows = rows.size();
-        std::fill(counts.begin(), counts.end(), 0);
-        row_e.resize(n_rows);
-        for (size_t ri = 0; ri < n_rows; ++ri) {
-          uint32_t e = row_entity[rows[ri]];
-          row_e[ri] = e;
-          ++counts[e];
-        }
+        // Materialize the tuple set column-wise once, entity by entity:
+        // an entity's values are then contiguous, and its per-column
+        // sums come out of the same pass. sum(A+B) takes an entity's
+        // value from two sums in O(1); sum(A*B) sums the products of
+        // the entity's own rows (products do not decompose).
+        const EntityRows& part = entity_rows(g);
+        const size_t n_rows = part.rows.size();
         for (size_t ci = 0; ci < measures.size(); ++ci) {
           const Column& col = slice.column(measures[ci]);
           std::vector<double>& v = vals[ci];
           std::vector<double>& s = col_sums[ci];
           v.resize(n_rows);
           s.assign(static_cast<size_t>(m), 0.0);
-          for (size_t ri = 0; ri < n_rows; ++ri) {
-            double x = col.NumericAt(rows[ri]);
-            v[ri] = x;
-            s[row_e[ri]] += x;
+          for (size_t e = 0; e < static_cast<size_t>(m); ++e) {
+            for (uint32_t t = part.begin[e]; t < part.begin[e + 1]; ++t) {
+              v[t] = col.NumericAt(part.rows[t]);
+              s[e] += v[t];
+            }
           }
         }
+        // Scores a sum(A+B) / sum(A*B) pair from its per-entity values.
+        auto emit_pair = [&](const RankExpr& expr, auto&& value_of) {
+          ++info->tuple_set_evaluations;
+          RankingCandidate cand;
+          cand.expr = expr;
+          cand.agg = AggFn::kSum;
+          bool keep =
+              aggregate_entities(part, value_of) && rank_entities(&cand);
+          emit({keep, std::move(cand)});
+        };
         for (size_t i = 0; i < measures.size() && !gate.exhausted(); ++i) {
           for (size_t j = i + 1; j < measures.size(); ++j) {
             if (gate.Tick() != TerminationReason::kCompleted) break;
             if (options_.enable_sum_of_two) {
               RankExpr expr = RankExpr::Add(measures[i], measures[j]);
               if (!already_have(expr)) {
-                for (int e = 0; e < m; ++e) {
-                  size_t eu = static_cast<size_t>(e);
-                  per_entity[eu] =
-                      (col_sums[i][eu] + col_sums[j][eu]) * sum_scale[eu];
-                }
-                emit_pair(expr);
+                emit_pair(expr, [&](uint32_t e) {
+                  return (col_sums[i][e] + col_sums[j][e]) * sum_scale[e];
+                });
               }
             }
             if (options_.enable_product_of_two) {
               RankExpr expr = RankExpr::Mul(measures[i], measures[j]);
               if (!already_have(expr)) {
-                std::fill(per_entity.begin(), per_entity.end(), 0.0);
                 const std::vector<double>& va = vals[i];
                 const std::vector<double>& vb = vals[j];
-                for (size_t ri = 0; ri < n_rows; ++ri) {
-                  per_entity[row_e[ri]] += va[ri] * vb[ri];
-                }
-                for (int e = 0; e < m; ++e) {
-                  per_entity[static_cast<size_t>(e)] *=
-                      sum_scale[static_cast<size_t>(e)];
-                }
-                emit_pair(expr);
+                emit_pair(expr, [&](uint32_t e) {
+                  double sum = 0.0;
+                  for (uint32_t t = part.begin[e]; t < part.begin[e + 1];
+                       ++t) {
+                    sum += va[t] * vb[t];
+                  }
+                  return sum * sum_scale[e];
+                });
               }
             }
           }
@@ -408,7 +463,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
         for (int c : columns) {
           if (gate.Tick() != TerminationReason::kCompleted) break;
           RankExpr expr = RankExpr::Column(c);
-          if (!already_have(expr)) emit(evaluate(rows, expr, stage.agg));
+          if (!already_have(expr)) emit(evaluate(g, expr, stage.agg));
         }
       }
     }

@@ -10,12 +10,20 @@
 //
 // With a complete R' a criterion qualifies only if its ranked result
 // over the tuple set is *identical* to L (Definition 2), and the walk
-// stops at the first technique producing valid criteria; a criterion
-// whose ranked length or leading value already differs from L's is
-// rejected before its ranking is sorted. Under
-// sampling every criterion is scored by the normalized L1 distance
-// between its (approximated) per-entity values and L's values; sums
-// are scaled per entity by total/seen tuple counts (Section 6.2).
+// stops at the first technique producing valid criteria. A grouped
+// criterion is aggregated entity by entity over the tuple set's rows
+// partitioned by R' entity (once per Find), visiting L's entities in
+// list order, and is rejected at the first entity with no row or with
+// a value more than four ValuesClose steps from its value in L: inside
+// a tied run InstanceEquals keeps an entity within three steps, given
+// ValuesClose's rule that a non-finite value is close only to itself
+// (DESIGN.md §4). A criterion passing every entity, or an unaggregated
+// one whose ranked length and leading value match L's, is sorted and
+// takes the full InstanceEquals test. Under sampling every criterion
+// is scored by the normalized L1 distance between its (approximated)
+// per-entity values and L's values, from the same per-entity
+// aggregation without the early stop; sums are scaled per entity by
+// total/seen tuple counts (Section 6.2).
 //
 // Thread-safety: reads const inputs (R', stats, histograms) and writes
 // only its own outputs; concurrent calls over the same inputs are safe.
@@ -78,6 +86,8 @@ class RankingFinder {
       : rprime_(rprime), catalog_(catalog), options_(options) {}
 
   /// Finds candidate ranking criteria for every predicate group.
+  /// `input` is the list R' was built from (InvalidArgument when one of
+  /// its entities is not an R' entity).
   /// `assume_complete` selects exact matching (true) vs. distance
   /// scoring with sum approximation (false). Groups that end up with
   /// no candidates are returned with an empty list (the caller drops

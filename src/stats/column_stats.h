@@ -3,16 +3,20 @@
 // upfront from the base relation R").
 //
 // Each statistic is only as precise as its reader needs. Min and max
-// are exact. Outside dimension columns a distinct count saturates at
-// ColumnStats::kDistinctCap: its one reader, the ranking finder's
-// distinct check, compares it with the number of distinct values of an
-// input list, which is at most k. The stats catalog (stats/catalog.h)
-// counts dimension columns exactly, because the probabilistic model
-// reads their distinct counts.
+// are exact over the column's numbers: NaN rows are skipped, so the
+// ranking finder's range checks still prune a column holding NaN (a
+// max skips NaN rows too, and a sum or avg over one is NaN, which no
+// list value matches). Outside dimension columns a distinct count
+// saturates at ColumnStats::kDistinctCap: its one reader, the ranking
+// finder's distinct check, compares it with the number of distinct
+// values of an input list, which is at most k. The stats catalog
+// (stats/catalog.h) counts dimension columns exactly, because the
+// probabilistic model reads their distinct counts.
 
 #ifndef PALEO_STATS_COLUMN_STATS_H_
 #define PALEO_STATS_COLUMN_STATS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_set>
 
@@ -46,11 +50,14 @@ struct ColumnStats {
   /// count clears it, and a saturated column never touches it again.
   void Extend(const Column& column, std::unordered_set<uint64_t>* keys);
 
-  /// Folds value `v` of row `row` into min and max: row 0 sets both,
-  /// and later rows widen them (a NaN never does).
+  /// Folds value `v` of row `row` into min and max, which span the
+  /// column's numbers: row 0 sets both, a later number widens them or
+  /// replaces a NaN, and a NaN never widens them. So they are NaN only
+  /// while no row holds a number, and a fold over any split of the rows
+  /// ends where one pass does.
   void FoldMinMax(double v, size_t row) {
-    if (row == 0 || v < min) min = v;
-    if (row == 0 || v > max) max = v;
+    if (row == 0 || std::isnan(min) || v < min) min = v;
+    if (row == 0 || std::isnan(max) || v > max) max = v;
   }
 };
 

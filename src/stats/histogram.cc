@@ -20,21 +20,26 @@ Histogram Histogram::BuildFromValues(const std::vector<double>& values,
                                      int num_cells) {
   PALEO_CHECK(num_cells > 0);
   Histogram h;
-  if (values.empty()) return h;
-  double lo = values[0], hi = values[0];
+  // The range spans the numbers; NaN is not binned.
+  bool any = false;
+  double lo = 0.0, hi = 0.0;
   for (double v : values) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+    if (std::isnan(v)) continue;
+    lo = any ? std::min(lo, v) : v;
+    hi = any ? std::max(hi, v) : v;
+    any = true;
   }
+  if (!any) return h;
   h.min_ = lo;
   h.max_ = hi;
   // Degenerate single-value column: one cell of unit width.
   h.width_ = (hi > lo) ? (hi - lo) / static_cast<double>(num_cells) : 1.0;
   h.counts_.assign(static_cast<size_t>(num_cells), 0);
   for (double v : values) {
+    if (std::isnan(v)) continue;
     ++h.counts_[static_cast<size_t>(h.CellFor(v))];
+    ++h.total_;
   }
-  h.total_ = static_cast<int64_t>(values.size());
   h.cumulative_.resize(h.counts_.size());
   int64_t run = 0;
   for (size_t i = 0; i < h.counts_.size(); ++i) {
@@ -50,9 +55,10 @@ bool Histogram::Extend(const std::vector<double>& values) {
     if (v < min_ || v > max_) return false;
   }
   for (double v : values) {
+    if (std::isnan(v)) continue;
     ++counts_[static_cast<size_t>(CellFor(v))];
+    ++total_;
   }
-  total_ += static_cast<int64_t>(values.size());
   int64_t run = 0;
   for (size_t i = 0; i < counts_.size(); ++i) {
     run += counts_[i];
@@ -65,8 +71,13 @@ int Histogram::CellFor(double v) const {
   if (counts_.empty()) return 0;
   if (v <= min_) return 0;
   if (v >= max_) return num_cells() - 1;
-  int cell = static_cast<int>((v - min_) / width_);
-  return std::clamp(cell, 0, num_cells() - 1);
+  // min_ < v < max_, so the offset lies in [0, num_cells] unless it is
+  // NaN: v is NaN, or an infinite range makes it inf / inf. Both land
+  // in cell 0; the cast below sees only a number in int range.
+  const double offset = (v - min_) / width_;
+  if (!(offset >= 0.0)) return 0;
+  return static_cast<int>(
+      std::min(offset, static_cast<double>(num_cells() - 1)));
 }
 
 double Histogram::CellLow(int cell) const {

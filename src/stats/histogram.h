@@ -20,7 +20,8 @@ namespace paleo {
 class Histogram {
  public:
   /// Builds a histogram with `num_cells` equal-width cells spanning
-  /// [min, max] of the data. An empty column yields an empty histogram.
+  /// [min, max] of the data's numbers. NaN values are not binned and
+  /// not counted; a column with no number yields an empty histogram.
   static Histogram Build(const Column& column, int num_cells = 1000);
 
   /// Builds from raw values (used by tests and by derived histograms).
@@ -36,16 +37,17 @@ class Histogram {
   }
 
   /// Folds `values` into this histogram in place, keeping the existing
-  /// cell boundaries. Succeeds only when the histogram is non-empty and
-  /// every value lies inside [min, max] — the result is then identical
-  /// to a full BuildFromValues over old+new values (the boundaries, and
-  /// hence every CellFor, are unchanged). Returns false and leaves the
+  /// cell boundaries and skipping NaN, as BuildFromValues does.
+  /// Succeeds only when the histogram is non-empty and every number
+  /// lies inside [min, max] — the result is then identical to a full
+  /// BuildFromValues over old+new values (the boundaries, and hence
+  /// every CellFor, are unchanged). Returns false and leaves the
   /// histogram untouched otherwise; the caller rebuilds from scratch.
   /// This is the incremental-ingest path's per-column fast path.
   bool Extend(const std::vector<double>& values);
 
   /// Cell index for a value (values outside [min, max] clamp to the
-  /// boundary cells).
+  /// boundary cells; NaN, which no cell holds, reads cell 0).
   int CellFor(double v) const;
 
   /// Lower edge of a cell.

@@ -223,5 +223,55 @@ TEST(ExecutorOracleTest, EveryContextMatchesOracleBitForBit) {
   EXPECT_GT(tied_cuts, 0);
 }
 
+// An equality atom on a DOUBLE column takes an INT64 constant, widened,
+// in the scan, the dimension index and the oracle alike.
+TEST(ExecutorOracleTest, IntConstantMatchesDoubleColumn) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kDouble, FieldRole::kDimension},
+      {"v", DataType::kInt64, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table t(*schema);
+  ASSERT_TRUE(
+      t.AppendRow({Value::String("A"), Value::Double(2.0), Value::Int64(1)})
+          .ok());
+  ASSERT_TRUE(
+      t.AppendRow({Value::String("B"), Value::Double(3.0), Value::Int64(2)})
+          .ok());
+  const DimensionIndex index = DimensionIndex::Build(t);
+  Executor indexed;
+  indexed.SetDimensionIndex(&index, &t);
+  Executor scan;
+  struct Case {
+    Value constant;
+    size_t rows;
+  };
+  const Case cases[] = {{Value::Int64(2), 1},
+                        {Value::Double(2.0), 1},
+                        {Value::Int64(4), 0},
+                        {Value::String("2"), 0}};
+  for (const Case& c : cases) {
+    const Predicate p = Predicate::Atom(1, c.constant);
+    SCOPED_TRACE(p.ToSql(t.schema()));
+    TopKQuery q;
+    q.predicate = p;
+    q.expr = RankExpr::Column(2);
+    q.agg = AggFn::kSum;
+    q.k = 2;
+    const TopKList want = oracle::NaiveExecute(t, q);
+    EXPECT_EQ(want.size(), c.rows);
+    EXPECT_EQ(oracle::NaiveCountMatching(t, p), c.rows);
+    for (Executor* ex : {&scan, &indexed}) {
+      auto got = ex->Execute(t, q, ExecContext{});
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(oracle::BitwiseDiff(*got, want), "");
+      EXPECT_EQ(ex->CountMatching(t, p, ExecContext{}), c.rows);
+    }
+  }
+  // The numeric lookups were answered from postings, not by a scan.
+  EXPECT_GE(indexed.stats().index_assisted, 3);
+}
+
 }  // namespace
 }  // namespace paleo

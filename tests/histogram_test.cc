@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/random.h"
@@ -107,6 +108,51 @@ TEST(HistogramTest, NegativeRanges) {
   EXPECT_EQ(h.total_count(), 5);
   EXPECT_EQ(h.CellFor(-100), 0);
   EXPECT_EQ(h.CellFor(100), 3);
+}
+
+// NaN is not binned: the range spans the numbers, however the NaN
+// rows are placed, and Extend keeps Build's counts.
+TEST(HistogramTest, NanIsNotBinned) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {nan};
+  for (int i = 1; i <= 100; ++i) values.push_back(i);
+  Histogram h = Histogram::BuildFromValues(values, 10);
+  EXPECT_EQ(h.min(), 1.0);
+  EXPECT_EQ(h.max(), 100.0);
+  EXPECT_EQ(h.total_count(), 100);
+  int64_t binned = 0;
+  for (int c = 0; c < h.num_cells(); ++c) binned += h.cell_count(c);
+  EXPECT_EQ(binned, 100);
+
+  // The same rows, folded in through Extend with NaN in both parts.
+  Histogram grown = Histogram::BuildFromValues({nan, 1.0, 100.0}, 10);
+  std::vector<double> rest = {nan};
+  for (int i = 2; i <= 99; ++i) rest.push_back(i);
+  rest.push_back(nan);
+  ASSERT_TRUE(grown.Extend(rest));
+  EXPECT_EQ(grown.min(), 1.0);
+  EXPECT_EQ(grown.max(), 100.0);
+  EXPECT_EQ(grown.total_count(), 100);
+  for (int c = 0; c < h.num_cells(); ++c) {
+    EXPECT_EQ(grown.cell_count(c), h.cell_count(c)) << c;
+  }
+
+  // No number at all: an empty histogram, as for no rows.
+  Histogram none = Histogram::BuildFromValues({nan, nan}, 10);
+  EXPECT_EQ(none.total_count(), 0);
+  EXPECT_EQ(none.num_cells(), 0);
+}
+
+// An infinite range makes a cell offset inf / inf; it lands in a cell
+// instead of reaching an int cast.
+TEST(HistogramTest, InfiniteRangeRoutesEveryValue) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Histogram h = Histogram::BuildFromValues({-inf, 0.0, 5.0, inf}, 10);
+  EXPECT_EQ(h.total_count(), 4);
+  EXPECT_EQ(h.CellFor(-inf), 0);
+  EXPECT_EQ(h.CellFor(3.0), 0);
+  EXPECT_EQ(h.CellFor(inf), 9);
+  EXPECT_EQ(h.CellFor(std::numeric_limits<double>::quiet_NaN()), 0);
 }
 
 }  // namespace

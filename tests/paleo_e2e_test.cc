@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "datagen/augment.h"
 #include "datagen/ssb_gen.h"
 #include "datagen/tpch_gen.h"
@@ -357,6 +359,36 @@ TEST(PaleoE2eTest, NoValidQueryForForeignList) {
   Paleo paleo(&*table, PaleoOptions{});
   auto report = paleo.Run({.input = &input});
   ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->found());
+}
+
+// A list value of 5 is not reproduced by an entity whose value is
+// +inf: max(x) gives [A +inf], which must not count as [A 5].
+TEST(PaleoE2eTest, InfiniteValueDoesNotMatchFiniteList) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  ASSERT_TRUE(table
+                  .AppendRow({Value::String("A"), Value::String("p"),
+                              Value::Double(
+                                  std::numeric_limits<double>::infinity())})
+                  .ok());
+  ASSERT_TRUE(table
+                  .AppendRow({Value::String("B"), Value::String("p"),
+                              Value::Double(3.0)})
+                  .ok());
+  TopKList input;
+  input.Append("A", 5.0);
+  Paleo paleo(&table, PaleoOptions{});
+  auto report = paleo.Run({.input = &input});
+  ASSERT_TRUE(report.ok());
+  for (const auto& v : report->valid) {
+    ADD_FAILURE() << "reported as valid: " << v.query.ToSql(table.schema());
+  }
   EXPECT_FALSE(report->found());
 }
 

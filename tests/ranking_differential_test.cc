@@ -1,20 +1,23 @@
 // Differential test of RankingFinder::Find against a reference that
 // evaluates every criterion in full: per-entity aggregation, a sort of
 // every ranked item, a TopKList and InstanceEquals. Find rejects most
-// complete-mode criteria from their covered count and leading value
-// before sorting and shares its buffers across the walk; its output
-// must still equal the reference's, criterion by criterion.
+// complete-mode criteria at the first entity of L whose value is more
+// than four ValuesClose steps off (unaggregated ones from their ranked
+// length and leading value) before sorting, and shares its buffers and
+// per-entity partitions across the walk; its output must still equal
+// the reference's, criterion by criterion.
 //
 // Relations are drawn from a seed: ties at the k-th value, values 1-3
 // rel_eps apart, -0.0/+0.0, +-inf and NaN, ascending and descending
 // lists, unaggregated lists with repeated entities, and lists perturbed
 // off every criterion. PALEO_RANKING_SEED=<seed> replays a run (the seed
-// is printed at startup).
+// is printed at startup). Targeted cases follow the sweep: a tie through
+// +inf, sums and products overflowing to +-inf, entities three and five
+// steps off inside a tie, a repeated entity and a missing one.
 //
 // No stats catalog is used: the walk then evaluates every measure at
 // every stage, which is the most evaluations per tuple set; column
-// pre-selection is covered by ranking_finder_test, and the catalog's
-// histograms are not defined for NaN or infinite values.
+// pre-selection is covered by ranking_finder_test.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +28,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -516,6 +520,221 @@ TEST(RankingDifferentialTest, LeadingNanRowRanksLast) {
     }
     EXPECT_TRUE(kept) << where << ": x unaggregated reproduces L";
   }
+}
+
+// ---- Targeted cases for the entity-at-a-time check ----
+
+// A one-dimension relation over measures x and y; each row is
+// (entity, x, y), and every row has d1 = 'p'.
+Table SmallTable(
+    const std::vector<std::tuple<const char*, double, double>>& rows) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d1", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+      {"y", DataType::kDouble, FieldRole::kMeasure},
+  });
+  EXPECT_TRUE(schema.ok());
+  Table table(*schema);
+  for (const auto& [entity, x, y] : rows) {
+    EXPECT_TRUE(table
+                    .AppendRow({Value::String(entity), Value::String("p"),
+                                Value::Double(x), Value::Double(y)})
+                    .ok());
+  }
+  return table;
+}
+
+// The miner's groups, the whole of R', and R' without each entity in
+// turn: tuple sets that miss an entity of L.
+std::vector<PredicateGroup> GroupsOf(const RPrime& rp,
+                                     const PaleoOptions& options) {
+  auto mining = PredicateMiner(rp, options).Mine();
+  EXPECT_TRUE(mining.ok());
+  std::vector<PredicateGroup> groups = mining->groups;
+  PredicateGroup all;
+  for (size_t r = 0; r < rp.num_rows(); ++r) {
+    all.rows.push_back(static_cast<RowId>(r));
+  }
+  for (int e = 0; e < rp.num_entities(); ++e) {
+    PredicateGroup without;
+    for (RowId r : all.rows) {
+      if (rp.row_entity()[r] != static_cast<uint32_t>(e)) {
+        without.rows.push_back(r);
+      }
+    }
+    groups.push_back(std::move(without));
+  }
+  groups.push_back(std::move(all));
+  return groups;
+}
+
+// Find against ReferenceFind for `list` over `table`, in complete mode
+// (the walk and the exhaustive pass) and in scored mode; returns the
+// exhaustive pass's rankings.
+std::vector<GroupRanking> CompareWithReference(const Table& table,
+                                               const TopKList& list,
+                                               const PaleoOptions& options,
+                                               const std::string& where) {
+  EntityIndex index = EntityIndex::Build(table);
+  auto rp = RPrime::Build(table, index, list);
+  EXPECT_TRUE(rp.ok());
+  const std::vector<PredicateGroup> groups = GroupsOf(*rp, options);
+  std::vector<GroupRanking> exhaustive;
+  for (int mode = 0; mode < 3; ++mode) {
+    const bool complete = mode < 2;
+    RankingSearchInfo info;
+    auto got = RankingFinder(*rp, /*catalog=*/nullptr, options)
+                   .Find(groups, list, complete, &info, /*exhaustive=*/
+                         mode == 1);
+    EXPECT_TRUE(got.ok());
+    if (!got.ok()) return {};
+    const Reference want =
+        ReferenceFind(*rp, options, groups, list, complete, mode == 1);
+    const std::string at = where + " mode " + std::to_string(mode);
+    EXPECT_EQ(info.tuple_set_evaluations, want.evaluations) << at;
+    ExpectSameRankings(*got, want, at);
+    if (mode == 1) exhaustive = *got;
+  }
+  return exhaustive;
+}
+
+bool Kept(const std::vector<GroupRanking>& rankings, const RankExpr& expr,
+          AggFn agg) {
+  for (const GroupRanking& gr : rankings) {
+    for (const RankingCandidate& c : gr.candidates) {
+      if (c.expr == expr && c.agg == agg && c.exact) return true;
+    }
+  }
+  return false;
+}
+
+bool AnyKept(const std::vector<GroupRanking>& rankings) {
+  for (const GroupRanking& gr : rankings) {
+    if (!gr.candidates.empty()) return true;
+  }
+  return false;
+}
+
+// L = [A 5, B 5]; under max, A = +inf and B = 100. If +inf counted as
+// close to every number, the ranked [A +inf, B 100] would tie with L
+// as one run, while the entity check rejects at B.
+TEST(RankingDifferentialTest, TieThroughInfinityIsNoMatch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Table table =
+      SmallTable({{"A", kInf, 1.0}, {"B", 100.0, 2.0}, {"B", 7.0, 2.0}});
+  TopKList list;
+  list.Append("A", 5.0);
+  list.Append("B", 5.0);
+  PaleoOptions options;
+  options.enable_min_count = true;
+  const auto kept = CompareWithReference(table, list, options, "tie");
+  EXPECT_FALSE(AnyKept(kept));
+}
+
+// Sums and products of finite values that overflow to +-inf, and an
+// average of finite values that does: L holds +-inf ties, and the
+// hidden criterion must still be found.
+TEST(RankingDifferentialTest, OverflowToInfinityMatchesReference) {
+  const Table table = SmallTable({
+      {"A", 1e200, 1e200},     // x*y = +inf
+      {"A", 1e200, 2.0},
+      {"B", -1e200, 1e200},    // x*y = -inf
+      {"C", 1.5e308, 1.0},     // two rows: sums overflow to +inf
+      {"C", 1.5e308, 1.0},
+      {"D", 3.0, 4.0},
+      {"E", -1.5e308, 1.0},    // two rows: sums overflow to -inf
+      {"E", -1.5e308, 1.0},
+  });
+  PaleoOptions options;
+  options.enable_product_of_two = true;
+  const struct {
+    RankExpr expr;
+    AggFn agg;
+  } hidden[] = {
+      {RankExpr::Mul(2, 3), AggFn::kSum}, {RankExpr::Add(2, 3), AggFn::kSum},
+      {RankExpr::Column(2), AggFn::kSum}, {RankExpr::Column(2), AggFn::kAvg},
+      {RankExpr::Column(2), AggFn::kMax},
+  };
+  int infinite_values = 0;
+  for (const auto& h : hidden) {
+    for (SortOrder order : {SortOrder::kDesc, SortOrder::kAsc}) {
+      TopKQuery q;
+      q.expr = h.expr;
+      q.agg = h.agg;
+      q.order = order;
+      q.k = 5;
+      auto list = Executor().Execute(table, q, ExecContext{});
+      ASSERT_TRUE(list.ok());
+      for (const TopKEntry& e : list->entries()) {
+        infinite_values += std::isinf(e.value) ? 1 : 0;
+      }
+      const std::string where = q.ToSql(table.schema());
+      const auto kept = CompareWithReference(table, *list, options, where);
+      EXPECT_TRUE(Kept(kept, h.expr, h.agg)) << where;
+    }
+  }
+  EXPECT_GE(infinite_values, 10);
+}
+
+// Inside a tied run, InstanceEquals lets an entity's value sit three
+// steps from its value in L (L's run start one step from the entity's,
+// the ranked run start one step from L's, the entity one step from its
+// run start); the check's four steps keep it. At five steps the run
+// breaks and both reject. rel_eps is a power of two, so every value
+// and difference below is exact.
+TEST(RankingDifferentialTest, ThreeStepTieIsKeptFiveStepsIsNot) {
+  const double step = std::ldexp(1.0, -30);
+  PaleoOptions options;
+  options.rel_eps = step;
+  TopKList list;  // one run in L: A and C one step below B
+  list.Append("A", 1 + 2 * step);
+  list.Append("B", 1 + 3 * step);
+  list.Append("C", 1 + 2 * step);
+  const RankExpr x = RankExpr::Column(2);
+
+  // Ranked by max(x): [A 1+step, C 1+step, B 1], one run; B is three
+  // steps from its 1+3*step in L.
+  const Table three = SmallTable(
+      {{"A", 1 + step, 1.0}, {"B", 1.0, 1.0}, {"C", 1 + step, 1.0}});
+  const auto kept3 = CompareWithReference(three, list, options, "3 steps");
+  EXPECT_TRUE(Kept(kept3, x, AggFn::kMax));
+
+  // B at 1-2*step, five steps away: the ranked run ends before B.
+  const Table five = SmallTable(
+      {{"A", 1 + step, 1.0}, {"B", 1 - 2 * step, 1.0}, {"C", 1 + step, 1.0}});
+  const auto kept5 = CompareWithReference(five, list, options, "5 steps");
+  EXPECT_FALSE(Kept(kept5, x, AggFn::kMax));
+}
+
+// An unaggregated L that repeats an entity (no grouped criterion can
+// produce it), and an L entity with no row in R at all.
+TEST(RankingDifferentialTest, RepeatedAndUncoveredEntitiesMatchReference) {
+  const Table table = SmallTable({{"A", 9.0, 1.0},
+                                  {"A", 8.0, 2.0},
+                                  {"B", 4.0, 3.0},
+                                  {"C", 1.0, 4.0}});
+  PaleoOptions options;
+  TopKQuery q;
+  q.expr = RankExpr::Column(2);
+  q.agg = AggFn::kNone;
+  q.k = 3;
+  auto repeated = Executor().Execute(table, q, ExecContext{});
+  ASSERT_TRUE(repeated.ok());
+  ASSERT_EQ(repeated->entry(1).entity, "A");
+  const auto kept = CompareWithReference(table, *repeated, options, "repeat");
+  EXPECT_TRUE(Kept(kept, q.expr, AggFn::kNone));
+  for (const GroupRanking& gr : kept) {
+    for (const RankingCandidate& c : gr.candidates) {
+      EXPECT_EQ(c.agg, AggFn::kNone);
+    }
+  }
+
+  TopKList absent;  // Z has no row in R
+  absent.Append("A", 9.0);
+  absent.Append("Z", 5.0);
+  absent.Append("B", 4.0);
+  EXPECT_FALSE(AnyKept(CompareWithReference(table, absent, options, "Z")));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -299,6 +300,18 @@ TEST(RankingFinderTest, WorksWithoutCatalog) {
   EXPECT_TRUE(found);
 }
 
+// Find aligns L's entities with R''s, so a list R' was not built from
+// is an error, not an out-of-range read.
+TEST(RankingFinderTest, RejectsListWithEntityOutsideRPrime) {
+  Fixture f = Fixture::Make(PaperList());
+  TopKList other = PaperList();
+  other.Append("Nobody", 1.0);
+  auto rankings = RankingFinder(f.rprime, &f.catalog, f.options)
+                      .Find(f.mining.groups, other, /*assume_complete=*/true);
+  ASSERT_FALSE(rankings.ok());
+  EXPECT_EQ(rankings.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(RankingFinderTest, EmptyGroupsYieldEmptyRankings) {
   Fixture f = Fixture::Make(PaperList());
   RankingFinder finder(f.rprime, &f.catalog, f.options);
@@ -407,6 +420,109 @@ TEST(RankingFinderTest, AvgRoundingPastColumnMaxNotPruned) {
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found());
   EXPECT_TRUE(report->valid[0].query.SameRanking(hidden));
+}
+
+// Runs the complete-mode walk, with the catalog, over the list that
+// `hidden` gives on `table`; true when it keeps hidden's criterion.
+bool WalkKeepsCriterion(const Table& table, const TopKQuery& hidden,
+                        const PaleoOptions& options,
+                        RankingSearchInfo* info) {
+  auto list = Executor().Execute(table, hidden, ExecContext{});
+  EXPECT_TRUE(list.ok());
+  EntityIndex index = EntityIndex::Build(table);
+  StatsCatalog catalog = StatsCatalog::Build(table);
+  auto rprime = RPrime::Build(table, index, *list);
+  EXPECT_TRUE(rprime.ok());
+  auto mining = PredicateMiner(*rprime, options).Mine();
+  EXPECT_TRUE(mining.ok());
+  auto rankings = RankingFinder(*rprime, &catalog, options)
+                      .Find(mining->groups, *list, /*assume_complete=*/true,
+                            info);
+  EXPECT_TRUE(rankings.ok());
+  for (const GroupRanking& gr : *rankings) {
+    for (const RankingCandidate& c : gr.candidates) {
+      if (c.agg == hidden.agg && c.expr == hidden.expr && c.exact) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// x's first row is NaN, which used to make its range NaN. The range
+// now spans the numbers: max(x) is still found through the top-entity
+// stage, and the decoy y, whose first row is NaN too and whose numbers
+// all lie below L's, is pruned there.
+TEST(RankingFinderTest, LeadingNanKeepsTheColumnRange) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+      {"y", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(table
+                  .AppendRow({Value::String("E0"), Value::String("p"),
+                              Value::Double(nan), Value::Double(nan)})
+                  .ok());
+  for (int i = 0; i < 40; ++i) {
+    const double x = 100.0 + 7.0 * ((i * 13) % 40);
+    ASSERT_TRUE(table
+                    .AppendRow({Value::String("E" + std::to_string(i % 10)),
+                                Value::String(i % 3 == 0 ? "p" : "q"),
+                                Value::Double(x), Value::Double(x / 1000)})
+                    .ok());
+  }
+  const StatsCatalog catalog = StatsCatalog::Build(table);
+  ASSERT_EQ(catalog.column_stats(2).min, 100.0);
+  ASSERT_EQ(catalog.column_stats(3).max, 0.373);
+  TopKQuery hidden;
+  hidden.expr = RankExpr::Column(2);
+  hidden.agg = AggFn::kMax;
+  hidden.k = 5;
+  PaleoOptions options;
+  RankingSearchInfo info;
+  EXPECT_TRUE(WalkKeepsCriterion(table, hidden, options, &info));
+  EXPECT_TRUE(info.used_top_entities);
+  EXPECT_EQ(info.top_entity_candidate_columns, 1);
+}
+
+// An average of finite values can overflow to +-inf: avg(x) gives C
+// +inf and E -inf although x's range is finite. The range checks must
+// not prune x for that; with the histogram stage off, only the stages
+// behind them can find avg(x).
+TEST(RankingFinderTest, AverageOverflowingToInfinityIsNotPruned) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  const std::pair<const char*, double> rows[] = {
+      {"A", 5.0},     {"B", 3.0},      {"C", 1.5e308}, {"C", 1.5e308},
+      {"D", 1.0},     {"E", -1.5e308}, {"E", -1.5e308},
+  };
+  for (const auto& [entity, x] : rows) {
+    ASSERT_TRUE(table
+                    .AppendRow({Value::String(entity), Value::String("p"),
+                                Value::Double(x)})
+                    .ok());
+  }
+  PaleoOptions options;
+  options.histogram_keep_fraction = 0.0;
+  for (SortOrder order : {SortOrder::kDesc, SortOrder::kAsc}) {
+    TopKQuery hidden;
+    hidden.expr = RankExpr::Column(2);
+    hidden.agg = AggFn::kAvg;
+    hidden.order = order;
+    hidden.k = 5;
+    RankingSearchInfo info;
+    EXPECT_TRUE(WalkKeepsCriterion(table, hidden, options, &info))
+        << (order == SortOrder::kDesc ? "DESC" : "ASC");
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <unordered_set>
@@ -107,6 +108,75 @@ TEST(ColumnStatsTest, ExtendMatchesBuildAcrossTheCap) {
   EXPECT_EQ(s.min, full.min);
   EXPECT_EQ(s.max, full.max);
   EXPECT_EQ(s.row_count, full.row_count);
+}
+
+// Min and max span the numbers: a NaN in the first row (or any row)
+// neither sets nor stops them, in one pass or folded row by row.
+TEST(ColumnStatsTest, MinMaxSkipNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column col(DataType::kDouble);
+  col.AppendDouble(nan);
+  ColumnStats grown;
+  std::unordered_set<uint64_t> keys;
+  grown.Extend(col, &keys);
+  EXPECT_TRUE(std::isnan(grown.min));  // no number yet
+  EXPECT_TRUE(std::isnan(grown.max));
+  for (int i = 1; i <= 100; ++i) {
+    col.AppendDouble(i);
+    if (i == 50) col.AppendDouble(nan);
+    if (i % 30 == 0) grown.Extend(col, &keys);
+  }
+  grown.Extend(col, &keys);
+  const ColumnStats full = ColumnStats::Build(col);
+  EXPECT_EQ(full.min, 1.0);
+  EXPECT_EQ(full.max, 100.0);
+  EXPECT_EQ(grown.min, 1.0);
+  EXPECT_EQ(grown.max, 100.0);
+  EXPECT_EQ(grown.row_count, full.row_count);
+  EXPECT_EQ(grown.distinct_count, full.distinct_count);
+}
+
+// The catalog's measure statistics over {NaN, 1..100}: min 1, max 100
+// and 100 binned rows, built at once or ingested in batches.
+TEST(StatsCatalogTest, MeasureWithLeadingNanKeepsItsRange) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  auto append = [&](int i, double x) {
+    ASSERT_TRUE(table
+                    .AppendRow({Value::String("e" + std::to_string(i % 7)),
+                                Value::Double(x)})
+                    .ok());
+  };
+  append(0, std::numeric_limits<double>::quiet_NaN());
+  append(1, 1.0);
+  append(100, 100.0);
+  StatsCatalog grown = StatsCatalog::Build(table);
+  for (int i = 2; i <= 99; ++i) append(i, i);
+  auto extended = StatsCatalog::BuildIncremental(grown, table);
+  ASSERT_TRUE(extended.ok());
+  const StatsCatalog full = StatsCatalog::Build(table);
+  const StatsCatalog* built[] = {&full, &*extended};
+  for (const StatsCatalog* catalog : built) {
+    const ColumnStats& stats = catalog->column_stats(1);
+    EXPECT_EQ(stats.min, 1.0);
+    EXPECT_EQ(stats.max, 100.0);
+    const Histogram& hist = catalog->histogram(1);
+    EXPECT_EQ(hist.min(), 1.0);
+    EXPECT_EQ(hist.max(), 100.0);
+    EXPECT_EQ(hist.total_count(), 100);
+    int64_t binned = 0;
+    for (int c = 0; c < hist.num_cells(); ++c) binned += hist.cell_count(c);
+    EXPECT_EQ(binned, 100);
+  }
+  for (int c = 0; c < full.histogram(1).num_cells(); ++c) {
+    EXPECT_EQ(extended->histogram(1).cell_count(c),
+              full.histogram(1).cell_count(c))
+        << c;
+  }
 }
 
 Table RankedTable() {

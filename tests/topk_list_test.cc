@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "engine/topk_list.h"
 
 namespace paleo {
@@ -17,6 +19,37 @@ TEST(ValuesCloseTest, RelativeTolerance) {
   EXPECT_FALSE(ValuesClose(100.0, 100.1, 1e-9));
   EXPECT_TRUE(ValuesClose(0.0, 1e-12));
   EXPECT_FALSE(ValuesClose(0.0, 0.1));
+}
+
+// A non-finite value is close only to an identical one: a tolerance
+// scaled by an infinite operand is infinite, and would tie +-inf with
+// every number.
+TEST(ValuesCloseTest, NonFiniteIsCloseOnlyToItself) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(ValuesClose(kInf, kInf));
+  EXPECT_TRUE(ValuesClose(-kInf, -kInf));
+  EXPECT_FALSE(ValuesClose(kInf, 5.0));
+  EXPECT_FALSE(ValuesClose(5.0, kInf));
+  EXPECT_FALSE(ValuesClose(-kInf, 5.0));
+  EXPECT_FALSE(ValuesClose(-kInf, kInf));
+  EXPECT_FALSE(ValuesClose(kInf, std::numeric_limits<double>::max()));
+  EXPECT_FALSE(ValuesClose(kInf, 5.0, /*rel_eps=*/0.5));
+  EXPECT_FALSE(ValuesClose(kNaN, kNaN));
+  EXPECT_FALSE(ValuesClose(kNaN, 5.0));
+  EXPECT_FALSE(ValuesClose(kNaN, kInf));
+}
+
+TEST(TopKListTest, InstanceEqualsTellsInfinityFromNumbers) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(MakeList({{"A", kInf}}).InstanceEquals(MakeList({{"A", 5.0}})));
+  EXPECT_TRUE(MakeList({{"A", kInf}}).InstanceEquals(MakeList({{"A", kInf}})));
+  // A tied run through +inf: before, [A +inf, B 100] tied with
+  // [A 5, B 5] because +inf was close to both 5 and 100.
+  EXPECT_FALSE(MakeList({{"A", kInf}, {"B", 100.0}})
+                   .InstanceEquals(MakeList({{"A", 5.0}, {"B", 5.0}})));
+  EXPECT_FALSE(MakeList({{"A", kInf}, {"B", -kInf}})
+                   .InstanceEquals(MakeList({{"B", kInf}, {"A", kInf}})));
 }
 
 TEST(TopKListTest, BasicAccessors) {
