@@ -393,12 +393,10 @@ int main(int argc, char** argv) {
     ingest_writer.join();
     auto ingest_stats = ingestor.stats();
     std::fprintf(stderr,
-                 "ingested %llu batches (%llu rows, %llu incremental, "
-                 "%llu failed); snapshot v%llu with %zu rows\n",
+                 "ingested %llu batches (%llu rows, %llu failed); "
+                 "snapshot v%llu with %zu rows\n",
                  static_cast<unsigned long long>(ingest_stats.batches),
                  static_cast<unsigned long long>(ingest_stats.rows),
-                 static_cast<unsigned long long>(
-                     ingest_stats.incremental_builds),
                  static_cast<unsigned long long>(
                      ingest_stats.failed_batches),
                  static_cast<unsigned long long>(catalog->CurrentVersion()),

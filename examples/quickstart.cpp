@@ -33,9 +33,9 @@ int main() {
   input.Append("Jack Stiles", 586);
   std::printf("Input list L:\n%s\n", input.ToString().c_str());
 
-  // 3. Reverse engineer. Construction builds the B+ tree entity index
-  //    and the statistics catalog; Run(RunRequest) executes the
-  //    three-step pipeline for one request.
+  // 3. Reverse engineer. Construction builds the entity index and the
+  //    statistics catalog; Run(RunRequest) executes the three-step
+  //    pipeline for one request.
   Paleo paleo(&*table, PaleoOptions{});
   RunRequest request;
   request.input = &input;

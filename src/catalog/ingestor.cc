@@ -14,17 +14,13 @@ Status Ingestor::Append(std::span<const std::vector<Value>> rows) {
   std::shared_ptr<obs::Trace> trace;
   if (options_.collect_trace) trace = std::make_shared<obs::Trace>();
   TableCatalog::IngestOutcome outcome;
-  Status status =
-      catalog_->Ingest(rows, options_.incremental, trace.get(), &outcome);
+  Status status = catalog_->Ingest(rows, trace.get(), &outcome);
   if (!status.ok()) {
     failed_batches_.fetch_add(1, std::memory_order_relaxed);
     return status;
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
   rows_.fetch_add(outcome.rows, std::memory_order_relaxed);
-  if (outcome.incremental) {
-    incremental_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
   full_rebuilds_.fetch_add(static_cast<uint64_t>(outcome.full_rebuilds),
                            std::memory_order_relaxed);
   if (trace != nullptr) {
@@ -39,7 +35,6 @@ Ingestor::Stats Ingestor::stats() const {
   Stats s;
   s.batches = batches_.load(std::memory_order_relaxed);
   s.rows = rows_.load(std::memory_order_relaxed);
-  s.incremental_builds = incremental_builds_.load(std::memory_order_relaxed);
   s.full_rebuilds = full_rebuilds_.load(std::memory_order_relaxed);
   s.failed_batches = failed_batches_.load(std::memory_order_relaxed);
   return s;

@@ -2,11 +2,11 @@
 // turns each into the catalog's next published snapshot.
 //
 // The Ingestor is a thin stateful handle over TableCatalog::Ingest —
-// it owns the ingestion policy (incremental vs. full rebuilds, trace
-// collection) and the running tallies, while the catalog owns the
-// serialization and the publication protocol. Multiple Ingestors over
-// one catalog are allowed (their batches interleave, each one
-// atomically); one Ingestor used from multiple threads is allowed too.
+// it owns the trace collection and the running tallies, while the
+// catalog owns the serialization and the publication protocol.
+// Multiple Ingestors over one catalog are allowed (their batches
+// interleave, each one atomically); one Ingestor used from multiple
+// threads is allowed too.
 
 #ifndef PALEO_CATALOG_INGESTOR_H_
 #define PALEO_CATALOG_INGESTOR_H_
@@ -27,12 +27,6 @@
 namespace paleo {
 
 struct IngestorOptions {
-  /// Extend the previous snapshot's stats and indexes from the delta
-  /// (the fast path). Off forces a full rebuild per batch — the same
-  /// results, paid for with publish latency; the catalog also falls
-  /// back to full rebuilds on its own under simulated memory pressure.
-  bool incremental = true;
-
   /// Collect a span tree per batch (see last_trace()).
   bool collect_trace = false;
 };
@@ -66,7 +60,6 @@ class Ingestor {
   struct Stats {
     uint64_t batches = 0;
     uint64_t rows = 0;
-    uint64_t incremental_builds = 0;
     uint64_t full_rebuilds = 0;
     uint64_t failed_batches = 0;
   };
@@ -84,7 +77,6 @@ class Ingestor {
   // calls and sampled by stats(); no ordering contract.
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> rows_{0};
-  std::atomic<uint64_t> incremental_builds_{0};
   std::atomic<uint64_t> full_rebuilds_{0};
   std::atomic<uint64_t> failed_batches_{0};
 

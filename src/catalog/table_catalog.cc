@@ -52,8 +52,7 @@ TableCatalog::CatalogMetrics TableCatalog::BindMetrics() {
   m.full_rebuilds = metrics_->FindOrCreateCounter(
       "paleo_ingest_full_rebuilds_total",
       "Upfront structures rebuilt from scratch instead of extended "
-      "incrementally (histogram range growth, degradation, or "
-      "incremental mode off).");
+      "incrementally (histogram range growth).");
   m.publish_ms = metrics_->FindOrCreateHistogram(
       "paleo_ingest_publish_ms",
       "Milliseconds from batch acceptance to snapshot publication.");
@@ -87,8 +86,7 @@ std::shared_ptr<const TableSnapshot> TableCatalog::MakeSnapshot(
 }
 
 Status TableCatalog::Ingest(std::span<const std::vector<Value>> rows,
-                            bool allow_incremental, obs::Trace* trace,
-                            IngestOutcome* outcome) {
+                            obs::Trace* trace, IngestOutcome* outcome) {
   // Chaos hook: admission-side ingest failures (batch validation,
   // journal I/O) before any build work happens.
   FaultResult validate_fault = PALEO_FAULT_POINT("catalog.ingest.validate");
@@ -116,51 +114,27 @@ Status TableCatalog::Ingest(std::span<const std::vector<Value>> rows,
   }
   const size_t old_rows = prev->table().num_rows();
 
-  // Chaos hook: a simulated allocation failure downgrades this batch
-  // to full rebuilds — graceful degradation, identical results.
-  bool incremental = allow_incremental;
-  FaultResult pressure =
-      PALEO_FAULT_POINT("catalog.ingest.incremental-alloc");
-  if (pressure.alloc_failure()) incremental = false;
-
+  // next_table extends prev's rows, so every structure is extended
+  // from the delta; only a broken invariant fails here.
   int full_rebuilds = 0;
-  std::optional<StatsCatalog> stats;
-  std::optional<EntityIndex> index;
+  StatsCatalog stats;
+  EntityIndex index;
   std::unique_ptr<DimensionIndex> dimension_index;
   {
     obs::ScopedSpan span(trace, "stats", ingest_span.id());
-    if (incremental) {
-      // next_table extends prev's rows, so only a broken invariant
-      // fails here.
-      PALEO_ASSIGN_OR_RETURN(
-          StatsCatalog extended,
-          StatsCatalog::BuildIncremental(prev->engine().catalog(),
-                                         *next_table, &full_rebuilds));
-      stats.emplace(std::move(extended));
-    } else {
-      stats.emplace(StatsCatalog::Build(*next_table));
-      ++full_rebuilds;
-    }
+    PALEO_ASSIGN_OR_RETURN(
+        stats, StatsCatalog::BuildIncremental(prev->engine().catalog(),
+                                              *next_table, &full_rebuilds));
   }
   {
     obs::ScopedSpan span(trace, "index", ingest_span.id());
-    if (incremental) {
-      index.emplace(EntityIndex::BuildIncremental(prev->engine().index(),
-                                                  *next_table, old_rows));
-    } else {
-      index.emplace(EntityIndex::Build(*next_table));
-      ++full_rebuilds;
-    }
-    if (options_.use_dimension_index) {
-      const DimensionIndex* prev_dim = prev->engine().dimension_index();
-      if (incremental && prev_dim != nullptr) {
-        dimension_index = std::make_unique<DimensionIndex>(
-            DimensionIndex::BuildIncremental(*prev_dim, *next_table,
-                                             old_rows));
-      } else {
-        dimension_index = std::make_unique<DimensionIndex>(
-            DimensionIndex::Build(*next_table));
-      }
+    index = EntityIndex::BuildIncremental(prev->engine().index(), *next_table,
+                                          old_rows);
+    // Every snapshot is built with options_, so prev has a dimension
+    // index exactly when this one needs one.
+    if (const DimensionIndex* prev_dim = prev->engine().dimension_index()) {
+      dimension_index = std::make_unique<DimensionIndex>(
+          DimensionIndex::BuildIncremental(*prev_dim, *next_table, old_rows));
     }
   }
 
@@ -172,10 +146,9 @@ Status TableCatalog::Ingest(std::span<const std::vector<Value>> rows,
 
   const uint64_t version = next_version_++;
   std::shared_ptr<const TableSnapshot> next =
-      MakeSnapshot(*std::move(next_table), version, std::move(*index),
-                   std::move(*stats), std::move(dimension_index));
+      MakeSnapshot(*std::move(next_table), version, std::move(index),
+                   std::move(stats), std::move(dimension_index));
   ingest_span.AddAttr("version", static_cast<int64_t>(version));
-  ingest_span.AddAttr("incremental", static_cast<int64_t>(incremental));
 
   // Chaos hook: delays here hold a fully built snapshot unpublished,
   // widening the window the snapshot-isolation suite races against;
@@ -199,7 +172,6 @@ Status TableCatalog::Ingest(std::span<const std::vector<Value>> rows,
   obs::Set(catalog_metrics_.version, static_cast<int64_t>(version));
   if (outcome != nullptr) {
     outcome->rows = rows.size();
-    outcome->incremental = incremental;
     outcome->full_rebuilds = full_rebuilds;
     outcome->published_version = version;
   }

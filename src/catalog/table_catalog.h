@@ -2,7 +2,7 @@
 // RCU-style publication.
 //
 // The engine is immutable-after-build by design — every structure
-// PALEO computes upfront (entity B+ tree, statistics catalog,
+// PALEO computes upfront (entity postings, statistics catalog,
 // dimension postings) is built against one frozen table. A TableCatalog
 // lifts that design to a table that GROWS: each version of the relation
 // is frozen into a TableSnapshot (table + the upfront structures +
@@ -152,7 +152,6 @@ class TableCatalog {
   /// What one successful ingest did (Ingestor bookkeeping).
   struct IngestOutcome {
     size_t rows = 0;
-    bool incremental = false;
     int full_rebuilds = 0;
     uint64_t published_version = 0;
   };
@@ -170,11 +169,11 @@ class TableCatalog {
   };
   CatalogMetrics BindMetrics();
 
-  /// Builds the next version off the current snapshot and publishes
-  /// it; serialized on ingest_mutex_. An error return leaves the
-  /// published snapshot untouched.
-  Status Ingest(std::span<const std::vector<Value>> rows,
-                bool allow_incremental, obs::Trace* trace,
+  /// Builds the next version by extending the current snapshot's
+  /// structures from the batch and publishes it; serialized on
+  /// ingest_mutex_. An error return leaves the published snapshot
+  /// untouched.
+  Status Ingest(std::span<const std::vector<Value>> rows, obs::Trace* trace,
                 IngestOutcome* outcome);
 
   /// Wraps the pieces into a snapshot with retirement accounting.

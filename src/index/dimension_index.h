@@ -4,7 +4,7 @@
 // queries against R. With a posting list per (dimension column, value),
 // the executor can intersect postings instead of scanning R — the
 // standard inverted-index evaluation strategy. The paper validates
-// against PostgreSQL with only the entity B+ tree (full scans); this
+// against PostgreSQL with only an entity index (full scans); this
 // index is an optional substrate improvement that changes none of the
 // measured quantities (executions, candidates) — only wall-clock.
 // bench_micro_executor quantifies the difference.

@@ -6,63 +6,38 @@ namespace paleo {
 
 EntityIndex EntityIndex::Build(const Table& table) {
   EntityIndex index;
-  const Column& entities = table.entity_column();
-  const StringDictionary& dict = *entities.dict();
-  // Dictionary codes are dense, so bucket rows by code first, then
-  // insert one tree entry per distinct entity actually present.
-  std::vector<std::vector<RowId>> by_code(dict.size());
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    by_code[entities.CodeAt(static_cast<RowId>(row))].push_back(
-        static_cast<RowId>(row));
-  }
-  for (uint32_t code = 0; code < dict.size(); ++code) {
-    if (by_code[code].empty()) continue;
-    uint32_t posting_id = static_cast<uint32_t>(index.postings_.size());
-    index.postings_.push_back(std::move(by_code[code]));
-    index.tree_.Insert(dict.Get(code), posting_id);
-  }
+  index.Append(table, 0);
   return index;
 }
 
 EntityIndex EntityIndex::BuildIncremental(const EntityIndex& prev,
                                           const Table& table,
                                           size_t old_rows) {
-  EntityIndex index;
-  index.postings_ = prev.postings_;  // copied; prev stays untouched
-  const Column& entities = table.entity_column();
-  const StringDictionary& dict = *entities.dict();
-  // Resolve each dictionary code to its posting list: existing
-  // entities through prev's tree, new ones get fresh postings.
-  constexpr uint32_t kNoPosting = UINT32_MAX;
-  std::vector<uint32_t> posting_of(dict.size(), kNoPosting);
-  for (uint32_t code = 0; code < dict.size(); ++code) {
-    const uint32_t* posting_id = prev.tree_.Find(dict.Get(code));
-    if (posting_id != nullptr) posting_of[code] = *posting_id;
-  }
-  for (size_t row = old_rows; row < table.num_rows(); ++row) {
-    uint32_t code = entities.CodeAt(static_cast<RowId>(row));
-    if (posting_of[code] == kNoPosting) {
-      posting_of[code] = static_cast<uint32_t>(index.postings_.size());
-      index.postings_.emplace_back();
-    }
-    index.postings_[posting_of[code]].push_back(static_cast<RowId>(row));
-  }
-  // The tree itself is rebuilt (it is move-only and small relative to
-  // the postings): one insert per distinct entity.
-  for (uint32_t code = 0; code < dict.size(); ++code) {
-    if (posting_of[code] != kNoPosting) {
-      index.tree_.Insert(dict.Get(code), posting_of[code]);
-    }
-  }
+  EntityIndex index = prev;  // copied postings; prev stays untouched
+  index.Append(table, old_rows);
   return index;
+}
+
+void EntityIndex::Append(const Table& table, size_t from) {
+  const Column& entities = table.entity_column();
+  // The table's own dictionary: an incremental build must not resolve
+  // names through the previous version's (deep-copied) one.
+  dict_ = entities.dict();
+  postings_.resize(dict_->size());
+  for (size_t r = from; r < table.num_rows(); ++r) {
+    const RowId row = static_cast<RowId>(r);
+    postings_[entities.CodeAt(row)].push_back(row);
+  }
 }
 
 const std::vector<RowId>& EntityIndex::Lookup(
     const std::string& entity) const {
   static const std::vector<RowId> kEmpty;
-  const uint32_t* posting_id = tree_.Find(entity);
-  if (posting_id == nullptr) return kEmpty;
-  return postings_[*posting_id];
+  if (dict_ == nullptr) return kEmpty;
+  // kInvalidCode, and the code of a name registered after the build,
+  // lie past the postings.
+  const uint32_t code = dict_->Lookup(entity);
+  return code < postings_.size() ? postings_[code] : kEmpty;
 }
 
 std::vector<RowId> EntityIndex::LookupAll(
@@ -70,16 +45,18 @@ std::vector<RowId> EntityIndex::LookupAll(
     std::vector<std::string>* missing) const {
   std::vector<RowId> rows;
   for (const std::string& e : entities) {
-    const uint32_t* posting_id = tree_.Find(e);
-    if (posting_id == nullptr) {
-      if (missing != nullptr) missing->push_back(e);
-      continue;
-    }
-    const std::vector<RowId>& p = postings_[*posting_id];
+    const std::vector<RowId>& p = Lookup(e);
+    if (p.empty() && missing != nullptr) missing->push_back(e);
     rows.insert(rows.end(), p.begin(), p.end());
   }
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+size_t EntityIndex::num_entities() const {
+  return static_cast<size_t>(
+      std::count_if(postings_.begin(), postings_.end(),
+                    [](const auto& p) { return !p.empty(); }));
 }
 
 size_t EntityIndex::MaxPostingLength() const {
@@ -89,10 +66,11 @@ size_t EntityIndex::MaxPostingLength() const {
 }
 
 double EntityIndex::AvgPostingLength() const {
-  if (postings_.empty()) return 0.0;
+  const size_t entities = num_entities();
+  if (entities == 0) return 0.0;
   size_t total = 0;
   for (const auto& p : postings_) total += p.size();
-  return static_cast<double>(total) / static_cast<double>(postings_.size());
+  return static_cast<double>(total) / static_cast<double>(entities);
 }
 
 }  // namespace paleo

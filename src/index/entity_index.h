@@ -1,10 +1,11 @@
 // Entity index over the base relation R.
 //
-// Maps each entity name to the posting list of row ids holding that
-// entity, backed by the B+ tree of bplus_tree.h. PALEO's first move for
-// any input list L is Lookup() of each entity followed by Table::Gather
-// to materialize R' (paper Section 3.1: "SELECT * FROM R WHERE Ae IN
-// [e, f, g, m, o]").
+// Maps each entity to the posting list of row ids holding that entity,
+// keyed by the entity column's dictionary code: a name resolves to its
+// code through the table's own dictionary, and the code indexes the
+// postings. PALEO's first move for any input list L is Lookup() of
+// each entity followed by Table::Gather to materialize R' (paper
+// Section 3.1: "SELECT * FROM R WHERE Ae IN [e, f, g, m, o]").
 //
 // Immutable after Build(): every member below is const and touches no
 // hidden mutable state, so one index instance is safely shared by any
@@ -13,16 +14,16 @@
 #ifndef PALEO_INDEX_ENTITY_INDEX_H_
 #define PALEO_INDEX_ENTITY_INDEX_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-#include "index/bplus_tree.h"
+#include "storage/dictionary.h"
 #include "storage/table.h"
 
 namespace paleo {
 
-/// \brief B+ tree index on the entity column of a table.
+/// \brief Posting lists on the entity column of a table.
 class EntityIndex {
  public:
   /// Builds the index in one pass over the table's entity column.
@@ -30,39 +31,44 @@ class EntityIndex {
 
   /// Builds the index for `table` off `prev`, which must index exactly
   /// the first `old_rows` rows of `table` (the ingestion contract:
-  /// `table` is `prev`'s table plus appended rows). Copies the posting
-  /// lists and appends only the delta rows — row ids are appended in
-  /// ascending order, preserving the sorted-postings invariant — then
-  /// rebuilds the (small) name tree. Lookup-observable behavior is
-  /// identical to Build(table); internal posting ids may differ for
-  /// entities first seen in the delta.
+  /// `table` is `prev`'s table plus appended rows, with dictionary
+  /// codes preserved). Copies the posting lists and appends only the
+  /// delta rows, in ascending order, so postings stay sorted. Equal to
+  /// Build(table).
   static EntityIndex BuildIncremental(const EntityIndex& prev,
                                       const Table& table, size_t old_rows);
 
-  /// Row ids (ascending) of the entity, or an empty list if absent.
+  /// Row ids (ascending) of the entity, or an empty list if it has no
+  /// rows in the indexed table (names registered after the build
+  /// included).
   const std::vector<RowId>& Lookup(const std::string& entity) const;
 
   /// Row ids of all listed entities, merged in ascending order; entities
-  /// not present are recorded in `missing` when non-null.
+  /// with no rows are recorded in `missing` when non-null.
   std::vector<RowId> LookupAll(const std::vector<std::string>& entities,
                                std::vector<std::string>* missing = nullptr)
       const;
 
-  /// Number of distinct entities indexed.
-  size_t num_entities() const { return tree_.size(); }
+  /// Number of distinct entities with at least one row. A gathered
+  /// table shares its base's dictionary, so this can be fewer than the
+  /// dictionary's size.
+  size_t num_entities() const;
 
-  /// Largest / average posting-list length (Table 5 statistics).
+  /// Largest / average posting-list length over the entities with rows
+  /// (Table 5 statistics).
   size_t MaxPostingLength() const;
   double AvgPostingLength() const;
 
-  /// Structural self-check of the underlying B+ tree.
-  void VerifyInvariants() const { tree_.VerifyInvariants(); }
-
  private:
-  // The tree maps entity name -> index into postings_. Posting lists
-  // live outside the tree so node splits never copy them.
-  BPlusTree<std::string, uint32_t> tree_;
+  /// Posts rows [from, table.num_rows()): the whole table for Build,
+  /// the delta for BuildIncremental.
+  void Append(const Table& table, size_t from);
+
+  // Indexed by entity code; empty for a code with no rows.
   std::vector<std::vector<RowId>> postings_;
+  // The table's own entity dictionary (null only when
+  // default-constructed), for name resolution.
+  std::shared_ptr<const StringDictionary> dict_;
 };
 
 }  // namespace paleo

@@ -59,9 +59,6 @@ struct PaleoOptions {
   /// Fraction of measure columns kept as candidates by the histogram
   /// heuristic ("top 30% of the columns", Section 5.2).
   double histogram_keep_fraction = 0.3;
-  /// Values sampled from each histogram (k of the input list is used
-  /// when 0).
-  int histogram_sample_size = 0;
   /// Aggregates searched for single-column ranking criteria, in the
   /// Figure 4 pre-order.
   std::vector<AggFn> single_column_aggs = {AggFn::kMax, AggFn::kAvg,
@@ -81,8 +78,6 @@ struct PaleoOptions {
   // ---- Suitability model and validation (Sections 6, 7) ----
   ValidationStrategy validation_strategy = ValidationStrategy::kSmart;
   MatchMode match_mode = MatchMode::kExact;
-  /// Jaccard threshold tau of Algorithm 3.
-  double smart_jaccard_threshold = 0.5;
   /// Partial-match acceptance thresholds (used when match_mode is
   /// kPartial): minimum entity Jaccard similarity and maximum
   /// normalized value distance.

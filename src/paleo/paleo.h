@@ -18,7 +18,7 @@
 //     std::cout << report->valid[0].query.ToSql(table.schema());
 //   }
 //
-// Construction builds the B+ tree entity index and the statistics
+// Construction builds the entity index and the statistics
 // catalog once; Run(const RunRequest&) executes the three-step
 // pipeline of Figure 2 (find predicates -> find ranking criteria ->
 // validate candidate queries) for one input list. The RunRequest

@@ -127,24 +127,30 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     return out;
   };
 
-  // Section 5.2: rank columns by the L1 distance between values sampled
-  // from their histograms and the input values; keep the best fraction.
+  // Section 5.2: rank columns by the L1 distance between k values
+  // sampled from their histograms and the input values; keep the best
+  // fraction. A column whose range is infinite samples NaN, so both
+  // sorts put NaN last (RanksBefore): a NaN distance never outranks a
+  // number, and ties, NaN with NaN included, go to the lower column.
   auto histogram_columns = [&]() {
     std::vector<int> out;
     if (catalog_ == nullptr) return out;
     Rng rng(options_.seed);
-    int sample_n = options_.histogram_sample_size > 0
-                       ? options_.histogram_sample_size
-                       : static_cast<int>(k);
     std::vector<std::pair<double, int>> scored;
     for (int c : measures) {
       const Histogram& hist = catalog_->histogram(c);
       if (hist.total_count() == 0) continue;
-      std::vector<double> sample = hist.Sample(&rng, sample_n);
-      std::sort(sample.begin(), sample.end(), std::greater<double>());
+      std::vector<double> sample = hist.Sample(&rng, static_cast<int>(k));
+      std::sort(sample.begin(), sample.end(), [](double a, double b) {
+        return RanksBefore(a, b, /*desc=*/true);
+      });
       scored.emplace_back(L1Distance(sample, input_values_sorted), c);
     }
-    std::sort(scored.begin(), scored.end());
+    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+      if (RanksBefore(a.first, b.first, /*desc=*/false)) return true;
+      if (RanksBefore(b.first, a.first, /*desc=*/false)) return false;
+      return a.second < b.second;
+    });
     size_t keep = static_cast<size_t>(
         std::ceil(options_.histogram_keep_fraction *
                   static_cast<double>(measures.size())));

@@ -50,6 +50,11 @@ ExecResult ExecuteCandidate(Executor* executor, const Table& base,
   return r;
 }
 
+/// The Jaccard threshold tau of Algorithm 3 (the paper's 0.5): the
+/// first executed candidate whose entities overlap L's by at least tau
+/// becomes the smart scheduler's Qfm.
+constexpr double kSmartJaccardThreshold = 0.5;
+
 }  // namespace
 
 std::unique_ptr<ThresholdMonitor> Validator::MakeMonitor(
@@ -91,7 +96,6 @@ StatusOr<ValidationOutcome> Validator::Validate(
   ValidationOutcome outcome;
   const bool smart =
       options_.validation_strategy == ValidationStrategy::kSmart;
-  const double tau = options_.smart_jaccard_threshold;
   // Speculation needs a pool, threads, and two candidates to overlap.
   // Otherwise the window is one: each candidate runs on this thread at
   // its commit.
@@ -301,9 +305,10 @@ StatusOr<ValidationOutcome> Validator::Validate(
         }
       }
       if (smart && qfm == nullptr &&
-          result.list.EntityJaccard(input) >= tau) {
+          result.list.EntityJaccard(input) >= kSmartJaccardThreshold) {
         qfm = &cq;
-        ranking_confirmed = result.list.ValueJaccard(input, 1e-6) > tau;
+        ranking_confirmed =
+            result.list.ValueJaccard(input, 1e-6) > kSmartJaccardThreshold;
       }
       ++commit_pos;
     }

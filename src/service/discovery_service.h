@@ -3,7 +3,7 @@
 // One DiscoveryService serves a live table through a TableCatalog: the
 // catalog owns the chain of immutable snapshots (each one a frozen
 // table version plus the structures PALEO computes upfront — entity
-// B+ tree, statistics catalog, dimension indexes — and a ready
+// postings, statistics catalog, dimension indexes — and a ready
 // engine), and every admission pins the snapshot current at Submit()
 // time. A pinned session runs against exactly that version for its
 // whole lifetime, byte-identical to a standalone run on a frozen

@@ -204,7 +204,6 @@ class ChaosTest : public ::testing::Test {
     // Ingestion-side sites: no-ops in storms that never ingest, load-
     // bearing in the ingest storm below.
     maybe_arm("catalog.ingest.validate", error_spec(), 0.3);
-    maybe_arm("catalog.ingest.incremental-alloc", alloc_spec(), 0.4);
     maybe_arm("catalog.ingest.build", error_spec(), 0.3);
     maybe_arm("catalog.ingest.publish", error_spec(), 0.2);
     maybe_arm("catalog.ingest.publish", delay_spec(), 0.3);

@@ -426,11 +426,12 @@ TEST(RankingFinderTest, AvgRoundingPastColumnMaxNotPruned) {
 // `hidden` gives on `table`; true when it keeps hidden's criterion.
 bool WalkKeepsCriterion(const Table& table, const TopKQuery& hidden,
                         const PaleoOptions& options,
-                        RankingSearchInfo* info) {
+                        RankingSearchInfo* info,
+                        const CatalogOptions& catalog_options = {}) {
   auto list = Executor().Execute(table, hidden, ExecContext{});
   EXPECT_TRUE(list.ok());
   EntityIndex index = EntityIndex::Build(table);
-  StatsCatalog catalog = StatsCatalog::Build(table);
+  StatsCatalog catalog = StatsCatalog::Build(table, catalog_options);
   auto rprime = RPrime::Build(table, index, *list);
   EXPECT_TRUE(rprime.ok());
   auto mining = PredicateMiner(*rprime, options).Mine();
@@ -523,6 +524,54 @@ TEST(RankingFinderTest, AverageOverflowingToInfinityIsNotPruned) {
     EXPECT_TRUE(WalkKeepsCriterion(table, hidden, options, &info))
         << (order == SortOrder::kDesc ? "DESC" : "ASC");
   }
+}
+
+// m0 holds +1.5e308 and -1.5e308, so its range, and its histogram's
+// cell width, are infinite: it samples NaN, and its histogram distance
+// is NaN. The stage keeps one of the two measures, and must keep m1,
+// whose distance is a number, though m0 has the lower index. Only two
+// top entities are kept per column, so m1's are the decoys Z0 and Z1
+// and the top-entity stage cannot find max(m1): the histogram stage
+// finds it, and the walk never reaches the fallback.
+TEST(RankingFinderTest, HistogramStageRanksNanDistanceLast) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"m0", DataType::kDouble, FieldRole::kMeasure},
+      {"m1", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  auto append = [&](const std::string& e, const char* d, double m0,
+                    double m1) {
+    ASSERT_TRUE(table
+                    .AppendRow({Value::String(e), Value::String(d),
+                                Value::Double(m0), Value::Double(m1)})
+                    .ok());
+  };
+  for (int i = 0; i < 5; ++i) {
+    const std::string e = "E" + std::to_string(i);
+    append(e, "p", i % 2 == 0 ? 1.5e308 : -1.5e308, 10.0 * (i + 1));
+    append(e, "p", 0.0, 1.0 + i);
+  }
+  append("Z0", "z", 0.0, 1e6);
+  append("Z1", "z", 0.0, 2e6);
+
+  TopKQuery hidden;
+  hidden.predicate = Predicate({AtomicPredicate(1, Value::String("p"))});
+  hidden.expr = RankExpr::Column(3);
+  hidden.agg = AggFn::kMax;
+  hidden.k = 3;
+  PaleoOptions options;
+  options.histogram_keep_fraction = 0.5;
+  CatalogOptions catalog_options;
+  catalog_options.top_entities = 2;
+  RankingSearchInfo info;
+  EXPECT_TRUE(
+      WalkKeepsCriterion(table, hidden, options, &info, catalog_options));
+  EXPECT_TRUE(info.used_histograms);
+  EXPECT_EQ(info.histogram_candidate_columns, 1);
+  EXPECT_FALSE(info.used_fallback);
 }
 
 }  // namespace

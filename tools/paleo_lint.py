@@ -13,9 +13,8 @@ cannot express, across src/ (and where noted, the whole tree):
                   least one GUARDED_BY(that_mutex) field in the same
                   file: a mutex that guards nothing is dead weight or an
                   undeclared invariant.
-  naked-new       No naked new / delete outside the arena-style
-                  allocators that own them (whitelist below); everything
-                  else uses std::make_unique / make_shared / containers.
+  naked-new       No naked new / delete: memory is owned through
+                  std::make_unique / make_shared / containers.
   metric-names    Metric series registered on a MetricsRegistry are
                   paleo_*-prefixed (Prometheus namespace hygiene), each
                   family name maps to exactly one instrument kind, and
@@ -67,12 +66,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from analyze.source import (  # noqa: E402
     ALL_CXX_DIRS, REPO, SourceFile, load_sources)
-
-# Files that legitimately own raw memory: arena/node allocators whose
-# whole point is manual lifetime management.
-NAKED_NEW_WHITELIST = {
-    "src/index/bplus_tree.h",  # B+ tree node arena (documented there)
-}
 
 # The one place raw std synchronization types may appear: the annotated
 # wrappers themselves.
@@ -154,8 +147,6 @@ class Linter:
                     "field; declare what it protects (or delete it)")
 
     def check_naked_new(self, src: SourceFile) -> None:
-        if src.rel in NAKED_NEW_WHITELIST:
-            return
         for lineno, line in enumerate(src.code_lines, 1):
             # Preprocessor lines are not expressions (`#include <new>`).
             if line.lstrip().startswith("#"):
@@ -166,9 +157,8 @@ class Linter:
             if NEW_RE.search(line) or DELETE_RE.search(line):
                 self.report(
                     src, lineno, "naked-new",
-                    "naked new/delete outside an arena; use "
-                    "std::make_unique / make_shared or a container "
-                    "(whitelist: tools/paleo_lint.py)")
+                    "naked new/delete; use std::make_unique / "
+                    "make_shared or a container")
 
     # Prometheus suffix conventions: the unit/kind suffix of a family
     # name pins its instrument kind (see src/paleo/pipeline_metrics.h).
