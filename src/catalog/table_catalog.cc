@@ -73,8 +73,8 @@ std::shared_ptr<const TableSnapshot> TableCatalog::MakeSnapshot(
     std::unique_ptr<DimensionIndex> dimension_index) {
   // Re-chunk to the configured scan granularity before freezing the
   // version. A no-op when the layout already matches — incremental
-  // ingests inherit it through DeepCopy, so only the first snapshot
-  // (or an options change) pays the rebuild.
+  // ingests inherit it through the table copy, so only the first
+  // snapshot (or an options change) pays the rebuild.
   if (options_.chunk_rows > 0) table.SetChunkRows(options_.chunk_rows);
   auto snapshot = std::make_shared<TableSnapshot>(
       TableSnapshot::Key(), std::move(table), version, options_,
@@ -100,13 +100,15 @@ Status TableCatalog::Ingest(std::span<const std::vector<Value>> rows,
                       static_cast<int64_t>(prev->version()));
   Timer publish_timer;
 
-  // Copy-on-write: clone the table AND its dictionaries so readers of
-  // prev keep a frozen view no matter what the append does, then
-  // append the batch (validated all-or-nothing, one epoch bump).
+  // Copy prev's table, which shares its column storage by prefix and
+  // its dictionaries until a new string arrives, then append the batch
+  // (validated all-or-nothing, one epoch bump) past every row prev's
+  // readers can see: O(columns + chunks + batch), and prev keeps a
+  // frozen view (storage/prefix_array.h).
   std::optional<Table> next_table;
   {
     obs::ScopedSpan span(trace, "copy", ingest_span.id());
-    next_table.emplace(prev->table().DeepCopy());
+    next_table.emplace(prev->table());
   }
   {
     obs::ScopedSpan span(trace, "append", ingest_span.id());

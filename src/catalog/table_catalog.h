@@ -16,12 +16,19 @@
 //             service pins one per admitted session, so an in-flight
 //             run is byte-identical to a run on a frozen copy),
 //   writer    Ingest (via Ingestor) — serialized on ingest_mutex_;
-//             deep-copies the current table (cloning dictionaries, so
-//             no reader-visible state is ever mutated), appends the
-//             batch, extends stats and indexes incrementally from the
-//             delta, and swaps in the new snapshot,
+//             copies the current table, appends the batch, extends
+//             stats and indexes incrementally from the delta, and swaps
+//             in the new snapshot. The copy and the indexes share the
+//             previous version's column arrays and posting lists by
+//             prefix (storage/prefix_array.h): the batch lands past
+//             every row a reader of an older version can see, so no
+//             reader-visible state is ever mutated, and a publish
+//             allocates O(batch) plus the dictionaries the batch
+//             extends,
 //   reclaim   the previous snapshot dies when its last pin drops — no
-//             grace period machinery needed beyond shared_ptr.
+//             grace period machinery needed beyond shared_ptr. Buffers
+//             that later versions share stay alive with them; only a
+//             version's private parts are freed.
 //
 // (Why a mutex and not std::atomic<shared_ptr>? libstdc++'s _Sp_atomic
 // guards its pointer with an embedded lock bit that ThreadSanitizer

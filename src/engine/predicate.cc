@@ -125,7 +125,7 @@ BoundPredicate::BoundPredicate(const Predicate& pred, const Table& table) {
         bound.kind = BoundAtom::kNever;
       } else if (col.type() == DataType::kInt64) {
         bound.kind = BoundAtom::kIntRange;
-        bound.ints = &col.ints();
+        bound.ints = col.ints().data();
         // Integer bounds: round inward so the inclusive semantics hold.
         bound.int_value =
             static_cast<int64_t>(std::ceil(a.value.AsDouble()));
@@ -133,7 +133,7 @@ BoundPredicate::BoundPredicate(const Predicate& pred, const Table& table) {
             static_cast<int64_t>(std::floor(a.high.AsDouble()));
       } else if (col.type() == DataType::kDouble) {
         bound.kind = BoundAtom::kDoubleRange;
-        bound.doubles = &col.doubles();
+        bound.doubles = col.doubles().data();
         bound.double_value = a.value.AsDouble();
         bound.double_high = a.high.AsDouble();
       } else {
@@ -153,7 +153,7 @@ BoundPredicate::BoundPredicate(const Predicate& pred, const Table& table) {
           bound.kind = BoundAtom::kNever;
         } else {
           bound.kind = BoundAtom::kCode;
-          bound.codes = &col.codes();
+          bound.codes = col.codes().data();
           bound.code = code;
         }
         break;
@@ -163,7 +163,7 @@ BoundPredicate::BoundPredicate(const Predicate& pred, const Table& table) {
           bound.kind = BoundAtom::kNever;
         } else {
           bound.kind = BoundAtom::kInt;
-          bound.ints = &col.ints();
+          bound.ints = col.ints().data();
           bound.int_value = a.value.int64();
         }
         break;
@@ -172,7 +172,7 @@ BoundPredicate::BoundPredicate(const Predicate& pred, const Table& table) {
           bound.kind = BoundAtom::kNever;
         } else {
           bound.kind = BoundAtom::kDouble;
-          bound.doubles = &col.doubles();
+          bound.doubles = col.doubles().data();
           bound.double_value = a.value.AsDouble();
         }
         break;

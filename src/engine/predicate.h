@@ -115,9 +115,11 @@ struct BoundAtom {
     kDoubleRange,
     kNever
   } kind = kNever;
-  const std::vector<uint32_t>* codes = nullptr;
-  const std::vector<int64_t>* ints = nullptr;
-  const std::vector<double>* doubles = nullptr;
+  // The bound column's array (Column::codes() etc.), indexed by
+  // absolute row id.
+  const uint32_t* codes = nullptr;
+  const int64_t* ints = nullptr;
+  const double* doubles = nullptr;
   uint32_t code = 0;
   int64_t int_value = 0;    // equality constant or range low
   double double_value = 0.0;
@@ -138,21 +140,21 @@ class BoundPredicate {
     for (const BoundAtom& a : atoms_) {
       switch (a.kind) {
         case BoundAtom::kCode:
-          if ((*a.codes)[row] != a.code) return false;
+          if (a.codes[row] != a.code) return false;
           break;
         case BoundAtom::kInt:
-          if ((*a.ints)[row] != a.int_value) return false;
+          if (a.ints[row] != a.int_value) return false;
           break;
         case BoundAtom::kDouble:
-          if ((*a.doubles)[row] != a.double_value) return false;
+          if (a.doubles[row] != a.double_value) return false;
           break;
         case BoundAtom::kIntRange: {
-          int64_t v = (*a.ints)[row];
+          int64_t v = a.ints[row];
           if (v < a.int_value || v > a.int_high) return false;
           break;
         }
         case BoundAtom::kDoubleRange: {
-          double v = (*a.doubles)[row];
+          double v = a.doubles[row];
           if (v < a.double_value || v > a.double_high) return false;
           break;
         }

@@ -48,25 +48,25 @@ bool ComputeAtomSelectionAt(const BoundAtom& atom, size_t col_offset, size_t n,
     const size_t end = std::min(base + kSelectionBatchRows, n);
     switch (atom.kind) {
       case BoundAtom::kCode:
-        FillWords(atom.codes->data() + col_offset, base, end, words,
+        FillWords(atom.codes + col_offset, base, end, words,
                   [c = atom.code](uint32_t v) { return v == c; });
         break;
       case BoundAtom::kInt:
-        FillWords(atom.ints->data() + col_offset, base, end, words,
+        FillWords(atom.ints + col_offset, base, end, words,
                   [c = atom.int_value](int64_t v) { return v == c; });
         break;
       case BoundAtom::kDouble:
-        FillWords(atom.doubles->data() + col_offset, base, end, words,
+        FillWords(atom.doubles + col_offset, base, end, words,
                   [c = atom.double_value](double v) { return v == c; });
         break;
       case BoundAtom::kIntRange:
-        FillWords(atom.ints->data() + col_offset, base, end, words,
+        FillWords(atom.ints + col_offset, base, end, words,
                   [lo = atom.int_value, hi = atom.int_high](int64_t v) {
                     return v >= lo && v <= hi;
                   });
         break;
       case BoundAtom::kDoubleRange:
-        FillWords(atom.doubles->data() + col_offset, base, end, words,
+        FillWords(atom.doubles + col_offset, base, end, words,
                   [lo = atom.double_value, hi = atom.double_high](double v) {
                     return v >= lo && v <= hi;
                   });

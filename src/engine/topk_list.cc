@@ -12,6 +12,9 @@ namespace paleo {
 
 bool ValuesClose(double a, double b, double rel_eps) {
   if (a == b) return true;
+  // NaN equals nothing, but the executor ranks an all-NaN group's
+  // NaN like any value: a list holding one must match itself.
+  if (std::isnan(a) && std::isnan(b)) return true;
   // The tolerance below scales with the larger operand, so it would
   // call +-inf close to every number.
   if (!std::isfinite(a) || !std::isfinite(b)) return false;

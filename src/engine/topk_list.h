@@ -88,9 +88,10 @@ class TopKList {
 
 /// True when a and b agree within `rel_eps` relative tolerance
 /// (absolute tolerance near zero). A non-finite value is close only to
-/// an identical one: +inf to +inf, -inf to -inf, NaN to nothing. (A
-/// tolerance scaled by an infinite operand would call +-inf close to
-/// every number.) The ranking finder relies on this rule: with it, an
+/// its own kind: +inf to +inf, -inf to -inf, NaN to any NaN, so a list
+/// holding NaN InstanceEquals itself. (A tolerance scaled by an
+/// infinite operand would call +-inf close to every number.) The
+/// ranking finder relies on this rule: with it, an
 /// entity whose ranked value InstanceEquals accepts inside a tied run
 /// lies within three steps of its value in the other list, so a value
 /// farther than four steps rejects a criterion (DESIGN.md §4).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "paleo/tuple_set.h"
 
@@ -31,36 +33,46 @@ DimensionIndex DimensionIndex::BuildIncremental(const DimensionIndex& prev,
                                                 const Table& table,
                                                 size_t old_rows) {
   DimensionIndex index;
-  index.columns_ = prev.columns_;  // copied posting maps
+  index.columns_ = prev.columns_;  // shares prev's postings by prefix
   index.Append(table, old_rows);
   return index;
 }
 
 void DimensionIndex::Append(const Table& table, size_t from) {
+  const size_t n = table.num_rows();
   for (int c : table.schema().dimension_indices()) {
     const Column& col = table.column(c);
     ColumnPostings& postings = columns_[c];
     postings.type = col.type();
-    for (size_t r = from; r < table.num_rows(); ++r) {
+    if (col.type() == DataType::kString) {
+      // Count the rows per code, claim each posting's slots once, then
+      // fill them: no per-row hashing or claim.
+      const std::span<const uint32_t> codes = col.codes();
+      std::vector<uint32_t> count(col.dict()->size(), 0);
+      for (size_t r = from; r < n; ++r) ++count[codes[r]];
+      std::vector<RowId*> next(count.size(), nullptr);
+      for (uint32_t code = 0; code < count.size(); ++code) {
+        if (count[code] > 0) {
+          next[code] = postings.by_value[code].Extend(count[code]);
+        }
+      }
+      for (size_t r = from; r < n; ++r) {
+        *next[codes[r]]++ = static_cast<RowId>(r);
+      }
+      // The table's own dictionary: the previous version's lacks the
+      // strings this batch registered.
+      dicts_[c] = col.shared_dict();
+      continue;
+    }
+    for (size_t r = from; r < n; ++r) {
       const RowId row = static_cast<RowId>(r);
       uint64_t key = 0;
-      switch (col.type()) {
-        case DataType::kString:
-          key = col.CodeAt(row);
-          break;
-        case DataType::kInt64:
-          key = static_cast<uint64_t>(col.Int64At(row));
-          break;
-        case DataType::kDouble:
-          if (!DoubleKey(col.DoubleAt(row), &key)) continue;
-          break;
+      if (col.type() == DataType::kInt64) {
+        key = static_cast<uint64_t>(col.Int64At(row));
+      } else if (!DoubleKey(col.DoubleAt(row), &key)) {
+        continue;
       }
-      postings.by_value[key].push_back(row);
-    }
-    if (col.type() == DataType::kString) {
-      // The table's own dictionary: an incremental build must not
-      // dangle into the previous version's (deep-copied) dictionaries.
-      dicts_[c] = col.dict();
+      postings.by_value[key].Append(row);
     }
   }
 }
@@ -87,14 +99,14 @@ bool DimensionIndex::KeyFor(int column, const Value& value,
   return false;
 }
 
-const std::vector<RowId>& DimensionIndex::Lookup(int column,
-                                                 const Value& value) const {
-  static const std::vector<RowId> kEmpty;
+std::span<const RowId> DimensionIndex::Lookup(int column,
+                                              const Value& value) const {
   uint64_t key;
-  if (!KeyFor(column, value, &key)) return kEmpty;
+  if (!KeyFor(column, value, &key)) return {};
   const ColumnPostings& postings = columns_.at(column);
   auto it = postings.by_value.find(key);
-  return it == postings.by_value.end() ? kEmpty : it->second;
+  return it == postings.by_value.end() ? std::span<const RowId>()
+                                       : it->second.span();
 }
 
 bool DimensionIndex::Covers(const Predicate& predicate) const {
@@ -108,17 +120,17 @@ bool DimensionIndex::Covers(const Predicate& predicate) const {
 
 std::vector<RowId> DimensionIndex::Match(const Predicate& predicate) const {
   // Gather the postings, shortest first, then intersect.
-  std::vector<const std::vector<RowId>*> postings;
+  std::vector<std::span<const RowId>> postings;
   postings.reserve(predicate.atoms().size());
   for (const AtomicPredicate& atom : predicate.atoms()) {
-    postings.push_back(&Lookup(atom.column, atom.value));
-    if (postings.back()->empty()) return {};
+    postings.push_back(Lookup(atom.column, atom.value));
+    if (postings.back().empty()) return {};
   }
   std::sort(postings.begin(), postings.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::vector<RowId> rows = *postings[0];
+            [](auto a, auto b) { return a.size() < b.size(); });
+  std::vector<RowId> rows(postings[0].begin(), postings[0].end());
   for (size_t i = 1; i < postings.size() && !rows.empty(); ++i) {
-    rows = IntersectSorted(rows, *postings[i]);
+    rows = IntersectSorted(rows, postings[i]);
   }
   return rows;
 }

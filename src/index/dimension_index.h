@@ -9,18 +9,28 @@
 // measured quantities (executions, candidates) — only wall-clock.
 // bench_micro_executor quantifies the difference.
 //
-// Immutable after Build(): Lookup/Covers/Match are const, allocate
-// only caller-local state, and may run concurrently from any number of
-// threads over one shared instance.
+// Each posting list is a PrefixArray (storage/prefix_array.h), so an
+// index built incrementally off a previous one shares every posting
+// with it by prefix: BuildIncremental copies only the per-key
+// (buffer, length) maps and appends the delta rows past the previous
+// lengths.
+//
+// Thread contract: immutable after Build(); Lookup/Covers/Match are
+// const, allocate only caller-local state, and may run concurrently
+// from any number of threads over one shared instance, also while an
+// index built off it appends to the postings they share.
 
 #ifndef PALEO_INDEX_DIMENSION_INDEX_H_
 #define PALEO_INDEX_DIMENSION_INDEX_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/predicate.h"
+#include "storage/prefix_array.h"
 #include "storage/table.h"
 
 namespace paleo {
@@ -33,18 +43,20 @@ class DimensionIndex {
   static DimensionIndex Build(const Table& table);
 
   /// Builds the index for `table` off `prev`, which must index exactly
-  /// the first `old_rows` rows of `table`. Copies the posting maps and
-  /// appends only the delta rows (ascending row ids keep postings
-  /// sorted); dictionary references are re-pointed at `table`'s own
-  /// columns so the result never dangles into the previous snapshot.
-  /// Identical lookup behavior to Build(table).
+  /// the first `old_rows` rows of `table`. Shares `prev`'s postings by
+  /// prefix and appends only the delta rows (ascending row ids keep
+  /// postings sorted; `prev` reads what it read before); dictionary
+  /// references are re-pointed at `table`'s own columns, whose
+  /// dictionaries a batch with new strings replaced. Identical lookup
+  /// behavior to Build(table).
   static DimensionIndex BuildIncremental(const DimensionIndex& prev,
                                          const Table& table,
                                          size_t old_rows);
 
   /// Rows matching `column = value`, ascending; empty if the value is
-  /// absent or the column is not indexed.
-  const std::vector<RowId>& Lookup(int column, const Value& value) const;
+  /// absent or the column is not indexed. Valid for the life of this
+  /// index.
+  std::span<const RowId> Lookup(int column, const Value& value) const;
 
   /// True if every atom of the predicate references an indexed column
   /// (so the predicate can be evaluated from postings alone).
@@ -65,7 +77,7 @@ class DimensionIndex {
   // NaN rows are posted nowhere, so postings agree with the scan's ==.
   struct ColumnPostings {
     DataType type = DataType::kString;
-    std::unordered_map<uint64_t, std::vector<RowId>> by_value;
+    std::unordered_map<uint64_t, PrefixArray<RowId>> by_value;
   };
 
   /// Posts rows [from, table.num_rows()) of every dimension column:
@@ -79,7 +91,7 @@ class DimensionIndex {
 
   std::unordered_map<int, ColumnPostings> columns_;
   // Dictionaries of indexed string columns, for constant resolution.
-  std::unordered_map<int, std::shared_ptr<StringDictionary>> dicts_;
+  std::unordered_map<int, std::shared_ptr<const StringDictionary>> dicts_;
 };
 
 }  // namespace paleo

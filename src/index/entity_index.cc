@@ -13,31 +13,30 @@ EntityIndex EntityIndex::Build(const Table& table) {
 EntityIndex EntityIndex::BuildIncremental(const EntityIndex& prev,
                                           const Table& table,
                                           size_t old_rows) {
-  EntityIndex index = prev;  // copied postings; prev stays untouched
+  EntityIndex index = prev;  // shares prev's postings by prefix
   index.Append(table, old_rows);
   return index;
 }
 
 void EntityIndex::Append(const Table& table, size_t from) {
   const Column& entities = table.entity_column();
-  // The table's own dictionary: an incremental build must not resolve
-  // names through the previous version's (deep-copied) one.
-  dict_ = entities.dict();
+  // The table's own dictionary: the previous version's lacks the names
+  // this batch registered.
+  dict_ = entities.shared_dict();
   postings_.resize(dict_->size());
   for (size_t r = from; r < table.num_rows(); ++r) {
     const RowId row = static_cast<RowId>(r);
-    postings_[entities.CodeAt(row)].push_back(row);
+    postings_[entities.CodeAt(row)].Append(row);
   }
 }
 
-const std::vector<RowId>& EntityIndex::Lookup(
-    const std::string& entity) const {
-  static const std::vector<RowId> kEmpty;
-  if (dict_ == nullptr) return kEmpty;
+std::span<const RowId> EntityIndex::Lookup(const std::string& entity) const {
+  if (dict_ == nullptr) return {};
   // kInvalidCode, and the code of a name registered after the build,
   // lie past the postings.
   const uint32_t code = dict_->Lookup(entity);
-  return code < postings_.size() ? postings_[code] : kEmpty;
+  return code < postings_.size() ? postings_[code].span()
+                                 : std::span<const RowId>();
 }
 
 std::vector<RowId> EntityIndex::LookupAll(
@@ -45,7 +44,7 @@ std::vector<RowId> EntityIndex::LookupAll(
     std::vector<std::string>* missing) const {
   std::vector<RowId> rows;
   for (const std::string& e : entities) {
-    const std::vector<RowId>& p = Lookup(e);
+    const std::span<const RowId> p = Lookup(e);
     if (p.empty() && missing != nullptr) missing->push_back(e);
     rows.insert(rows.end(), p.begin(), p.end());
   }

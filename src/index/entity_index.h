@@ -7,18 +7,28 @@
 // each entity followed by Table::Gather to materialize R' (paper
 // Section 3.1: "SELECT * FROM R WHERE Ae IN [e, f, g, m, o]").
 //
-// Immutable after Build(): every member below is const and touches no
-// hidden mutable state, so one index instance is safely shared by any
-// number of concurrent readers (the discovery service relies on this).
+// Each posting list is a PrefixArray (storage/prefix_array.h), so an
+// index built incrementally off a previous one shares every posting
+// with it by prefix: BuildIncremental copies only the per-code
+// (buffer, length) table and appends the delta rows past the previous
+// lengths.
+//
+// Thread contract: immutable after Build(); every member below is const
+// and touches no hidden mutable state, so one index instance is safely
+// shared by any number of concurrent readers (the discovery service
+// relies on this), also while an index built off it appends to the
+// postings they share.
 
 #ifndef PALEO_INDEX_ENTITY_INDEX_H_
 #define PALEO_INDEX_ENTITY_INDEX_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "storage/dictionary.h"
+#include "storage/prefix_array.h"
 #include "storage/table.h"
 
 namespace paleo {
@@ -32,16 +42,16 @@ class EntityIndex {
   /// Builds the index for `table` off `prev`, which must index exactly
   /// the first `old_rows` rows of `table` (the ingestion contract:
   /// `table` is `prev`'s table plus appended rows, with dictionary
-  /// codes preserved). Copies the posting lists and appends only the
-  /// delta rows, in ascending order, so postings stay sorted. Equal to
-  /// Build(table).
+  /// codes preserved). Shares `prev`'s posting lists by prefix and
+  /// appends only the delta rows, in ascending order, so postings stay
+  /// sorted; `prev` reads what it read before. Equal to Build(table).
   static EntityIndex BuildIncremental(const EntityIndex& prev,
                                       const Table& table, size_t old_rows);
 
   /// Row ids (ascending) of the entity, or an empty list if it has no
   /// rows in the indexed table (names registered after the build
-  /// included).
-  const std::vector<RowId>& Lookup(const std::string& entity) const;
+  /// included). Valid for the life of this index.
+  std::span<const RowId> Lookup(const std::string& entity) const;
 
   /// Row ids of all listed entities, merged in ascending order; entities
   /// with no rows are recorded in `missing` when non-null.
@@ -65,7 +75,7 @@ class EntityIndex {
   void Append(const Table& table, size_t from);
 
   // Indexed by entity code; empty for a code with no rows.
-  std::vector<std::vector<RowId>> postings_;
+  std::vector<PrefixArray<RowId>> postings_;
   // The table's own entity dictionary (null only when
   // default-constructed), for name resolution.
   std::shared_ptr<const StringDictionary> dict_;

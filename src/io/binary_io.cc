@@ -192,7 +192,7 @@ StatusOr<Table> BinaryIo::Deserialize(std::string_view bytes) {
         for (uint32_t i = 0; i < dict_size; ++i) {
           std::string entry;
           PALEO_RETURN_NOT_OK(r.Str(&entry));
-          uint32_t code = col->dict()->GetOrAdd(entry);
+          uint32_t code = col->AddString(entry);
           if (code != i) {
             return Status::IoError("duplicate dictionary entry: " + entry);
           }

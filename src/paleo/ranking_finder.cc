@@ -58,15 +58,14 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
       !std::is_sorted(raw_values.rbegin(), raw_values.rend());
 
   // Input values in list order (for rank-aligned distances) and sorted
-  // (for the histogram heuristic and min/max checks).
+  // descending, NaN last (for the histogram heuristic and min/max
+  // checks; a NaN input_min disables the min check).
   const std::vector<double> input_values_in_order = input.Values();
   std::vector<double> input_values_sorted = std::move(raw_values);
   std::sort(input_values_sorted.begin(), input_values_sorted.end(),
-            std::greater<double>());
+            [](double a, double b) { return RanksBefore(a, b, true); });
   double input_max = input_values_sorted.front();
   double input_min = input_values_sorted.back();
-  std::unordered_set<double> distinct_input(input_values_sorted.begin(),
-                                            input_values_sorted.end());
 
   // Base-dictionary codes of the input entities (for top-entity
   // intersection); kInvalidCode for entities absent from R.
@@ -86,7 +85,20 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
   // check runs only when L has at most that many distinct values:
   // there a count below the cap is exact, and a saturated one is at
   // least L's.
-  const int64_t input_distinct = static_cast<int64_t>(distinct_input.size());
+  // L's distinct values, its NaNs counted once: a set counts every
+  // NaN anew (NaN == NaN is false), while one NaN row of a column can
+  // give several groups their NaN.
+  std::unordered_set<double> distinct_input;
+  bool input_has_nan = false;
+  for (double v : input_values_sorted) {
+    if (std::isnan(v)) {
+      input_has_nan = true;
+    } else {
+      distinct_input.insert(v);
+    }
+  }
+  const int64_t input_distinct =
+      static_cast<int64_t>(distinct_input.size()) + (input_has_nan ? 1 : 0);
   auto too_few_distinct = [&](AggFn agg, const ColumnStats& stats) {
     bool sound =
         agg == AggFn::kMax || agg == AggFn::kMin || agg == AggFn::kNone;

@@ -1,6 +1,7 @@
 #include "paleo/rprime.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,7 +35,7 @@ StatusOr<RPrime> RPrime::Build(const Table& base, const EntityIndex& index,
   rp.entity_row_counts_.assign(rp.entity_names_.size(), 0);
   rp.entity_total_counts_.assign(rp.entity_names_.size(), 0);
   for (uint32_t e = 0; e < rp.entity_names_.size(); ++e) {
-    const std::vector<RowId>& posting = index.Lookup(rp.entity_names_[e]);
+    const std::span<const RowId> posting = index.Lookup(rp.entity_names_[e]);
     if (posting.empty()) {
       rp.missing_entities_.push_back(rp.entity_names_[e]);
       continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/random.h"
 
@@ -22,7 +23,7 @@ StatusOr<std::vector<RowId>> Sampler::ByEntity(
   std::vector<uint32_t> chosen = rng.SampleWithoutReplacement(n, count);
   std::vector<RowId> rows;
   for (uint32_t idx : chosen) {
-    const std::vector<RowId>& posting =
+    const std::span<const RowId> posting =
         index.Lookup(entities[static_cast<size_t>(idx)]);
     rows.insert(rows.end(), posting.begin(), posting.end());
   }
@@ -39,7 +40,7 @@ StatusOr<std::vector<RowId>> Sampler::UniformPerEntity(
   Rng rng(seed);
   std::vector<RowId> rows;
   for (const std::string& entity : entities) {
-    const std::vector<RowId>& posting = index.Lookup(entity);
+    const std::span<const RowId> posting = index.Lookup(entity);
     if (posting.empty()) continue;
     uint32_t n = static_cast<uint32_t>(posting.size());
     uint32_t count = std::max<uint32_t>(

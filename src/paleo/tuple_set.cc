@@ -8,7 +8,8 @@ namespace {
 
 /// Galloping (exponential) search intersection for when one side is
 /// much smaller than the other.
-TupleSet IntersectGalloping(const TupleSet& small, const TupleSet& large) {
+TupleSet IntersectGalloping(std::span<const RowId> small,
+                            std::span<const RowId> large) {
   TupleSet out;
   out.reserve(small.size());
   auto it = large.begin();
@@ -36,7 +37,7 @@ TupleSet IntersectGalloping(const TupleSet& small, const TupleSet& large) {
 
 }  // namespace
 
-TupleSet IntersectSorted(const TupleSet& a, const TupleSet& b) {
+TupleSet IntersectSorted(std::span<const RowId> a, std::span<const RowId> b) {
   if (a.empty() || b.empty()) return {};
   // Gallop when sizes are strongly skewed; linear merge otherwise.
   if (a.size() * 16 < b.size()) return IntersectGalloping(a, b);

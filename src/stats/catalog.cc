@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <span>
 
 namespace paleo {
 
@@ -11,7 +12,7 @@ namespace {
 /// pattern, folding min/max in the same pass, then boxes each distinct
 /// pattern into `counts` once.
 template <typename T>
-void CountNumeric(const std::vector<T>& values, size_t from,
+void CountNumeric(std::span<const T> values, size_t from,
                   ColumnStats* stats, StatsCatalog::ValueCountMap* counts) {
   std::unordered_map<uint64_t, int64_t> by_key;
   for (size_t r = from; r < values.size(); ++r) {
@@ -36,7 +37,7 @@ void ExtendDimension(const Column& column, ColumnStats* stats,
     case DataType::kString: {
       const StringDictionary& dict = *column.dict();
       std::vector<int64_t> by_code(dict.size(), 0);
-      const std::vector<uint32_t>& codes = column.codes();
+      const std::span<const uint32_t> codes = column.codes();
       for (size_t r = from; r < codes.size(); ++r) ++by_code[codes[r]];
       for (uint32_t code = 0; code < by_code.size(); ++code) {
         if (by_code[code] > 0) {

@@ -1,6 +1,7 @@
 #include "stats/column_stats.h"
 
 #include <bit>
+#include <span>
 
 namespace paleo {
 
@@ -10,7 +11,7 @@ namespace {
 /// their bit patterns into `keys`; returns true when the count
 /// saturated. Once saturated, the rest of the pass only folds min/max.
 template <typename T>
-bool FoldNumeric(const std::vector<T>& values, size_t from,
+bool FoldNumeric(std::span<const T> values, size_t from,
                  ColumnStats* stats, std::unordered_set<uint64_t>* keys,
                  bool counting) {
   bool saturated = false;
@@ -45,7 +46,7 @@ void ColumnStats::Extend(const Column& column,
   switch (column.type()) {
     case DataType::kString: {
       // No min/max: the pass ends where the count saturates.
-      const std::vector<uint32_t>& codes = column.codes();
+      const std::span<const uint32_t> codes = column.codes();
       for (size_t r = from; counting && r < codes.size(); ++r) {
         keys->insert(codes[r]);
         if (static_cast<int64_t>(keys->size()) == kDistinctCap) {

@@ -4,9 +4,23 @@
 
 namespace paleo {
 
-Column::Column(DataType type, std::shared_ptr<StringDictionary> dict)
-    : type_(type), dict_(std::move(dict)) {
-  if (type_ == DataType::kString && dict_ == nullptr) {
+namespace {
+
+/// A copy of `rows` of `values`, in a buffer of exactly that size.
+template <typename T>
+PrefixArray<T> GatherRows(const PrefixArray<T>& values,
+                          const std::vector<RowId>& rows) {
+  PrefixArray<T> out;
+  if (rows.empty()) return out;
+  T* dst = out.Extend(rows.size());
+  for (RowId r : rows) *dst++ = values[r];
+  return out;
+}
+
+}  // namespace
+
+Column::Column(DataType type) : type_(type) {
+  if (type_ == DataType::kString) {
     dict_ = std::make_shared<StringDictionary>();
   }
 }
@@ -30,19 +44,19 @@ Status Column::Append(const Value& v) {
         return Status::TypeError("cannot append " +
                                  std::string(DataTypeToString(v.type())) +
                                  " to INT64 column");
-      ints_.push_back(v.int64());
+      ints_.Append(v.int64());
       return Status::OK();
     case DataType::kDouble:
       if (!v.is_numeric())
         return Status::TypeError("cannot append STRING to DOUBLE column");
-      doubles_.push_back(v.AsDouble());
+      doubles_.Append(v.AsDouble());
       return Status::OK();
     case DataType::kString:
       if (!v.is_string())
         return Status::TypeError("cannot append " +
                                  std::string(DataTypeToString(v.type())) +
                                  " to STRING column");
-      codes_.push_back(dict_->GetOrAdd(v.str()));
+      codes_.Append(AddString(v.str()));
       return Status::OK();
   }
   return Status::Internal("unreachable column type");
@@ -50,23 +64,35 @@ Status Column::Append(const Value& v) {
 
 void Column::AppendInt64(int64_t v) {
   PALEO_DCHECK(type_ == DataType::kInt64);
-  ints_.push_back(v);
+  ints_.Append(v);
 }
 
 void Column::AppendDouble(double v) {
   PALEO_DCHECK(type_ == DataType::kDouble);
-  doubles_.push_back(v);
+  doubles_.Append(v);
 }
 
 void Column::AppendString(std::string_view v) {
   PALEO_DCHECK(type_ == DataType::kString);
-  codes_.push_back(dict_->GetOrAdd(v));
+  codes_.Append(AddString(v));
 }
 
 void Column::AppendCode(uint32_t code) {
   PALEO_DCHECK(type_ == DataType::kString);
   PALEO_DCHECK(code < dict_->size());
-  codes_.push_back(code);
+  codes_.Append(code);
+}
+
+uint32_t Column::AddString(std::string_view s) {
+  PALEO_DCHECK(type_ == DataType::kString);
+  const uint32_t code = dict_->Lookup(s);
+  if (code != StringDictionary::kInvalidCode) return code;
+  // Copy on write: another column, an index or a gathered slice may be
+  // reading the shared dictionary.
+  if (dict_.use_count() != 1) {
+    dict_ = std::make_shared<StringDictionary>(*dict_);
+  }
+  return dict_->GetOrAdd(s);
 }
 
 Value Column::GetValue(RowId row) const {
@@ -85,16 +111,13 @@ Column Column::Gather(const std::vector<RowId>& rows) const {
   Column out(type_, dict_);
   switch (type_) {
     case DataType::kInt64:
-      out.ints_.reserve(rows.size());
-      for (RowId r : rows) out.ints_.push_back(ints_[r]);
+      out.ints_ = GatherRows(ints_, rows);
       break;
     case DataType::kDouble:
-      out.doubles_.reserve(rows.size());
-      for (RowId r : rows) out.doubles_.push_back(doubles_[r]);
+      out.doubles_ = GatherRows(doubles_, rows);
       break;
     case DataType::kString:
-      out.codes_.reserve(rows.size());
-      for (RowId r : rows) out.codes_.push_back(codes_[r]);
+      out.codes_ = GatherRows(codes_, rows);
       break;
   }
   return out;
@@ -104,9 +127,9 @@ Column Column::DeepCopy() const {
   Column out(type_, dict_ == nullptr
                         ? nullptr
                         : std::make_shared<StringDictionary>(*dict_));
-  out.ints_ = ints_;
-  out.doubles_ = doubles_;
-  out.codes_ = codes_;
+  out.ints_ = ints_.Clone();
+  out.doubles_ = doubles_.Clone();
+  out.codes_ = codes_.Clone();
   return out;
 }
 

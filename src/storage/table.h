@@ -30,13 +30,19 @@ namespace paleo {
 /// segments — so direct-array readers are unaffected. AppendRows
 /// maintains zone maps incrementally (sealing a full chunk and opening
 /// the next one as it crosses a boundary); CheckConsistent rebuilds
-/// them after direct column writes; DeepCopy preserves them.
+/// them after direct column writes; copies preserve them.
 ///
-/// Thread contract: appends are single-threaded; once loading is done
-/// the table is read-only in every PALEO path, and all read accessors
-/// are const with no hidden mutable state, so one table (and the
-/// dictionaries it shares with Gather()ed slices) may be read
-/// concurrently by any number of threads.
+/// A copy shares the original's column arrays by prefix and its
+/// dictionaries until either registers a new string (storage/column.h),
+/// so copying costs O(columns + chunks), not O(rows). Appending to the
+/// copy or to the original never changes what the other reads: each
+/// reads only its own rows and its own strings.
+///
+/// Thread contract: appends to one table are single-threaded; all read
+/// accessors are const with no hidden mutable state, so one table (and
+/// the dictionaries it shares with Gather()ed slices) may be read
+/// concurrently by any number of threads, also while copies of it
+/// append on other threads.
 class Table {
  public:
   /// Default chunk size: 64Ki rows. Large enough that per-chunk
@@ -64,15 +70,13 @@ class Table {
   /// batch.
   Status AppendRows(std::span<const std::vector<Value>> rows);
 
-  /// Deep copy: clones the columns AND their string dictionaries, so
-  /// the copy can keep appending (registering new strings) without
-  /// mutating dictionaries shared with this table's concurrent
-  /// readers. Dictionary codes are preserved, and since the contents
-  /// are identical the copy keeps this table's epoch — epoch-keyed
-  /// derivations stay valid until the copy is first mutated (which
-  /// re-stamps it). This is the ingestion path's copy-on-write step;
-  /// plain copy construction shares dictionaries (Gather semantics)
-  /// and is only safe for tables that will never append.
+  /// Deep copy: private column arrays (of the original's capacity) and
+  /// private dictionaries, sharing no storage with this table. Codes
+  /// are preserved, and since the contents are identical the copy
+  /// keeps this table's epoch — epoch-keyed derivations stay valid
+  /// until the copy is first mutated (which re-stamps it). A plain copy
+  /// already isolates appends; this one also frees the copy from the
+  /// original's buffers.
   Table DeepCopy() const;
 
   /// Called after direct column writes; verifies equal column lengths

@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/ingestor.h"
@@ -126,6 +129,126 @@ class CatalogTest : public ::testing::Test {
       EXPECT_EQ(ta.entity_codes(), tb.entity_codes()) << "column " << c;
       EXPECT_EQ(ta.values(), tb.values()) << "column " << c;
     }
+  }
+
+  /// The relation the oracle tests grow: string, DOUBLE (holding -0.0,
+  /// 0.0 and NaN) and INT64 dimensions, a key column and two measures.
+  static Schema MixedSchema() {
+    auto schema = Schema::Make({
+        {"e", DataType::kString, FieldRole::kEntity},
+        {"s", DataType::kString, FieldRole::kDimension},
+        {"d", DataType::kDouble, FieldRole::kDimension},
+        {"y", DataType::kInt64, FieldRole::kDimension},
+        {"k", DataType::kInt64, FieldRole::kKey},
+        {"v", DataType::kInt64, FieldRole::kMeasure},
+        {"w", DataType::kDouble, FieldRole::kMeasure},
+    });
+    EXPECT_TRUE(schema.ok());
+    return *schema;
+  }
+
+  /// One MixedSchema row of entity "e<entity>", dimension string `s`
+  /// and key `k`; the other values are drawn from `rng`.
+  static std::vector<Value> MixedRow(Rng* rng, int entity,
+                                     const std::string& s, int64_t k) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double dims[] = {-0.0, 0.0, nan, 1.5, -2.25};
+    const double w = rng->Uniform(16) == 0   ? nan
+                     : rng->Uniform(16) == 0 ? -0.0
+                                             : rng->UniformDouble(-50.0, 50.0);
+    return {Value::String("e" + std::to_string(entity)), Value::String(s),
+            Value::Double(dims[rng->Uniform(5)]),
+            Value::Int64(rng->UniformInt(2000, 2003)), Value::Int64(k),
+            Value::Int64(rng->UniformInt(0, 9)), Value::Double(w)};
+  }
+
+  /// The oracle sweep's predicates over MixedSchema: on the zeros, NaN,
+  /// a batch's new string "new1", and conjunctions of them.
+  static std::vector<Predicate> MixedPredicates() {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    return {
+        Predicate(),
+        Predicate::Atom(1, Value::String("CA")),
+        Predicate::Atom(1, Value::String("new1")),
+        Predicate::Atom(2, Value::Double(0.0)),
+        Predicate::Atom(2, Value::Double(-0.0)),
+        Predicate::Atom(2, Value::Double(nan)),
+        Predicate::Atom(2, Value::Double(1.5)),
+        Predicate::Atom(3, Value::Int64(2001)),
+        Predicate({{1, Value::String("NY")}, {2, Value::Double(-0.0)}}),
+        Predicate({{2, Value::Double(0.0)}, {3, Value::Int64(2002)}}),
+    };
+  }
+
+  /// 120 queries over MixedSchema: every aggregate over both measures
+  /// under each of MixedPredicates, alternating the order, with k = 100
+  /// (more than the number of groups) on every third.
+  static std::vector<TopKQuery> MixedQueries() {
+    const AggFn aggs[] = {AggFn::kMax, AggFn::kMin,   AggFn::kSum,
+                          AggFn::kAvg, AggFn::kCount, AggFn::kNone};
+    std::vector<TopKQuery> queries;
+    for (const Predicate& p : MixedPredicates()) {
+      for (AggFn agg : aggs) {
+        for (int expr_col : {5, 6}) {
+          const size_t qi = queries.size();
+          TopKQuery q;
+          q.predicate = p;
+          q.expr = RankExpr::Column(expr_col);
+          q.agg = agg;
+          q.order = qi % 2 == 0 ? SortOrder::kDesc : SortOrder::kAsc;
+          q.k = qi % 3 == 0 ? 100 : 5;
+          queries.push_back(std::move(q));
+        }
+      }
+    }
+    return queries;
+  }
+
+  /// Expects every MixedQueries query on `t` to answer bit for bit like
+  /// the naive oracle over `reference`, a table of the same rows and
+  /// chunk size, both by scan and through `index`.
+  static void ExpectAnswersLikeOracle(const Table& t,
+                                      const DimensionIndex* index,
+                                      const Table& reference) {
+    ASSERT_NE(index, nullptr);
+    Executor scan;
+    Executor indexed;
+    indexed.SetDimensionIndex(index, &t);
+    for (const TopKQuery& q : MixedQueries()) {
+      const TopKList want = oracle::NaiveExecute(reference, q);
+      for (Executor* ex : {&scan, &indexed}) {
+        const char* path = ex == &scan ? "scan" : "index";
+        auto got = ex->Execute(t, q, ExecContext{});
+        ASSERT_TRUE(got.ok()) << path << ": " << q.ToSql(t.schema());
+        EXPECT_EQ(oracle::BitwiseDiff(*got, want), "")
+            << path << ", " << t.num_rows() << " rows: " << q.ToSql(t.schema());
+      }
+    }
+    for (const Predicate& p : MixedPredicates()) {
+      const size_t want = oracle::NaiveCountMatching(reference, p);
+      EXPECT_EQ(scan.CountMatching(t, p, ExecContext{}), want)
+          << p.ToSql(t.schema());
+      EXPECT_EQ(indexed.CountMatching(t, p, ExecContext{}), want)
+          << p.ToSql(t.schema());
+    }
+    EXPECT_GT(indexed.stats().index_assisted, 0);
+  }
+
+  /// Expects `index` to post every entity of `t` exactly as a full
+  /// build over `reference`, a table of the same rows, does.
+  static void ExpectEntityIndexEqual(const EntityIndex& index,
+                                     const Table& t,
+                                     const Table& reference) {
+    const EntityIndex rebuilt = EntityIndex::Build(reference);
+    const StringDictionary& names = *t.entity_column().dict();
+    for (uint32_t code = 0; code < names.size(); ++code) {
+      const std::span<const RowId> got = index.Lookup(names.Get(code));
+      const std::span<const RowId> want = rebuilt.Lookup(names.Get(code));
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << names.Get(code);
+    }
+    EXPECT_TRUE(index.Lookup("absent").empty());
+    EXPECT_EQ(index.num_entities(), rebuilt.num_entities());
   }
 
  private:
@@ -260,60 +383,21 @@ TEST_F(CatalogTest, IncrementalMatchesFullRebuild) {
 // Each published snapshot must equal a full rebuild, and its table must
 // answer like the naive oracle with and without its dimension index.
 TEST_F(CatalogTest, IngestedSnapshotsMatchFullBuildAndOracle) {
-  auto schema = Schema::Make({
-      {"e", DataType::kString, FieldRole::kEntity},
-      {"s", DataType::kString, FieldRole::kDimension},
-      {"d", DataType::kDouble, FieldRole::kDimension},
-      {"y", DataType::kInt64, FieldRole::kDimension},
-      {"k", DataType::kInt64, FieldRole::kKey},
-      {"v", DataType::kInt64, FieldRole::kMeasure},
-      {"w", DataType::kDouble, FieldRole::kMeasure},
-  });
-  ASSERT_TRUE(schema.ok());
-  const int k_col = schema->FieldIndex("k");
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double dims[] = {-0.0, 0.0, nan, 1.5, -2.25};
+  const Schema schema = MixedSchema();
+  const int k_col = schema.FieldIndex("k");
   Rng rng(20);
-  auto row = [&](int entity, const std::string& s, int64_t k) {
-    const double w = rng.Uniform(16) == 0  ? nan
-                     : rng.Uniform(16) == 0 ? -0.0
-                                            : rng.UniformDouble(-50.0, 50.0);
-    return std::vector<Value>{
-        Value::String("e" + std::to_string(entity)), Value::String(s),
-        Value::Double(dims[rng.Uniform(5)]),
-        Value::Int64(rng.UniformInt(2000, 2003)), Value::Int64(k),
-        Value::Int64(rng.UniformInt(0, 9)), Value::Double(w)};
-  };
   const char* states[] = {"CA", "NY", "TX"};
-  Table base(*schema);
+  Table base(schema);
   for (int i = 0; i < 1100; ++i) {
     const int entity = static_cast<int>(rng.Uniform(30));
     const std::string s = states[rng.Uniform(3)];
-    ASSERT_TRUE(base.AppendRow(row(entity, s, i % 1020)).ok());
+    ASSERT_TRUE(base.AppendRow(MixedRow(&rng, entity, s, i % 1020)).ok());
   }
   PaleoOptions options;
   options.chunk_rows = 64;
   options.use_dimension_index = true;
   auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
   Ingestor ingestor(catalog.get());
-
-  // The query sweep: every aggregate over both measures, in both
-  // orders, under predicates on the zeros, NaN, a batch's new string
-  // and conjunctions of them; k = 100 exceeds the number of groups.
-  std::vector<Predicate> predicates = {
-      Predicate(),
-      Predicate::Atom(1, Value::String("CA")),
-      Predicate::Atom(1, Value::String("new1")),
-      Predicate::Atom(2, Value::Double(0.0)),
-      Predicate::Atom(2, Value::Double(-0.0)),
-      Predicate::Atom(2, Value::Double(nan)),
-      Predicate::Atom(2, Value::Double(1.5)),
-      Predicate::Atom(3, Value::Int64(2001)),
-      Predicate({{1, Value::String("NY")}, {2, Value::Double(-0.0)}}),
-      Predicate({{2, Value::Double(0.0)}, {3, Value::Int64(2002)}}),
-  };
-  const AggFn aggs[] = {AggFn::kMax, AggFn::kMin,   AggFn::kSum,
-                        AggFn::kAvg, AggFn::kCount, AggFn::kNone};
 
   auto check_snapshot = [&](int64_t want_k_distinct) {
     auto snapshot = catalog->Current();
@@ -322,52 +406,8 @@ TEST_F(CatalogTest, IngestedSnapshotsMatchFullBuildAndOracle) {
     const StatsCatalog& stats = snapshot->engine().catalog();
     EXPECT_EQ(stats.column_stats(k_col).distinct_count, want_k_distinct);
     ExpectStatsEqual(stats, StatsCatalog::Build(t), t.num_columns());
-
-    const EntityIndex& entities = snapshot->engine().index();
-    const EntityIndex rebuilt = EntityIndex::Build(t);
-    const StringDictionary& names = *t.entity_column().dict();
-    for (uint32_t code = 0; code < names.size(); ++code) {
-      EXPECT_EQ(entities.Lookup(names.Get(code)),
-                rebuilt.Lookup(names.Get(code)))
-          << names.Get(code);
-    }
-    EXPECT_TRUE(entities.Lookup("absent").empty());
-    EXPECT_EQ(entities.num_entities(), rebuilt.num_entities());
-
-    const DimensionIndex* index = snapshot->engine().dimension_index();
-    ASSERT_NE(index, nullptr);
-    Executor scan;
-    Executor indexed;
-    indexed.SetDimensionIndex(index, &t);
-    int qi = 0;
-    for (const Predicate& p : predicates) {
-      const size_t want_count = oracle::NaiveCountMatching(t, p);
-      for (AggFn agg : aggs) {
-        for (int expr_col : {5, 6}) {
-          TopKQuery q;
-          q.predicate = p;
-          q.expr = RankExpr::Column(expr_col);
-          q.agg = agg;
-          q.order = qi % 2 == 0 ? SortOrder::kDesc : SortOrder::kAsc;
-          q.k = qi % 3 == 0 ? 100 : 5;
-          ++qi;
-          const TopKList want = oracle::NaiveExecute(t, q);
-          for (Executor* ex : {&scan, &indexed}) {
-            const char* path = ex == &scan ? "scan" : "index";
-            auto got = ex->Execute(t, q, ExecContext{});
-            ASSERT_TRUE(got.ok()) << path << ": " << q.ToSql(t.schema());
-            EXPECT_EQ(oracle::BitwiseDiff(*got, want), "")
-                << path << ", " << t.num_rows()
-                << " rows: " << q.ToSql(t.schema());
-          }
-        }
-      }
-      EXPECT_EQ(scan.CountMatching(t, p, ExecContext{}), want_count)
-          << p.ToSql(t.schema());
-      EXPECT_EQ(indexed.CountMatching(t, p, ExecContext{}), want_count)
-          << p.ToSql(t.schema());
-    }
-    EXPECT_GT(indexed.stats().index_assisted, 0);
+    ExpectEntityIndexEqual(snapshot->engine().index(), t, t);
+    ExpectAnswersLikeOracle(t, snapshot->engine().dimension_index(), t);
   };
 
   check_snapshot(1020);
@@ -384,12 +424,283 @@ TEST_F(CatalogTest, IngestedSnapshotsMatchFullBuildAndOracle) {
                                        : states[rng.Uniform(3)];
       const int64_t k = j < 2 ? 1020 + 2 * b + static_cast<int64_t>(j)
                               : rng.UniformInt(0, 1019);
-      rows.push_back(row(entity, s, k));
+      rows.push_back(MixedRow(&rng, entity, s, k));
     }
     ASSERT_TRUE(ingestor.Append(rows).ok());
     check_snapshot(std::min<int64_t>(1022 + 2 * b, ColumnStats::kDistinctCap));
   }
   EXPECT_EQ(ingestor.stats().batches, 4u);
+}
+
+/// Capacity of a PrefixArray grown one append at a time to `n`
+/// elements (storage/prefix_array.h: a full buffer of c forks to
+/// 2(c + 1)), so appending past it forks.
+size_t CapacityForAppends(size_t n) {
+  size_t capacity = 8;
+  while (capacity < n) capacity = 2 * (capacity + 1);
+  return capacity;
+}
+
+/// Capacity of a column's buffer, from its footprint.
+size_t ColumnCapacity(const Column& col) {
+  return col.MemoryUsage() /
+         (col.type() == DataType::kString ? sizeof(uint32_t) : sizeof(int64_t));
+}
+
+/// First element of a column's array, whatever its type.
+const void* ColumnData(const Column& col) {
+  switch (col.type()) {
+    case DataType::kInt64:
+      return col.ints().data();
+    case DataType::kDouble:
+      return col.doubles().data();
+    case DataType::kString:
+      return col.codes().data();
+  }
+  return nullptr;
+}
+
+// A publish copies no column and no posting list: every column and
+// posting of version v + 1 reads version v's buffer for v's rows (the
+// same data pointer), unless that buffer was full and regrew.
+TEST_F(CatalogTest, PublishSharesPreviousVersionStorageByPrefix) {
+  const Schema schema = MixedSchema();
+  Rng rng(31);
+  const char* states[] = {"CA", "NY", "TX"};
+  Table base(schema);
+  for (int i = 0; i < 1100; ++i) {
+    const std::string s = states[rng.Uniform(3)];
+    ASSERT_TRUE(base.AppendRow(MixedRow(&rng, static_cast<int>(rng.Uniform(30)),
+                                        s, i))
+                    .ok());
+  }
+  PaleoOptions options;
+  options.use_dimension_index = true;
+  auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
+  Ingestor ingestor(catalog.get());
+
+  int column_regrowths = 0;
+  int posting_shares = 0;
+  std::map<std::pair<int, std::string>, int> dimension_moves;
+  for (int b = 0; b < 20; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    std::vector<std::vector<Value>> rows;
+    for (int j = 0; j < 50; ++j) {
+      const std::string s = j == 0 ? "new" + std::to_string(b)
+                                   : states[rng.Uniform(3)];
+      rows.push_back(MixedRow(&rng, j == 0 ? 30 + b : static_cast<int>(
+                                                          rng.Uniform(30)),
+                              s, 1100 + 50 * b + j));
+    }
+    auto prev = catalog->Current();
+    ASSERT_TRUE(ingestor.Append(rows).ok());
+    auto next = catalog->Current();
+    const Table& pt = prev->table();
+    const Table& nt = next->table();
+    ASSERT_EQ(nt.num_rows(), pt.num_rows() + rows.size());
+
+    for (int c = 0; c < nt.num_columns(); ++c) {
+      const Column& pc = pt.column(c);
+      const Column& nc = nt.column(c);
+      if (ColumnData(nc) != ColumnData(pc)) {
+        EXPECT_LT(ColumnCapacity(pc), nt.num_rows()) << "column " << c;
+        ++column_regrowths;
+      }
+      for (RowId r = 0; r < pt.num_rows(); ++r) {
+        ASSERT_TRUE(pc.type() == DataType::kString
+                        ? pc.StringAt(r) == nc.StringAt(r)
+                        : std::bit_cast<uint64_t>(pc.NumericAt(r)) ==
+                              std::bit_cast<uint64_t>(nc.NumericAt(r)))
+            << "column " << c << " row " << r;
+      }
+    }
+
+    const StringDictionary& names = *pt.entity_column().dict();
+    for (uint32_t code = 0; code < names.size(); ++code) {
+      const std::span<const RowId> before =
+          prev->engine().index().Lookup(names.Get(code));
+      const std::span<const RowId> after =
+          next->engine().index().Lookup(names.Get(code));
+      ASSERT_GE(after.size(), before.size());
+      ASSERT_TRUE(std::equal(before.begin(), before.end(), after.begin()));
+      if (before.empty()) continue;
+      if (after.data() == before.data()) {
+        ++posting_shares;
+      } else {
+        EXPECT_LT(CapacityForAppends(before.size()), after.size())
+            << names.Get(code);
+      }
+    }
+    // Dimension postings: one the batch did not touch keeps its
+    // buffer; a touched one moves only when it regrew, which geometric
+    // growth allows at most once over these 1,000 rows.
+    const DimensionIndex* pd = prev->engine().dimension_index();
+    const DimensionIndex* nd = next->engine().dimension_index();
+    for (int c : schema.dimension_indices()) {
+      std::map<std::string, Value> values;
+      for (RowId r = 0; r < pt.num_rows(); ++r) {
+        const Value v = pt.GetValue(r, c);
+        values.emplace(v.ToSql(), v);
+      }
+      for (const auto& [sql, v] : values) {
+        const std::span<const RowId> before = pd->Lookup(c, v);
+        const std::span<const RowId> after = nd->Lookup(c, v);
+        if (before.empty()) continue;  // NaN is posted nowhere
+        ASSERT_TRUE(std::equal(before.begin(), before.end(), after.begin()));
+        if (after.data() == before.data()) continue;
+        EXPECT_GT(after.size(), before.size()) << "column " << c << " " << sql;
+        int& moves = dimension_moves[std::make_pair(c, sql)];
+        EXPECT_LE(++moves, 1) << "column " << c << " " << sql;
+      }
+    }
+  }
+  // The base columns hold 1100 rows in buffers of 1278: the 4th batch
+  // crosses that, and the regrown 2558 take the rest, so every column
+  // regrows exactly once.
+  EXPECT_EQ(column_regrowths, schema.num_fields());
+  EXPECT_GT(posting_shares, 0);
+}
+
+// A batch aborted after its build (the catalog.ingest.build fault) has
+// already appended past the tip of every shared buffer, and publishes
+// nothing. The next good batch finds the tip taken, forks, and must
+// publish exactly the base rows plus its own: equal to full builds and
+// to the oracle over a table built from just those rows.
+TEST_F(CatalogTest, AbortedBuildLeavesNoRowsBehindInTheNextVersion) {
+  const Schema schema = MixedSchema();
+  Rng rng(47);
+  const char* states[] = {"CA", "NY", "TX"};
+  auto make_rows = [&](int n, int first_key, const std::string& fresh) {
+    std::vector<std::vector<Value>> rows;
+    for (int i = 0; i < n; ++i) {
+      const std::string s = i % 9 == 0 ? fresh : states[rng.Uniform(3)];
+      const int entity = i % 9 == 0 ? 40 : static_cast<int>(rng.Uniform(30));
+      rows.push_back(MixedRow(&rng, entity, s, first_key + i));
+    }
+    return rows;
+  };
+  const auto base_rows = make_rows(1100, 0, "CA");
+  const auto aborted_rows = make_rows(70, 5000, "aborted");
+  const auto good_rows = make_rows(45, 9000, "new1");
+
+  Table base(schema);
+  ASSERT_TRUE(base.AppendRows(base_rows).ok());
+  PaleoOptions options;
+  options.chunk_rows = 64;
+  options.use_dimension_index = true;
+  auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
+  Ingestor ingestor(catalog.get());
+  auto prev = catalog->Current();
+
+  FaultSpec spec;
+  spec.action = FaultAction::kStatusError;
+  spec.code = StatusCode::kInternal;
+  spec.message = "injected: catalog.ingest.build";
+  spec.at_hit = 1;
+  FaultPoints::Arm("catalog.ingest.build", spec);
+  ASSERT_FALSE(ingestor.Append(aborted_rows).ok());
+  EXPECT_EQ(catalog->Current().get(), prev.get());
+  ASSERT_TRUE(ingestor.Append(good_rows).ok());
+
+  auto next = catalog->Current();
+  const Table& t = next->table();
+  // The oracle sums per chunk_rows block, as the executor does.
+  Table reference(schema, options.chunk_rows);
+  ASSERT_TRUE(reference.AppendRows(base_rows).ok());
+  ASSERT_TRUE(reference.AppendRows(good_rows).ok());
+  ASSERT_EQ(t.num_rows(), reference.num_rows());
+  for (int c = 0; c < t.num_columns(); ++c) {
+    // The aborted batch claimed the slots past the base rows: the good
+    // batch forked to a private buffer.
+    EXPECT_NE(ColumnData(t.column(c)), ColumnData(prev->table().column(c)))
+        << "column " << c;
+    for (RowId r = 0; r < t.num_rows(); ++r) {
+      const Value got = t.GetValue(r, c);
+      const Value want = reference.GetValue(r, c);
+      ASSERT_TRUE(got.is_double()
+                      ? std::bit_cast<uint64_t>(got.dbl()) ==
+                            std::bit_cast<uint64_t>(want.dbl())
+                      : got == want)
+          << "column " << c << " row " << r;
+    }
+  }
+  EXPECT_EQ(t.column(1).dict()->Lookup("aborted"),
+            StringDictionary::kInvalidCode);
+  EXPECT_EQ(prev->table().num_rows(), base_rows.size());
+
+  ExpectStatsEqual(next->engine().catalog(), StatsCatalog::Build(reference),
+                   t.num_columns());
+  ExpectEntityIndexEqual(next->engine().index(), t, reference);
+  ExpectAnswersLikeOracle(t, next->engine().dimension_index(), reference);
+  // The pinned base version still answers for the base rows alone.
+  Table base_reference(schema, options.chunk_rows);
+  ASSERT_TRUE(base_reference.AppendRows(base_rows).ok());
+  ExpectAnswersLikeOracle(prev->table(), prev->engine().dimension_index(),
+                          base_reference);
+}
+
+// A snapshot pinned across 20 publishes, one of which regrows every
+// column, answers 100 queries bit for bit as it did before them.
+TEST_F(CatalogTest, PinnedSnapshotAnswersIdenticallyAcrossPublishes) {
+  const Schema schema = MixedSchema();
+  Rng rng(53);
+  const char* states[] = {"CA", "NY", "TX"};
+  Table base(schema);
+  for (int i = 0; i < 1100; ++i) {
+    const std::string s = states[rng.Uniform(3)];
+    ASSERT_TRUE(base.AppendRow(MixedRow(&rng, static_cast<int>(rng.Uniform(30)),
+                                        s, i))
+                    .ok());
+  }
+  PaleoOptions options;
+  options.chunk_rows = 64;
+  options.use_dimension_index = true;
+  auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
+  Ingestor ingestor(catalog.get());
+
+  auto pinned = catalog->Current();
+  const Table& t = pinned->table();
+  std::vector<TopKQuery> queries = MixedQueries();
+  queries.resize(100);
+  Executor scan;
+  Executor indexed;
+  indexed.SetDimensionIndex(pinned->engine().dimension_index(), &t);
+  auto answer_all = [&] {
+    std::vector<TopKList> answers;
+    for (const TopKQuery& q : queries) {
+      for (Executor* ex : {&scan, &indexed}) {
+        auto got = ex->Execute(t, q, ExecContext{});
+        EXPECT_TRUE(got.ok()) << q.ToSql(t.schema());
+        answers.push_back(got.ok() ? *std::move(got) : TopKList());
+      }
+    }
+    return answers;
+  };
+  const std::vector<TopKList> before = answer_all();
+
+  for (int b = 0; b < 20; ++b) {
+    std::vector<std::vector<Value>> rows;
+    for (int j = 0; j < 50; ++j) {
+      // Rows that would change every answer were they visible: new
+      // strings, entities and extreme measures.
+      std::vector<Value> row = MixedRow(
+          &rng, j % 2 == 0 ? 30 + b : static_cast<int>(rng.Uniform(30)),
+          j % 3 == 0 ? "new1" : states[rng.Uniform(3)], 1100 + 50 * b + j);
+      row[5] = Value::Int64(1000 + j);
+      rows.push_back(std::move(row));
+    }
+    ASSERT_TRUE(ingestor.Append(rows).ok());
+  }
+  auto latest = catalog->Current();
+  ASSERT_EQ(latest->num_rows(), t.num_rows() + 1000);
+  EXPECT_NE(ColumnData(latest->table().column(5)), ColumnData(t.column(5)));
+
+  const std::vector<TopKList> after = answer_all();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(oracle::BitwiseDiff(after[i], before[i]), "")
+        << queries[i / 2].ToSql(t.schema());
+  }
 }
 
 TEST_F(CatalogTest, LastReleaseTeardownRetiresSnapshot) {

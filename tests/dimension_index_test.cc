@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -16,6 +20,10 @@
 
 namespace paleo {
 namespace {
+
+std::vector<RowId> Rows(std::span<const RowId> rows) {
+  return {rows.begin(), rows.end()};
+}
 
 Table SmallTable() {
   auto schema = Schema::Make({
@@ -46,9 +54,9 @@ Table SmallTable() {
 TEST(DimensionIndexTest, LookupPostings) {
   Table t = SmallTable();
   DimensionIndex index = DimensionIndex::Build(t);
-  EXPECT_EQ(index.Lookup(1, Value::String("CA")),
+  EXPECT_EQ(Rows(index.Lookup(1, Value::String("CA"))),
             (std::vector<RowId>{0, 1, 3}));
-  EXPECT_EQ(index.Lookup(2, Value::Int64(2020)),
+  EXPECT_EQ(Rows(index.Lookup(2, Value::Int64(2020))),
             (std::vector<RowId>{0, 2, 3}));
   EXPECT_TRUE(index.Lookup(1, Value::String("ZZ")).empty());
   // Type mismatch: string constant against the int column.
@@ -255,7 +263,7 @@ TEST(ExecutorIndexTest, DoubleKeysFollowIeeeEquality) {
                         Case{nan, {}}}) {
     const Predicate p = Predicate::Atom(1, Value::Double(c.d));
     SCOPED_TRACE(p.ToSql(t.schema()));
-    EXPECT_EQ(index.Lookup(1, Value::Double(c.d)), c.rows);
+    EXPECT_EQ(Rows(index.Lookup(1, Value::Double(c.d))), c.rows);
     TopKQuery q;
     q.predicate = p;
     q.expr = RankExpr::Column(2);
@@ -274,6 +282,83 @@ TEST(ExecutorIndexTest, DoubleKeysFollowIeeeEquality) {
   }
   // The zero lookups were answered from postings, not by a scan.
   EXPECT_GE(indexed.stats().index_assisted, 2);
+}
+
+// Readers look up every value of a pinned index while a writer keeps
+// extending indexes built off it, whose postings share its buffers and
+// grow in place past the lengths the pinned index reads.
+TEST(DimensionIndexTest, PinnedIndexReadsWhileIncrementalBuildsAppend) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"s", DataType::kString, FieldRole::kDimension},
+      {"y", DataType::kInt64, FieldRole::kDimension},
+      {"d", DataType::kDouble, FieldRole::kDimension},
+      {"v", DataType::kInt64, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  auto state = [](int i) { return "s" + std::to_string(i % 7); };
+  auto row = [&](int i, const std::string& s) {
+    return std::vector<Value>{Value::String("e" + std::to_string(i % 30)),
+                              Value::String(s), Value::Int64(2000 + i % 5),
+                              Value::Double(0.5 * (i % 3)), Value::Int64(i)};
+  };
+  Table table(*schema);
+  for (int i = 0; i < 2100; ++i) {
+    ASSERT_TRUE(table.AppendRow(row(i, state(i))).ok());
+  }
+  const DimensionIndex pinned = DimensionIndex::Build(table);
+  // Each probe with its rows in the pinned table, from a scan.
+  struct Probe {
+    int column;
+    Value value;
+    std::vector<RowId> rows;
+  };
+  std::vector<Probe> probes;
+  for (int i = 0; i < 7; ++i) probes.push_back({1, Value::String(state(i)), {}});
+  for (int i = 0; i < 5; ++i) probes.push_back({2, Value::Int64(2000 + i), {}});
+  for (int i = 0; i < 3; ++i) probes.push_back({3, Value::Double(0.5 * i), {}});
+  for (Probe& p : probes) {
+    const Predicate atom = Predicate::Atom(p.column, p.value);
+    for (RowId r = 0; r < table.num_rows(); ++r) {
+      if (atom.Matches(table, r)) p.rows.push_back(r);
+    }
+  }
+
+  // atomic: the lookup loop's stop flag; the lookups read no state the
+  // flag orders.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    int rounds = 0;
+    while (rounds < 2 || !done.load()) {
+      for (const Probe& p : probes) {
+        ASSERT_EQ(Rows(pinned.Lookup(p.column, p.value)), p.rows);
+      }
+      EXPECT_TRUE(pinned.Lookup(1, Value::String("fresh")).empty());
+      ++rounds;
+    }
+  });
+
+  DimensionIndex current = pinned;
+  Table grown = table;
+  for (int b = 0; b < 300; ++b) {
+    const size_t old_rows = grown.num_rows();
+    for (int j = 0; j < 4; ++j) {
+      const int i = static_cast<int>(old_rows) + j;
+      ASSERT_TRUE(grown.AppendRow(row(i, j == 0 ? "fresh" : state(i))).ok());
+    }
+    current = DimensionIndex::BuildIncremental(current, grown, old_rows);
+  }
+  done.store(true);
+  reader.join();
+
+  const DimensionIndex full = DimensionIndex::Build(grown);
+  for (const Probe& p : probes) {
+    EXPECT_EQ(Rows(current.Lookup(p.column, p.value)),
+              Rows(full.Lookup(p.column, p.value)));
+  }
+  EXPECT_EQ(current.Lookup(1, Value::String("fresh")).size(), 300u);
+  EXPECT_EQ(Rows(current.Lookup(1, Value::String("fresh"))),
+            Rows(full.Lookup(1, Value::String("fresh"))));
 }
 
 TEST(DimensionIndexTest, MemoryUsageIsPositive) {

@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <span>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "datagen/traffic_gen.h"
 #include "index/entity_index.h"
 
 namespace paleo {
 namespace {
+
+std::vector<RowId> Rows(std::span<const RowId> rows) {
+  return {rows.begin(), rows.end()};
+}
 
 Table SmallTable() {
   auto schema = Schema::Make({
@@ -27,9 +37,9 @@ TEST(EntityIndexTest, LookupReturnsAscendingRowIds) {
   Table t = SmallTable();
   EntityIndex index = EntityIndex::Build(t);
   EXPECT_EQ(index.num_entities(), 3u);
-  EXPECT_EQ(index.Lookup("b"), (std::vector<RowId>{0, 2, 5}));
-  EXPECT_EQ(index.Lookup("a"), (std::vector<RowId>{1, 4}));
-  EXPECT_EQ(index.Lookup("c"), (std::vector<RowId>{3}));
+  EXPECT_EQ(Rows(index.Lookup("b")), (std::vector<RowId>{0, 2, 5}));
+  EXPECT_EQ(Rows(index.Lookup("a")), (std::vector<RowId>{1, 4}));
+  EXPECT_EQ(Rows(index.Lookup("c")), (std::vector<RowId>{3}));
 }
 
 TEST(EntityIndexTest, LookupMissingIsEmpty) {
@@ -66,7 +76,7 @@ TEST(EntityIndexTest, CoversEveryRowOfALargerRelation) {
   const Column& entities = table->entity_column();
   for (size_t r = 0; r < table->num_rows(); ++r) {
     const std::string& name = entities.StringAt(static_cast<RowId>(r));
-    const std::vector<RowId>& posting = index.Lookup(name);
+    const std::span<const RowId> posting = index.Lookup(name);
     EXPECT_TRUE(std::binary_search(posting.begin(), posting.end(),
                                    static_cast<RowId>(r)));
   }
@@ -98,7 +108,7 @@ TEST(EntityIndexTest, NameAppendedAfterBuildIsAbsent) {
   ASSERT_TRUE(t.AppendRow({Value::String("d"), Value::Int64(6)}).ok());
   ASSERT_TRUE(t.AppendRow({Value::String("a"), Value::Int64(7)}).ok());
   EXPECT_TRUE(index.Lookup("d").empty());
-  EXPECT_EQ(index.Lookup("a"), (std::vector<RowId>{1, 4}));
+  EXPECT_EQ(Rows(index.Lookup("a")), (std::vector<RowId>{1, 4}));
   std::vector<std::string> missing;
   EXPECT_EQ(index.LookupAll({"d", "c"}, &missing), (std::vector<RowId>{3}));
   EXPECT_EQ(missing, (std::vector<std::string>{"d"}));
@@ -121,18 +131,79 @@ TEST(EntityIndexTest, BuildIncrementalWithNewEntitiesEqualsBuild) {
   const StringDictionary& dict = *grown.entity_column().dict();
   ASSERT_EQ(dict.size(), 5u);
   for (uint32_t code = 0; code < dict.size(); ++code) {
-    EXPECT_EQ(extended.Lookup(dict.Get(code)), full.Lookup(dict.Get(code)))
+    EXPECT_EQ(Rows(extended.Lookup(dict.Get(code))),
+              Rows(full.Lookup(dict.Get(code))))
         << dict.Get(code);
   }
-  EXPECT_EQ(extended.Lookup("d"), (std::vector<RowId>{6, 9}));
+  EXPECT_EQ(Rows(extended.Lookup("d")), (std::vector<RowId>{6, 9}));
   EXPECT_TRUE(extended.Lookup("zzz").empty());
   EXPECT_EQ(extended.num_entities(), full.num_entities());
   EXPECT_EQ(extended.MaxPostingLength(), full.MaxPostingLength());
   EXPECT_DOUBLE_EQ(extended.AvgPostingLength(), full.AvgPostingLength());
   // prev still indexes the base table alone.
   EXPECT_TRUE(prev.Lookup("d").empty());
-  EXPECT_EQ(prev.Lookup("b"), (std::vector<RowId>{0, 2, 5}));
+  EXPECT_EQ(Rows(prev.Lookup("b")), (std::vector<RowId>{0, 2, 5}));
   EXPECT_EQ(prev.num_entities(), 3u);
+}
+
+// Readers look up every entity of a pinned index while a writer keeps
+// extending indexes built off it, whose postings share its buffers and
+// grow in place past the lengths the pinned index reads.
+TEST(EntityIndexTest, PinnedIndexReadsWhileIncrementalBuildsAppend) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"v", DataType::kInt64, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  auto name = [](int i) { return "e" + std::to_string(i); };
+  Table table(*schema);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(
+        table.AppendRow({Value::String(name(i % 40)), Value::Int64(i)}).ok());
+  }
+  const EntityIndex pinned = EntityIndex::Build(table);
+
+  // atomic: the lookup loop's stop flag; the lookups read no state the
+  // flag orders.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    int rounds = 0;
+    while (rounds < 2 || !done.load()) {
+      for (int e = 0; e < 40; ++e) {
+        const std::span<const RowId> rows = pinned.Lookup(name(e));
+        ASSERT_EQ(rows.size(), 50u);
+        for (size_t j = 0; j < rows.size(); ++j) {
+          ASSERT_EQ(rows[j], static_cast<RowId>(e + 40 * j));
+        }
+      }
+      EXPECT_TRUE(pinned.Lookup(name(40)).empty());
+      ++rounds;
+    }
+  });
+
+  EntityIndex current = pinned;
+  Table grown = table;
+  for (int b = 0; b < 300; ++b) {
+    const size_t old_rows = grown.num_rows();
+    for (int j = 0; j < 4; ++j) {
+      // Mostly the pinned entities; a new one every tenth batch.
+      const int e = j == 0 && b % 10 == 0 ? 40 + b / 10 : (b * 4 + j) % 40;
+      ASSERT_TRUE(grown
+                      .AppendRow({Value::String(name(e)),
+                                  Value::Int64(static_cast<int64_t>(b))})
+                      .ok());
+    }
+    current = EntityIndex::BuildIncremental(current, grown, old_rows);
+  }
+  done.store(true);
+  reader.join();
+
+  const EntityIndex full = EntityIndex::Build(grown);
+  for (int e = 0; e < 70; ++e) {
+    EXPECT_EQ(Rows(current.Lookup(name(e))), Rows(full.Lookup(name(e))))
+        << name(e);
+  }
+  EXPECT_EQ(current.num_entities(), 70u);
 }
 
 TEST(EntityIndexTest, EmptyTable) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "datagen/augment.h"
 #include "datagen/ssb_gen.h"
@@ -390,6 +392,54 @@ TEST(PaleoE2eTest, InfiniteValueDoesNotMatchFiniteList) {
     ADD_FAILURE() << "reported as valid: " << v.query.ToSql(table.schema());
   }
   EXPECT_FALSE(report->found());
+}
+
+// A group whose rows are all NaN ranks last with max = NaN, and the
+// list holding it is reverse engineered like any other: the query that
+// produced it reproduces it.
+TEST(PaleoE2eTest, ListHoldingNanIsReverseEngineered) {
+  auto schema = Schema::Make({
+      {"name", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+  });
+  ASSERT_TRUE(schema.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Table table(*schema);
+  const struct {
+    const char* name;
+    double p;  // x on the entity's d = 'p' row
+    double q;  // x on its d = 'q' row
+  } rows[] = {{"A", nan, nan}, {"B", 5, 7}, {"C", 3, 9}, {"D", 4, 2}};
+  for (const auto& r : rows) {
+    for (const auto& [d, x] : {std::pair{"p", r.p}, std::pair{"q", r.q}}) {
+      ASSERT_TRUE(table
+                      .AppendRow({Value::String(r.name), Value::String(d),
+                                  Value::Double(x)})
+                      .ok());
+    }
+  }
+  TopKQuery hidden;
+  hidden.predicate = Predicate::Atom(1, Value::String("p"));
+  hidden.expr = RankExpr::Column(2);
+  hidden.agg = AggFn::kMax;
+  hidden.order = SortOrder::kDesc;
+  hidden.k = 4;
+  Executor ex;
+  auto input = ex.Execute(table, hidden, ExecContext{});
+  ASSERT_TRUE(input.ok());
+  ASSERT_EQ(input->size(), 4u);
+  EXPECT_EQ(input->entries()[0].entity, "B");
+  EXPECT_EQ(input->entries()[1].entity, "D");
+  EXPECT_EQ(input->entries()[2].entity, "C");
+  EXPECT_EQ(input->entries()[3].entity, "A");
+  EXPECT_TRUE(std::isnan(input->entries()[3].value));
+
+  Paleo paleo(&table, PaleoOptions{});
+  auto report = paleo.Run({.input = &*input});
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->found());
+  ExpectInstanceEquivalent(table, report->valid[0].query, *input);
 }
 
 }  // namespace

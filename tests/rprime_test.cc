@@ -47,8 +47,8 @@ TEST(RPrimeTest, GathersAllTuplesOfInputEntities) {
               rp->table().entity_column().StringAt(static_cast<RowId>(r)));
   }
   // Slice shares the base dictionary.
-  EXPECT_EQ(rp->table().entity_column().dict().get(),
-            f.table.entity_column().dict().get());
+  EXPECT_EQ(rp->table().entity_column().dict(),
+            f.table.entity_column().dict());
 }
 
 TEST(RPrimeTest, EntityOrderFollowsInputList) {

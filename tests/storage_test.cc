@@ -2,12 +2,131 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "storage/column.h"
 #include "storage/dictionary.h"
+#include "storage/prefix_array.h"
 #include "storage/table.h"
 
 namespace paleo {
 namespace {
+
+template <typename T>
+std::vector<T> Elements(const PrefixArray<T>& a) {
+  return {a.begin(), a.end()};
+}
+
+TEST(PrefixArrayTest, CopiesShareThePrefixAndForkOnlyWhenExtendedFirst) {
+  PrefixArray<int> a;
+  for (int i = 0; i < 3; ++i) a.Append(i);
+  PrefixArray<int> b = a;
+  EXPECT_EQ(b.data(), a.data());
+  // b claims the slot past both prefixes and writes it in place.
+  b.Append(10);
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(a.size(), 3u);
+  // b already extended past a's prefix: a forks to a private buffer.
+  a.Append(20);
+  EXPECT_NE(a.data(), b.data());
+  EXPECT_EQ(Elements(a), (std::vector<int>{0, 1, 2, 20}));
+  EXPECT_EQ(Elements(b), (std::vector<int>{0, 1, 2, 10}));
+  // b still holds the shared buffer's tip and keeps appending in place.
+  const int* shared = b.data();
+  b.Append(11);
+  EXPECT_EQ(b.data(), shared);
+  EXPECT_EQ(Elements(b), (std::vector<int>{0, 1, 2, 10, 11}));
+}
+
+TEST(PrefixArrayTest, FullBufferForksGeometricallyAndOldHoldersKeepIt) {
+  PrefixArray<int64_t> a;
+  for (int64_t i = 0; i < 8; ++i) a.Append(i);
+  EXPECT_EQ(a.capacity(), 8u);
+  const PrefixArray<int64_t> pinned = a;
+  a.Append(8);
+  EXPECT_NE(a.data(), pinned.data());
+  EXPECT_EQ(a.capacity(), 18u);  // twice the 9 elements it needs
+  EXPECT_EQ(pinned.capacity(), 8u);
+  EXPECT_EQ(Elements(pinned), (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  int64_t* more = a.Extend(100);
+  for (int64_t i = 0; i < 100; ++i) more[i] = 9 + i;
+  EXPECT_EQ(a.capacity(), 218u);
+  EXPECT_EQ(a.size(), 109u);
+  EXPECT_EQ(a[108], 108);
+}
+
+TEST(PrefixArrayTest, InPlaceWritesCopyASharedBuffer) {
+  PrefixArray<uint32_t> a;
+  a.Append(1);
+  PrefixArray<uint32_t> b = a;
+  b.MutableData()[0] = 2;
+  EXPECT_EQ(a[0], 1u);
+  EXPECT_EQ(b[0], 2u);
+  // b is now its buffer's only holder: no further copy.
+  const uint32_t* own = b.data();
+  b.MutableData()[0] = 3;
+  EXPECT_EQ(b.data(), own);
+  EXPECT_EQ(b[0], 3u);
+}
+
+TEST(PrefixArrayTest, CloneSharesNothingAndKeepsCapacity) {
+  PrefixArray<double> a;
+  for (int i = 0; i < 5; ++i) a.Append(i * 0.5);
+  const PrefixArray<double> clone = a.Clone();
+  EXPECT_NE(clone.data(), a.data());
+  EXPECT_EQ(clone.capacity(), a.capacity());
+  EXPECT_EQ(Elements(clone), Elements(a));
+  // The source still holds its buffer's tip: appends stay in place.
+  const double* before = a.data();
+  a.Append(9.0);
+  EXPECT_EQ(a.data(), before);
+  EXPECT_TRUE(PrefixArray<double>().Clone().empty());
+}
+
+TEST(PrefixArrayTest, MovedFromHolderIsEmpty) {
+  PrefixArray<int> a;
+  a.Append(7);
+  PrefixArray<int> b = std::move(a);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(b[0], 7);
+  a.Append(8);
+  EXPECT_EQ(Elements(a), (std::vector<int>{8}));
+  EXPECT_EQ(Elements(b), (std::vector<int>{7}));
+}
+
+TEST(DictionaryTest, CopiesShareFrozenStringsAndGrowApart) {
+  StringDictionary dict;
+  for (int i = 0; i < 100; ++i) dict.GetOrAdd("s" + std::to_string(i));
+  StringDictionary copy(dict);
+  EXPECT_EQ(copy.GetOrAdd("new"), 100u);
+  EXPECT_EQ(dict.Lookup("new"), StringDictionary::kInvalidCode);
+  EXPECT_EQ(dict.GetOrAdd("other"), 100u);
+  EXPECT_EQ(copy.Lookup("other"), StringDictionary::kInvalidCode);
+  // A chain of copies, each adding a string (some freeze their
+  // source's tail, some copy it): every code keeps its string.
+  auto current = std::make_unique<StringDictionary>(copy);
+  for (uint32_t round = 0; round < 40; ++round) {
+    auto next = std::make_unique<StringDictionary>(*current);
+    EXPECT_EQ(next->GetOrAdd("round" + std::to_string(round)), 101 + round);
+    EXPECT_EQ(current->size(), 101 + round);
+    current = std::move(next);
+  }
+  ASSERT_EQ(current->size(), 141u);
+  for (uint32_t i = 0; i < 100; ++i) {
+    const std::string s = "s" + std::to_string(i);
+    EXPECT_EQ(current->Get(i), s);
+    EXPECT_EQ(current->Lookup(s), i);
+  }
+  EXPECT_EQ(current->Get(100), "new");
+  EXPECT_EQ(current->Lookup("round39"), 140u);
+  EXPECT_EQ(current->Lookup("other"), StringDictionary::kInvalidCode);
+}
 
 TEST(DictionaryTest, GetOrAddAssignsDenseCodes) {
   StringDictionary dict;
@@ -91,7 +210,7 @@ TEST(ColumnTest, GatherPreservesOrderAndSharesDictionary) {
   ASSERT_EQ(picked.size(), 2u);
   EXPECT_EQ(picked.StringAt(0), "d");
   EXPECT_EQ(picked.StringAt(1), "b");
-  EXPECT_EQ(picked.dict().get(), col.dict().get());
+  EXPECT_EQ(picked.dict(), col.dict());
 }
 
 Schema TestSchema() {
@@ -184,7 +303,7 @@ TEST(TableTest, DeepCopyClonesDictionariesAndKeepsEpoch) {
                   .ok());
   Table copy = t.DeepCopy();
   EXPECT_EQ(copy.epoch(), t.epoch());
-  EXPECT_NE(copy.column(0).dict().get(), t.column(0).dict().get());
+  EXPECT_NE(copy.column(0).dict(), t.column(0).dict());
   // Appending a new entity to the copy must not grow the original's
   // dictionary (a plain Table copy would share it).
   ASSERT_TRUE(copy.AppendRow({Value::String("b"), Value::String("y"),
@@ -193,6 +312,137 @@ TEST(TableTest, DeepCopyClonesDictionariesAndKeepsEpoch) {
   EXPECT_EQ(t.NumEntities(), 1u);
   EXPECT_EQ(copy.NumEntities(), 2u);
   EXPECT_NE(copy.epoch(), t.epoch());
+}
+
+// A plain copy shares storage with the original, yet appends to either
+// stay invisible to the other: each reads only its own rows, zone maps
+// and strings.
+TEST(TableTest, PlainCopiesAppendIndependently) {
+  Table original(TestSchema());
+  ASSERT_TRUE(original
+                  .AppendRow({Value::String("a"), Value::String("x"),
+                              Value::Int64(1)})
+                  .ok());
+  Table copy = original;
+  EXPECT_EQ(copy.column(2).ints().data(), original.column(2).ints().data());
+  EXPECT_EQ(copy.column(0).dict(), original.column(0).dict());
+  EXPECT_EQ(copy.epoch(), original.epoch());
+
+  ASSERT_TRUE(copy.AppendRow({Value::String("b"), Value::String("y"),
+                              Value::Int64(20)})
+                  .ok());
+  ASSERT_TRUE(original
+                  .AppendRow({Value::String("c"), Value::String("z"),
+                              Value::Int64(-30)})
+                  .ok());
+  ASSERT_TRUE(original
+                  .AppendRow({Value::String("a"), Value::String("x"),
+                              Value::Int64(4)})
+                  .ok());
+  // The copy appended in place; the original found its slot taken and
+  // forked.
+  EXPECT_NE(copy.column(2).ints().data(), original.column(2).ints().data());
+  EXPECT_NE(copy.epoch(), original.epoch());
+
+  ASSERT_EQ(copy.num_rows(), 2u);
+  EXPECT_EQ(copy.GetValue(1, 0), Value::String("b"));
+  EXPECT_EQ(copy.GetValue(1, 2), Value::Int64(20));
+  ASSERT_EQ(original.num_rows(), 3u);
+  EXPECT_EQ(original.GetValue(1, 0), Value::String("c"));
+  EXPECT_EQ(original.GetValue(1, 1), Value::String("z"));
+  EXPECT_EQ(original.GetValue(1, 2), Value::Int64(-30));
+  EXPECT_EQ(original.GetValue(2, 2), Value::Int64(4));
+
+  // Neither dictionary sees the other's strings.
+  for (int c : {0, 1}) {
+    const StringDictionary& mine = *copy.column(c).dict();
+    const StringDictionary& theirs = *original.column(c).dict();
+    EXPECT_NE(&mine, &theirs);
+    EXPECT_EQ(mine.size(), 2u);
+    EXPECT_EQ(theirs.size(), 2u);
+  }
+  EXPECT_EQ(copy.column(0).dict()->Lookup("c"), StringDictionary::kInvalidCode);
+  EXPECT_EQ(original.column(0).dict()->Lookup("b"),
+            StringDictionary::kInvalidCode);
+  EXPECT_EQ(copy.NumEntities(), 2u);
+  EXPECT_EQ(original.NumEntities(), 2u);
+
+  // Each keeps its own zone maps.
+  EXPECT_EQ(copy.chunk(0).zones[2].int_min, 1);
+  EXPECT_EQ(copy.chunk(0).zones[2].int_max, 20);
+  EXPECT_EQ(original.chunk(0).zones[2].int_min, -30);
+  EXPECT_EQ(original.chunk(0).zones[2].int_max, 4);
+}
+
+// One thread scans a pinned version over and over while another keeps
+// appending batches into the buffers that version shares: no append
+// may change a row or string the pinned version reads (and under
+// ThreadSanitizer no access may race).
+TEST(TableTest, PinnedVersionScansWhileACopyAppendsInPlace) {
+  // 6,000 rows appended one by one fill 6,000 of a 10,238-element
+  // buffer, which takes every batch below.
+  constexpr int kBaseRows = 6000;
+  constexpr int kBatches = 1000;
+  constexpr int kBatchRows = 4;
+  auto entity = [](int i) { return "e" + std::to_string(i % 60); };
+  Table base(TestSchema());
+  for (int i = 0; i < kBaseRows; ++i) {
+    ASSERT_TRUE(base.AppendRow({Value::String(entity(i % 50)),
+                                Value::String(i % 2 == 0 ? "even" : "odd"),
+                                Value::Int64(i)})
+                    .ok());
+  }
+  const Table pinned = base;
+  int64_t want_sum = 0;
+  for (int i = 0; i < kBaseRows; ++i) want_sum += i;
+
+  // atomic: the scan loop's stop flag; the scans read no state the
+  // flag orders.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    int scans = 0;
+    while (scans < 2 || !done.load()) {
+      int64_t sum = 0;
+      for (int64_t v : pinned.column(2).ints()) sum += v;
+      int evens = 0;
+      for (RowId r = 0; r < pinned.num_rows(); ++r) {
+        evens += pinned.column(1).StringAt(r) == "even" ? 1 : 0;
+      }
+      EXPECT_EQ(pinned.num_rows(), static_cast<size_t>(kBaseRows));
+      EXPECT_EQ(sum, want_sum);
+      EXPECT_EQ(evens, kBaseRows / 2);
+      EXPECT_EQ(pinned.column(1).dict()->size(), 2u);
+      EXPECT_EQ(pinned.NumEntities(), 50u);
+      ++scans;
+    }
+  });
+
+  Table writer = base;
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<std::vector<Value>> rows;
+    for (int j = 0; j < kBatchRows; ++j) {
+      const int i = kBaseRows + b * kBatchRows + j;
+      rows.push_back({Value::String(entity(i)),
+                      Value::String(j == 0 ? "new" + std::to_string(b)
+                                           : "even"),
+                      Value::Int64(i)});
+    }
+    ASSERT_TRUE(writer.AppendRows(rows).ok());
+  }
+  done.store(true);
+  reader.join();
+
+  // The writer shares the base rows' buffers still: all its appends
+  // landed in place.
+  EXPECT_EQ(writer.column(2).ints().data(), pinned.column(2).ints().data());
+  EXPECT_EQ(writer.column(0).codes().data(), pinned.column(0).codes().data());
+  ASSERT_EQ(writer.num_rows(),
+            static_cast<size_t>(kBaseRows + kBatches * kBatchRows));
+  for (RowId r = 0; r < writer.num_rows(); ++r) {
+    ASSERT_EQ(writer.column(2).Int64At(r), static_cast<int64_t>(r));
+  }
+  EXPECT_EQ(writer.NumEntities(), 60u);
+  EXPECT_EQ(writer.column(1).dict()->size(), 2u + kBatches);
 }
 
 TEST(TableTest, EntityHelpers) {

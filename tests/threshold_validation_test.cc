@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -32,6 +33,8 @@
 
 namespace paleo {
 namespace {
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 // ---- Randomized workload generation -------------------------------------
 
@@ -352,6 +355,246 @@ TEST(ThresholdValidationTest, AllNanForeignGroupNeverRefutesTheTruth) {
           << AggFnToString(c.agg) << ": " << pruned.status().ToString();
       EXPECT_TRUE(*pruned == *input) << AggFnToString(c.agg);
       ExpectPrunedEquivalent(ex, t, q, *input, monitor, base, 0);
+    }
+  }
+}
+
+// ---- Refutation rules at their exact edges ------------------------------
+
+constexpr double kEdgeEps = 1e-9;
+
+/// The refutation comparison of threshold_monitor.cc (`Above`): x
+/// exceeds v by more than `slack` relative to max(|x|, |v|, 1).
+bool BeyondSlack(double x, double v, double slack) {
+  return x - v > slack * std::max({std::abs(x), std::abs(v), 1.0});
+}
+
+/// The double nearest `v` on the side `dir` (+-inf) that lies beyond
+/// the slack from it; one ulp back toward `v` lies inside.
+double FirstBeyondSlack(double v, double dir, double slack) {
+  const bool above = dir > v;
+  auto beyond = [&](double x) {
+    return above ? BeyondSlack(x, v, slack) : BeyondSlack(v, x, slack);
+  };
+  double x = v + (above ? 1 : -1) * slack * std::max(std::abs(v), 1.0);
+  while (beyond(x)) x = std::nextafter(x, v);
+  while (!beyond(x)) x = std::nextafter(x, dir);
+  return x;
+}
+
+/// One row of an edge table: entity, w (DOUBLE measure), v (INT64)
+/// and the dimension s1.
+struct EdgeRow {
+  std::string entity;
+  double w;
+  int64_t v;
+  std::string s1 = "CA";
+};
+
+/// Four 64-row chunks: `first` opens chunk 0, `later` opens chunk 2,
+/// and every other row belongs to one of eight filler entities "z<i>"
+/// (named after every other entity) at w = filler_w, v = filler_v. A
+/// group seen in chunk 0 is judged while three chunks remain.
+Table EdgeTable(const std::vector<EdgeRow>& first,
+                const std::vector<EdgeRow>& later, double filler_w,
+                int64_t filler_v) {
+  Table t(DiffSchema());
+  for (int r = 0; r < 256; ++r) {
+    EdgeRow row{"z" + std::to_string(r % 8), filler_w, filler_v};
+    if (r < static_cast<int>(first.size())) {
+      row = first[static_cast<size_t>(r)];
+    } else if (r >= 128 && r - 128 < static_cast<int>(later.size())) {
+      row = later[static_cast<size_t>(r - 128)];
+    }
+    EXPECT_TRUE(t.AppendRow({Value::String(row.entity), Value::String(row.s1),
+                             Value::String("g0"), Value::Int64(0),
+                             Value::Int64(row.v), Value::Double(row.w)})
+                    .ok());
+  }
+  t.SetChunkRows(64);
+  return t;
+}
+
+/// Runs `q` against `input` with and without the threshold monitor,
+/// sequentially and on 2 workers: each verdict (a result that
+/// InstanceEquals `input`) must be the naive oracle's. Sequentially the
+/// monitor must refute exactly when `refutes`, which pins the edge.
+void ExpectEdgeVerdicts(const Table& t, const TopKQuery& q,
+                        const TopKList& input, bool refutes,
+                        const std::string& label) {
+  SCOPED_TRACE(label);
+  const bool oracle_accepts =
+      oracle::NaiveExecute(t, q).InstanceEquals(input, kEdgeEps);
+  ThresholdMonitor monitor(t, input, q.order, kEdgeEps);
+  ASSERT_TRUE(monitor.active());
+  ASSERT_TRUE(monitor.AppliesTo(q));
+  ThreadPool pool(2);
+  Executor ex;
+  for (const ExecContext& base_ctx :
+       {ExecContext{}, ExecContext{.pool = &pool, .scan_threads = 2}}) {
+    const bool sequential = base_ctx.pool == nullptr;
+    auto unpruned = ex.Execute(t, q, base_ctx);
+    ASSERT_TRUE(unpruned.ok());
+    EXPECT_EQ(unpruned->InstanceEquals(input, kEdgeEps), oracle_accepts)
+        << "unpruned, sequential " << sequential;
+    ExecContext pruned_ctx = base_ctx;
+    pruned_ctx.threshold = &monitor;
+    auto pruned = ex.Execute(t, q, pruned_ctx);
+    if (!pruned.ok()) {
+      ASSERT_TRUE(pruned.status().IsQueryRefuted())
+          << pruned.status().ToString();
+    }
+    EXPECT_EQ(pruned.ok() && pruned->InstanceEquals(input, kEdgeEps),
+              oracle_accepts)
+        << "pruned, sequential " << sequential;
+    if (sequential) {
+      EXPECT_EQ(!pruned.ok(), refutes) << "sequential refutation";
+    }
+  }
+}
+
+// Target-excluded: an entity of L whose running value already lies
+// beyond the slack from its L value cannot finish there. One ulp inside
+// the slack must not refute; one ulp outside must.
+TEST(ThresholdValidationTest, TargetRuleRefutesExactlyPastTheSlack) {
+  const double slack = std::max(16 * kEdgeEps, 1e-7);
+  ASSERT_EQ(ThresholdMonitor(EdgeTable({}, {}, 1.0, 1),
+                             ListOf({{"z0", 1.0}}), SortOrder::kDesc,
+                             kEdgeEps)
+                .slack(),
+            slack);
+  // max DESC: A's running max (its lower bound) passes 100 from above.
+  // min ASC: A's running min (its upper bound) passes 10 from below.
+  struct Case {
+    AggFn agg;
+    SortOrder order;
+    TopKList input;
+    double filler;
+  };
+  const Case cases[] = {
+      {AggFn::kMax, SortOrder::kDesc, ListOf({{"A", 100.0}, {"B", 50.0}}),
+       1.0},
+      {AggFn::kMin, SortOrder::kAsc, ListOf({{"A", 10.0}, {"B", 50.0}}),
+       1000.0},
+  };
+  for (const Case& c : cases) {
+    const double target = c.input.entries()[0].value;
+    const double dir = c.agg == AggFn::kMax ? kInfinity : -kInfinity;
+    const double outside = FirstBeyondSlack(target, dir, slack);
+    const double inside = std::nextafter(outside, target);
+    for (const double x : {inside, outside}) {
+      const Table t = EdgeTable(
+          {{"A", x, 0}},
+          {{"A", target, 0}, {"B", c.input.entries()[1].value, 0}},
+          c.filler, 0);
+      TopKQuery q;
+      q.expr = RankExpr::Column(5);
+      q.agg = c.agg;
+      q.order = c.order;
+      q.k = 2;
+      ExpectEdgeVerdicts(t, q, c.input, x == outside,
+                         std::string(AggFnToString(c.agg)) +
+                             (x == outside ? " outside" : " inside"));
+    }
+  }
+}
+
+// Foreign-beats-cut: an entity outside L whose running value beats L's
+// k-th value by more than the slack enters the top k. One ulp inside
+// the slack must not refute; one ulp outside must.
+TEST(ThresholdValidationTest, ForeignRuleRefutesExactlyPastTheSlack) {
+  const double slack = std::max(16 * kEdgeEps, 1e-7);
+  struct Case {
+    AggFn agg;
+    SortOrder order;
+    TopKList input;
+    double filler;
+  };
+  const Case cases[] = {
+      {AggFn::kMax, SortOrder::kDesc, ListOf({{"A", 100.0}, {"B", 50.0}}),
+       1.0},
+      {AggFn::kMin, SortOrder::kAsc, ListOf({{"A", 10.0}, {"B", 50.0}}),
+       1000.0},
+  };
+  for (const Case& c : cases) {
+    const double worst = c.input.entries()[1].value;
+    const double dir = c.agg == AggFn::kMax ? kInfinity : -kInfinity;
+    const double outside = FirstBeyondSlack(worst, dir, slack);
+    const double inside = std::nextafter(outside, worst);
+    for (const double x : {inside, outside}) {
+      const Table t = EdgeTable(
+          {{"F", x, 0}},
+          {{"A", c.input.entries()[0].value, 0}, {"B", worst, 0}},
+          c.filler, 0);
+      TopKQuery q;
+      q.expr = RankExpr::Column(5);
+      q.agg = c.agg;
+      q.order = c.order;
+      q.k = 2;
+      ExpectEdgeVerdicts(t, q, c.input, x == outside,
+                         std::string(AggFnToString(c.agg)) +
+                             (x == outside ? " outside" : " inside"));
+    }
+  }
+}
+
+// Integer tie displacement: a foreign group that ties L's k-th value
+// exactly takes its place when its name sorts first (the executor's
+// tie-break), so the rule refutes; sorting after, it stays out and L is
+// reproduced, so the rule must not fire.
+TEST(ThresholdValidationTest, TieRuleRefutesOnlyANameBeforeTheCut) {
+  struct Case {
+    AggFn agg;
+    SortOrder order;
+    TopKList input;
+    int64_t filler;
+  };
+  const Case cases[] = {
+      {AggFn::kMax, SortOrder::kDesc, ListOf({{"A", 100}, {"B1", 50}}), 1},
+      {AggFn::kMin, SortOrder::kAsc, ListOf({{"A", 10}, {"B1", 50}}), 1000},
+  };
+  for (const Case& c : cases) {
+    const auto cut = static_cast<int64_t>(c.input.entries()[1].value);
+    for (const char* foreign : {"B0", "B2"}) {
+      const bool before = std::string(foreign) < "B1";
+      const Table t = EdgeTable(
+          {{foreign, 0.0, cut}},
+          {{"A", 0.0, static_cast<int64_t>(c.input.entries()[0].value)},
+           {"B1", 0.0, cut}},
+          0.0, c.filler);
+      TopKQuery q;
+      q.expr = RankExpr::Column(4);
+      q.agg = c.agg;
+      q.order = c.order;
+      q.k = 2;
+      EXPECT_EQ(oracle::NaiveExecute(t, q).InstanceEquals(c.input, kEdgeEps),
+                !before);
+      ExpectEdgeVerdicts(t, q, c.input, before,
+                         std::string(AggFnToString(c.agg)) + " " + foreign);
+    }
+  }
+}
+
+// A one-entry list [X NaN], which max(w) gives when X is the only group
+// and all its rows are NaN, is reproduced, and the monitor refutes
+// nothing: every comparison with the NaN target or cut is false.
+TEST(ThresholdValidationTest, OneEntryNanListRefutesNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Table t = EdgeTable({{"X", nan, 0, "TX"}, {"Y", 7.0, 0}},
+                            {{"X", nan, 0, "TX"}, {"Y", 9.0, 0}}, 1.0, 0);
+  for (const AggFn agg : {AggFn::kMax, AggFn::kMin}) {
+    for (const SortOrder order : {SortOrder::kDesc, SortOrder::kAsc}) {
+      TopKQuery q;
+      q.predicate = Predicate::Atom(1, Value::String("TX"));
+      q.expr = RankExpr::Column(5);
+      q.agg = agg;
+      q.order = order;
+      q.k = 1;
+      const TopKList input = ListOf({{"X", nan}});
+      ASSERT_TRUE(oracle::NaiveExecute(t, q).InstanceEquals(input, kEdgeEps));
+      ExpectEdgeVerdicts(t, q, input, /*refutes=*/false,
+                         std::string(AggFnToString(agg)) +
+                             (order == SortOrder::kDesc ? " desc" : " asc"));
     }
   }
 }

@@ -21,9 +21,10 @@ TEST(ValuesCloseTest, RelativeTolerance) {
   EXPECT_FALSE(ValuesClose(0.0, 0.1));
 }
 
-// A non-finite value is close only to an identical one: a tolerance
+// A non-finite value is close only to its own kind: a tolerance
 // scaled by an infinite operand is infinite, and would tie +-inf with
-// every number.
+// every number. Any NaN is close to any NaN, as the executor ranks an
+// all-NaN group's NaN like a value.
 TEST(ValuesCloseTest, NonFiniteIsCloseOnlyToItself) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -35,9 +36,29 @@ TEST(ValuesCloseTest, NonFiniteIsCloseOnlyToItself) {
   EXPECT_FALSE(ValuesClose(-kInf, kInf));
   EXPECT_FALSE(ValuesClose(kInf, std::numeric_limits<double>::max()));
   EXPECT_FALSE(ValuesClose(kInf, 5.0, /*rel_eps=*/0.5));
-  EXPECT_FALSE(ValuesClose(kNaN, kNaN));
+  EXPECT_TRUE(ValuesClose(kNaN, kNaN));
+  EXPECT_TRUE(ValuesClose(kNaN, -kNaN));
   EXPECT_FALSE(ValuesClose(kNaN, 5.0));
+  EXPECT_FALSE(ValuesClose(5.0, kNaN));
   EXPECT_FALSE(ValuesClose(kNaN, kInf));
+  EXPECT_FALSE(ValuesClose(kNaN, 5.0, /*rel_eps=*/0.5));
+}
+
+// The list a max query gives when one group's rows are all NaN: it
+// must match itself, or no query could ever reproduce it.
+TEST(TopKListTest, ListHoldingNanInstanceEqualsItself) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const TopKList list =
+      MakeList({{"B", 5.0}, {"D", 4.0}, {"C", 3.0}, {"A", kNaN}});
+  EXPECT_TRUE(list.InstanceEquals(list));
+  EXPECT_TRUE(MakeList({{"A", kNaN}}).InstanceEquals(MakeList({{"A", -kNaN}})));
+  // NaN still differs from every number, and ties only with NaN.
+  EXPECT_FALSE(list.InstanceEquals(
+      MakeList({{"B", 5.0}, {"D", 4.0}, {"C", 3.0}, {"A", 2.0}})));
+  EXPECT_FALSE(MakeList({{"A", kNaN}, {"B", kNaN}})
+                   .InstanceEquals(MakeList({{"A", kNaN}, {"C", kNaN}})));
+  EXPECT_TRUE(MakeList({{"A", kNaN}, {"B", kNaN}})
+                  .InstanceEquals(MakeList({{"B", kNaN}, {"A", kNaN}})));
 }
 
 TEST(TopKListTest, InstanceEqualsTellsInfinityFromNumbers) {

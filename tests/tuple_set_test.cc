@@ -15,11 +15,12 @@ namespace {
 
 TEST(IntersectSortedTest, BasicCases) {
   EXPECT_EQ(IntersectSorted({}, {}), TupleSet{});
-  EXPECT_EQ(IntersectSorted({1, 2, 3}, {}), TupleSet{});
-  EXPECT_EQ(IntersectSorted({}, {1, 2, 3}), TupleSet{});
-  EXPECT_EQ(IntersectSorted({1, 2, 3}, {2, 3, 4}), (TupleSet{2, 3}));
-  EXPECT_EQ(IntersectSorted({1, 3, 5}, {2, 4, 6}), TupleSet{});
-  EXPECT_EQ(IntersectSorted({7}, {7}), TupleSet{7});
+  EXPECT_EQ(IntersectSorted(TupleSet{1, 2, 3}, {}), TupleSet{});
+  EXPECT_EQ(IntersectSorted({}, TupleSet{1, 2, 3}), TupleSet{});
+  EXPECT_EQ(IntersectSorted(TupleSet{1, 2, 3}, TupleSet{2, 3, 4}),
+            (TupleSet{2, 3}));
+  EXPECT_EQ(IntersectSorted(TupleSet{1, 3, 5}, TupleSet{2, 4, 6}), TupleSet{});
+  EXPECT_EQ(IntersectSorted(TupleSet{7}, TupleSet{7}), TupleSet{7});
 }
 
 TEST(IntersectSortedTest, IdenticalSets) {
