@@ -6,6 +6,7 @@
 
 #include "bench_env.h"
 #include "harness.h"
+#include "index/dimension_index.h"
 #include "paleo/predicate_miner.h"
 #include "paleo/ranking_finder.h"
 

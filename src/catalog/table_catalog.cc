@@ -71,11 +71,6 @@ TableCatalog::CatalogMetrics TableCatalog::BindMetrics() {
 std::shared_ptr<const TableSnapshot> TableCatalog::MakeSnapshot(
     Table table, uint64_t version, EntityIndex index, StatsCatalog stats,
     std::unique_ptr<DimensionIndex> dimension_index) {
-  // Re-chunk to the configured scan granularity before freezing the
-  // version. A no-op when the layout already matches — incremental
-  // ingests inherit it through the table copy, so only the first
-  // snapshot (or an options change) pays the rebuild.
-  if (options_.chunk_rows > 0) table.SetChunkRows(options_.chunk_rows);
   auto snapshot = std::make_shared<TableSnapshot>(
       TableSnapshot::Key(), std::move(table), version, options_,
       std::move(index), std::move(stats), std::move(dimension_index));

@@ -33,7 +33,6 @@ struct FaultPoints::Registry {
 
 std::atomic<int> FaultPoints::armed_count_{0};
 std::atomic<int64_t> FaultPoints::total_injected_{0};
-std::atomic<obs::Counter*> FaultPoints::injected_metric_{nullptr};
 
 FaultPoints::Registry& FaultPoints::GetRegistry() {
   // Meyers singleton: every thread that can hit a fault point is owned
@@ -63,10 +62,8 @@ FaultResult FaultPoints::Hit(const char* name) {
     ++point.fires;
     spec = point.spec;
   }
-  // relaxed: pure tally; the metric pointer load below is the acquire
-  // that pairs with AttachMetric's release store.
+  // relaxed: pure tally.
   total_injected_.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(injected_metric_.load(std::memory_order_acquire));
 
   FaultResult result;
   result.action = spec.action;
@@ -131,16 +128,6 @@ FaultPoints::PointStats FaultPoints::StatsFor(const std::string& name) {
   auto it = registry.points.find(name);
   if (it == registry.points.end()) return PointStats{};
   return PointStats{it->second.hits, it->second.fires};
-}
-
-void FaultPoints::AttachMetric(obs::Counter* counter) {
-  injected_metric_.store(counter, std::memory_order_release);
-}
-
-void FaultPoints::DetachMetric(obs::Counter* counter) {
-  obs::Counter* expected = counter;
-  injected_metric_.compare_exchange_strong(expected, nullptr,
-                                           std::memory_order_acq_rel);
 }
 
 }  // namespace paleo

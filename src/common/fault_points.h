@@ -18,9 +18,9 @@
 // src/ and is dotted kebab-case (tools/paleo_lint.py `fault-points`
 // rule). A site honors the action kinds that make sense for it — a
 // void site cannot surface a Status and simply ignores an error-action
-// firing (the firing still counts in stats and metrics). Delays are
-// applied inside Hit() itself, so every site transparently supports
-// them.
+// firing (the firing still counts in StatsFor and TotalInjected).
+// Delays are applied inside Hit() itself, so every site transparently
+// supports them.
 //
 // Thread-safe: Arm/Disarm/Hit/StatsFor may be called from any thread.
 // The registry mutex is a leaf lock (Hit acquires nothing else), so
@@ -35,7 +35,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "obs/metrics.h"
 
 namespace paleo {
 
@@ -133,26 +132,14 @@ class FaultPoints {
     return total_injected_.load(std::memory_order_relaxed);
   }
 
-  /// Mirrors every firing into `counter` (a registry-backed
-  /// paleo_faults_injected_total). Last attach wins; DetachMetric only
-  /// clears when `counter` is still the attached one, so overlapping
-  /// attachers cannot dangle each other. The attacher must keep the
-  /// counter alive until after DetachMetric returns and every thread
-  /// that can hit a fault point has quiesced.
-  static void AttachMetric(obs::Counter* counter);
-  static void DetachMetric(obs::Counter* counter);
-
  private:
   struct Registry;
   static Registry& GetRegistry();
 
-  // atomic: armed_count_ is the lock-free fast-path hint,
-  // total_injected_ a pure tally, and injected_metric_ a
-  // release/acquire-published pointer (AttachMetric stores release,
-  // the firing path loads acquire).
+  // atomic: armed_count_ is the lock-free fast-path hint and
+  // total_injected_ a pure tally.
   static std::atomic<int> armed_count_;
   static std::atomic<int64_t> total_injected_;
-  static std::atomic<obs::Counter*> injected_metric_;
 };
 
 /// The fault-point site macro: one relaxed atomic load when nothing is

@@ -1,7 +1,6 @@
 // Annotated synchronization primitives: thin wrappers over std::mutex
 // and std::condition_variable that carry the Clang thread-safety
-// capability attributes (common/thread_annotations.h), plus a
-// writer-preferring reader/writer mutex built from the two.
+// capability attributes (common/thread_annotations.h).
 //
 // The standard library types compile fine but are INVISIBLE to the
 // compile-time analysis (libstdc++ ships them without capability
@@ -51,59 +50,6 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// \brief Reader/writer mutex carrying the "shared_mutex" capability.
-///
-/// Writer-preferring: once a writer waits, new readers queue behind it.
-/// std::shared_mutex gives no such guarantee (glibc's rwlock prefers
-/// readers); with it, readers whose shared sections overlap, such as
-/// back-to-back metric scrapes, kept registration waiting indefinitely.
-/// Not recursive: a thread holding the shared lock must not take it
-/// again while a writer may be waiting.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() {
-    std::unique_lock<std::mutex> lock(mu_);
-    ++writers_waiting_;
-    writer_cv_.wait(lock, [this] { return !writer_ && readers_ == 0; });
-    --writers_waiting_;
-    writer_ = true;
-  }
-  void Unlock() RELEASE() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      writer_ = false;
-    }
-    writer_cv_.notify_one();
-    reader_cv_.notify_all();
-  }
-  void LockShared() ACQUIRE_SHARED() {
-    std::unique_lock<std::mutex> lock(mu_);
-    reader_cv_.wait(lock,
-                    [this] { return !writer_ && writers_waiting_ == 0; });
-    ++readers_;
-  }
-  void UnlockShared() RELEASE_SHARED() {
-    bool wake_writer = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      wake_writer = --readers_ == 0 && writers_waiting_ > 0;
-    }
-    if (wake_writer) writer_cv_.notify_one();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable reader_cv_;
-  std::condition_variable writer_cv_;
-  int readers_ = 0;          // holders of the shared lock
-  int writers_waiting_ = 0;  // writers blocked in Lock()
-  bool writer_ = false;      // a writer holds the lock
-};
-
 /// \brief RAII exclusive lock (std::lock_guard with annotations).
 class SCOPED_CAPABILITY MutexLock {
  public:
@@ -115,36 +61,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// \brief RAII exclusive lock over a SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~WriterMutexLock() RELEASE() { mu_.Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// \brief RAII shared (reader) lock over a SharedMutex.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderMutexLock() RELEASE() { mu_.UnlockShared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// \brief Condition variable bound to paleo::Mutex at each wait.

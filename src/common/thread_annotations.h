@@ -11,7 +11,7 @@
 // PALEO_ANALYZE CMake lane, documented in DESIGN.md "Static analysis"):
 //
 //   - Concurrent code uses the annotated wrappers in common/mutex.h
-//     (paleo::Mutex / SharedMutex / MutexLock / CondVar), never raw
+//     (paleo::Mutex / MutexLock / CondVar), never raw
 //     std::mutex members — the std types carry no capability
 //     attributes with libstdc++, so the analysis cannot see them.
 //   - Every Mutex member is accompanied by at least one GUARDED_BY

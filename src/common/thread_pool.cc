@@ -61,9 +61,8 @@ void ThreadPool::Push(Task task) {
     pending_.fetch_add(1, std::memory_order_release);
   } else {
     MutexLock lock(global_mutex_);
-    // Insert before the first queued task that should run later:
-    // lower priority, or equal priority submitted later (seq is
-    // monotonic, so equal-priority inserts always land at the end).
+    // Insert before the first queued task of lower priority, so equal
+    // priorities keep submission order.
     auto pos = std::find_if(global_.begin(), global_.end(),
                             [&](const Task& queued) {
                               return queued.priority < task.priority;

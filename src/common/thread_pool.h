@@ -3,7 +3,7 @@
 //
 // Design:
 //  * N worker threads. Tasks submitted from outside the pool enter a
-//    global queue ordered by (priority desc, submission order asc);
+//    global queue ordered by priority, FIFO within a priority;
 //    tasks submitted from a worker thread are pushed onto that worker's
 //    own deque (LIFO for the owner — better locality for fork-join
 //    subtasks) and may be stolen FIFO by idle workers, the classic
@@ -95,7 +95,7 @@ class ThreadPool {
           return f();
         });
     std::future<R> future = task->get_future();
-    Push(Task{[task]() { (*task)(); }, priority, NextSeq()});
+    Push(Task{[task]() { (*task)(); }, priority});
     return future;
   }
 
@@ -127,7 +127,6 @@ class ThreadPool {
   struct Task {
     std::function<void()> run;
     int priority = 0;
-    uint64_t seq = 0;  // global submission order, ties FIFO
   };
 
   struct Worker {
@@ -137,11 +136,6 @@ class ThreadPool {
     std::thread thread;
   };
 
-  // relaxed: seq_ only breaks priority ties; tasks racing to submit
-  // have no order to preserve, each just needs a distinct number.
-  uint64_t NextSeq() {
-    return seq_.fetch_add(1, std::memory_order_relaxed);
-  }
   void Push(Task task);
   void WorkerLoop(size_t index);
   /// Pops per the calling context's discipline; false when empty.
@@ -149,13 +143,12 @@ class ThreadPool {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   mutable Mutex global_mutex_;
-  // Global injection queue, kept sorted by (priority desc, seq asc).
+  // Global injection queue, kept sorted by priority (desc), FIFO within
+  // a priority.
   // A flat deque beats std::priority_queue here: submission order is
   // the common case (single priority), making pushes O(1) amortized.
   std::deque<Task> global_ GUARDED_BY(global_mutex_);
   CondVar wake_;
-  // atomic: seq_ is a tie-break ticket (see NextSeq).
-  std::atomic<uint64_t> seq_{0};
   // Total tasks queued anywhere; lets sleeping workers avoid a full
   // steal sweep on every wakeup. Atomic, not guarded: read in wait
   // predicates without the deque mutexes held. atomic: Push publishes

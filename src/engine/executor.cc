@@ -14,7 +14,6 @@
 #include "engine/selection_kernels.h"
 #include "engine/threshold_monitor.h"
 #include "index/dimension_index.h"
-#include "storage/table_view.h"
 
 namespace paleo {
 
@@ -112,19 +111,18 @@ void CompactGroups(ChunkScratch* scratch, ChunkOutcome* out) {
 /// gate/scratch/outcome, internally synchronized cache).
 class ChunkScanner {
  public:
-  ChunkScanner(const Table& table, const TableView& view,
-               const Predicate& predicate, const BoundPredicate& bound,
-               ScanMode mode, const TopKQuery* query, bool zone_skip,
+  ChunkScanner(const Table& table, const Predicate& predicate,
+               const BoundPredicate& bound, ScanMode mode,
+               const TopKQuery* query, bool zone_skip,
                AtomSelectionCache* cache)
       : table_(table),
-        view_(view),
         predicate_(predicate),
         bound_(bound),
         mode_(mode),
         query_(query),
         zone_skip_(zone_skip),
         cache_(cache),
-        epoch_(view.epoch()),
+        epoch_(table.epoch()),
         entity_codes_(table.entity_column().codes().data()),
         dict_size_(table.entity_column().dict()->size()) {}
 
@@ -133,7 +131,7 @@ class ChunkScanner {
   /// (its `visited` count remains meaningful for accounting).
   bool ProcessChunk(size_t chunk_index, BudgetGate* gate,
                     ChunkScratch* scratch, ChunkOutcome* out) const {
-    const Chunk& ch = view_.chunk(chunk_index);
+    const Chunk& ch = table_.chunk(chunk_index);
     if (zone_skip_ && RefutedByZones(ch)) {
       out->skipped = true;
       out->completed = true;
@@ -235,7 +233,6 @@ class ChunkScanner {
   }
 
   const Table& table_;
-  const TableView& view_;
   const Predicate& predicate_;
   const BoundPredicate& bound_;
   const ScanMode mode_;
@@ -372,9 +369,8 @@ Executor::ChunkScan Executor::ScanChunks(const Table& table,
                         : query->agg == AggFn::kNone ? ScanMode::kRows
                                                      : ScanMode::kGroups;
   BoundPredicate bound(predicate, table);
-  TableView view(table);
-  const size_t num_chunks = view.num_chunks();
-  ChunkScanner scanner(table, view, predicate, bound, mode, query,
+  const size_t num_chunks = table.num_chunks();
+  ChunkScanner scanner(table, predicate, bound, mode, query,
                        ctx.zone_map_skipping, ctx.cache);
   int workers = 1;
   if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
@@ -388,8 +384,7 @@ Executor::ChunkScan Executor::ScanChunks(const Table& table,
   std::unique_ptr<ThresholdState> tstate;
   if (ctx.threshold != nullptr && mode == ScanMode::kGroups &&
       num_chunks > 1 && ctx.threshold->AppliesTo(*query)) {
-    tstate = std::make_unique<ThresholdState>(ctx.threshold, table, view,
-                                              *query);
+    tstate = std::make_unique<ThresholdState>(ctx.threshold, table, *query);
   }
   ChunkScan scan;
   scan.outcomes.resize(num_chunks);
@@ -413,7 +408,7 @@ Executor::ChunkScan Executor::ScanChunks(const Table& table,
     } else if (o.completed) {
       ++morsels;
     } else if (refuted) {
-      scan.rows_saved += view.chunk(i).num_rows() - o.visited;
+      scan.rows_saved += table.chunk(i).num_rows() - o.visited;
     }
   }
   // relaxed: pure tallies (see the counter members).

@@ -6,22 +6,22 @@
 // PostgreSQL.
 //
 // Full-table scans are CHUNK-CANONICAL: the table's fixed-size chunks
-// (storage/table_view.h) are the scan granules. Per chunk, predicate
-// atoms first consult the chunk's zone maps — a refuted chunk is
-// skipped without touching row data — then the vectorized selection
-// kernels (engine/selection_kernels.h) evaluate the surviving chunk
-// into a per-chunk partial result. Partials are merged in ascending
-// chunk order (rank-order merge), which defines the one canonical
-// aggregation order: each chunk's rows fold in row order from a zero
-// state, and chunks fold in ascending order. Sequential, cached,
-// morsel-parallel and index-assisted executions all follow it, so
-// their results are byte-identical by construction; the naive oracle
-// in tests/oracle/naive_executor.h spells the same order out as a
-// plain row loop and is the reference every path is checked against.
-// With an ExecContext carrying a ThreadPool and scan_threads > 1,
-// chunks are dispatched as morsels claimed by pool workers (the caller
-// donates itself via WaitHelping, so scans launched from inside pool
-// tasks cannot deadlock).
+// (storage/table.h, storage/zone_map.h) are the scan granules. Per
+// chunk, predicate atoms first consult the chunk's zone maps — a
+// refuted chunk is skipped without touching row data — then the
+// vectorized selection kernels (engine/selection_kernels.h) evaluate
+// the surviving chunk into a per-chunk partial result. Partials are
+// merged in ascending chunk order (rank-order merge), which defines the
+// one canonical aggregation order: each chunk's rows fold in row order
+// from a zero state, and chunks fold in ascending order. Sequential,
+// cached, morsel-parallel and index-assisted executions all follow it,
+// so their results are byte-identical by construction; the naive oracle
+// in tests/oracle/naive_executor.h spells the same order out as a plain
+// row loop and is the reference every path is checked against. With an
+// ExecContext carrying a ThreadPool and scan_threads > 1, chunks are
+// dispatched as morsels claimed by pool workers (the caller donates
+// itself via WaitHelping, so scans launched from inside pool tasks
+// cannot deadlock).
 //
 // With an AtomSelectionCache attached to the call, per-atom per-chunk
 // bitmaps are reused across the candidate queries of a validation run,

@@ -56,7 +56,7 @@ bool ComputeAtomSelection(const BoundAtom& atom, size_t n,
 /// [begin, end) of its bound column into `out`, whose bit i corresponds
 /// to row begin + i (out must cover exactly end - begin rows).
 /// Precondition: begin is a multiple of 64 (chunk boundaries are
-/// word-aligned; see storage/table_view.h). Same gate/discard contract
+/// word-aligned; see storage/table.h). Same gate/discard contract
 /// as ComputeAtomSelection.
 bool ComputeAtomSelectionRange(const BoundAtom& atom, RowId begin, RowId end,
                                SelectionBitmap* out, BudgetGate* gate,

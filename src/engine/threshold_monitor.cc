@@ -186,19 +186,18 @@ void ThresholdMonitor::ReleaseScratch(
 }
 
 ThresholdState::ThresholdState(const ThresholdMonitor* monitor,
-                               const Table& table, const TableView& view,
-                               const TopKQuery& query)
+                               const Table& table, const TopKQuery& query)
     : monitor_(monitor),
       agg_(query.agg),
       desc_(query.order == SortOrder::kDesc) {
-  const size_t num_chunks = view.num_chunks();
+  const size_t num_chunks = table.num_chunks();
   chunk_lo_.resize(num_chunks);
   chunk_hi_.resize(num_chunks);
   chunk_rows_.resize(num_chunks);
   MutexLock lock(mutex_);
   chunk_done_.assign(num_chunks, false);
   for (size_t i = 0; i < num_chunks; ++i) {
-    const Chunk& ch = view.chunk(i);
+    const Chunk& ch = table.chunk(i);
     ExprBounds(query.expr, table, ch, &chunk_lo_[i], &chunk_hi_[i]);
     chunk_rows_[i] = ch.num_rows();
     rem_rows_ += chunk_rows_[i];

@@ -84,7 +84,6 @@
 #include "engine/query.h"
 #include "engine/topk_list.h"
 #include "storage/table.h"
-#include "storage/table_view.h"
 
 namespace paleo {
 
@@ -190,10 +189,10 @@ class ThresholdMonitor {
 /// refuted() before claiming the next chunk.
 class ThresholdState {
  public:
-  /// Precomputes per-chunk expression bounds from `view`'s zone maps
+  /// Precomputes per-chunk expression bounds from `table`'s zone maps
   /// (O(num_chunks), trivially cheaper than scanning one chunk).
   ThresholdState(const ThresholdMonitor* monitor, const Table& table,
-                 const TableView& view, const TopKQuery& query);
+                 const TopKQuery& query);
   /// Returns the borrowed group scratch to the monitor's pool.
   ~ThresholdState();
 

@@ -6,8 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "paleo/tuple_set.h"
-
 namespace paleo {
 
 namespace {
@@ -21,7 +19,59 @@ bool DoubleKey(double v, uint64_t* key) {
   return true;
 }
 
+/// Galloping (exponential) search intersection for when one side is
+/// much smaller than the other.
+std::vector<RowId> IntersectGalloping(std::span<const RowId> small,
+                                      std::span<const RowId> large) {
+  std::vector<RowId> out;
+  out.reserve(small.size());
+  auto it = large.begin();
+  for (RowId v : small) {
+    // Exponential probe from the current position.
+    size_t step = 1;
+    auto probe = it;
+    while (probe != large.end() && *probe < v) {
+      it = probe + 1;
+      if (static_cast<size_t>(large.end() - probe) <= step) {
+        probe = large.end();
+        break;
+      }
+      probe += static_cast<ptrdiff_t>(step);
+      step *= 2;
+    }
+    it = std::lower_bound(it, probe, v);
+    if (it != large.end() && *it == v) {
+      out.push_back(v);
+      ++it;
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+std::vector<RowId> IntersectSorted(std::span<const RowId> a,
+                                   std::span<const RowId> b) {
+  if (a.empty() || b.empty()) return {};
+  // Gallop when sizes are strongly skewed; linear merge otherwise.
+  if (a.size() * 16 < b.size()) return IntersectGalloping(a, b);
+  if (b.size() * 16 < a.size()) return IntersectGalloping(b, a);
+  std::vector<RowId> out;
+  out.reserve(std::min(a.size(), b.size()));
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      out.push_back(a[i]);
+      ++i;
+      ++j;
+    }
+  }
+  return out;
+}
 
 DimensionIndex DimensionIndex::Build(const Table& table) {
   DimensionIndex index;

@@ -35,6 +35,11 @@
 
 namespace paleo {
 
+/// Intersection of two sorted row-id lists, such as index postings or
+/// PALEO's tuple sets (linear merge with galloping for skewed sizes).
+std::vector<RowId> IntersectSorted(std::span<const RowId> a,
+                                   std::span<const RowId> b);
+
 /// \brief Posting lists for every (dimension column, value) pair of a
 /// table.
 class DimensionIndex {

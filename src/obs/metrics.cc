@@ -82,7 +82,7 @@ double Histogram::Quantile(double q) const {
 MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(
     Kind kind, const std::string& name, const std::string& help,
     const std::string& labels) {
-  WriterMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   for (auto& e : entries_) {
     if (e->kind == kind && e->name == name && e->labels == labels) {
       return e.get();
@@ -110,7 +110,7 @@ MetricsRegistry::Entry* MetricsRegistry::FindOrCreate(
 
 const MetricsRegistry::Entry* MetricsRegistry::Find(
     Kind kind, const std::string& name, const std::string& labels) const {
-  ReaderMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return FindLocked(kind, name, labels);
 }
 
@@ -161,12 +161,12 @@ const Histogram* MetricsRegistry::histogram(const std::string& name,
 }
 
 size_t MetricsRegistry::size() const {
-  ReaderMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return entries_.size();
 }
 
 std::string MetricsRegistry::RenderText() const {
-  ReaderMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   std::string out;
   auto append_sample = [&out](const std::string& name,
                               const std::string& labels,

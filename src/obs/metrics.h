@@ -172,13 +172,12 @@ class MetricsRegistry {
                     const std::string& labels) const;
   const Entry* FindLocked(Kind kind, const std::string& name,
                           const std::string& labels) const
-      REQUIRES_SHARED(mutex_);
+      REQUIRES(mutex_);
 
-  /// Reader/writer: registration (rare) takes the writer side, lookups
-  /// and RenderText scrapes share the reader side, so a scrape never
-  /// blocks another scrape. Instrument updates bypass the lock entirely
-  /// (relaxed atomics on stable heap entries).
-  mutable SharedMutex mutex_;
+  /// Guards the directory: registration, lookups and RenderText scrapes
+  /// all take it. Instrument updates bypass the lock entirely (relaxed
+  /// atomics on stable heap entries).
+  mutable Mutex mutex_;
   /// Registration order; stable pointers (entries are heap-allocated).
   std::vector<std::unique_ptr<Entry>> entries_ GUARDED_BY(mutex_);
 };

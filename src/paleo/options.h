@@ -120,7 +120,7 @@ struct PaleoOptions {
   int num_threads = 1;
 
   /// Morsel-parallel full scans: one candidate's table scan decomposes
-  /// into chunk-granular morsels (storage/table_view.h) claimed by up
+  /// into chunk-granular morsels (storage/table.h) claimed by up
   /// to this many workers of the run's ThreadPool. <= 1, or a missing
   /// pool, keeps each scan on its calling thread. Results are
   /// byte-identical at any setting (rank-order merge of per-chunk
@@ -128,17 +128,6 @@ struct PaleoOptions {
   /// their scan morsels share one pool via work-stealing, so
   /// num_threads * scan_threads can exceed the pool size safely.
   int scan_threads = 1;
-  /// Re-chunk the base table to this many rows per chunk (rounded down
-  /// to a multiple of 64) when building catalog snapshots; 0 keeps the
-  /// table's existing layout (Table::kDefaultChunkRows for tables built
-  /// through AppendRows). Smaller chunks sharpen zone-map skipping and
-  /// morsel granularity at the cost of per-chunk overhead.
-  size_t chunk_rows = 0;
-  /// Byte budget of the per-run AtomSelectionCache sharing per-atom
-  /// selection bitmaps across candidate executions (LRU-evicted past
-  /// the budget). 0 disables the cache; results are identical either
-  /// way.
-  size_t atom_cache_bytes = static_cast<size_t>(32) << 20;
 
   /// Threshold-pruned validation (engine/threshold_monitor.h): abort a
   /// candidate execution mid-scan the instant its running per-group

@@ -19,6 +19,10 @@ namespace {
 /// exhaustive dump of the candidate space.
 constexpr size_t kMaxNearMisses = 16;
 
+/// Byte budget of the per-run atom-selection cache (LRU-evicted past
+/// it).
+constexpr size_t kAtomCacheBytes = size_t{32} << 20;
+
 /// Copies the unvalidated candidates (ascending index = suitability
 /// order) into the report's near-miss list, up to the cap.
 void AppendNearMisses(const std::vector<CandidateQuery>& candidates,
@@ -175,10 +179,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
   // atoms, so each distinct atom is scanned once per run instead of
   // once per candidate. Scoped to the run because the cache pins bitmap
   // memory and the candidate sets of different runs rarely overlap.
-  std::unique_ptr<AtomSelectionCache> atom_cache;
-  if (options.atom_cache_bytes > 0) {
-    atom_cache = std::make_unique<AtomSelectionCache>(options.atom_cache_bytes);
-  }
+  AtomSelectionCache atom_cache(kAtomCacheBytes);
   // One validation step, for the first-pass candidates and again for
   // the fresh candidates of progressive deepening: validates `list`
   // unless the budget already ran out (then nothing is executed and
@@ -192,7 +193,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
     if (report.termination == TerminationReason::kCompleted) {
       Validator validator(*base_, &executor, options, request.pool,
                           obs::TraceContext{trace, span.id()},
-                          atom_cache.get());
+                          &atom_cache);
       PALEO_ASSIGN_OR_RETURN(
           outcome, validator.Validate(list, input, governed,
                                       report.executed_queries));
@@ -269,7 +270,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(const RunRequest& request,
 
   // Every execution has joined: the snapshots are the run's totals.
   report.executor_stats = executor.stats();
-  if (atom_cache != nullptr) report.cache_stats = atom_cache->stats();
+  report.cache_stats = atom_cache.stats();
   report.degraded_events = report.cache_stats.pressure_events;
   run_span.AddAttr("termination",
                    TerminationReasonToString(report.termination));

@@ -99,8 +99,7 @@ struct ReverseEngineerReport {
   /// The run's executor and atom-cache counters, copied once when the
   /// run ends. Unlike executed_queries they include speculative
   /// executions; executor_stats.rows_saved holds the base-table rows
-  /// that threshold refutation skipped. cache_stats stays zero when the
-  /// run built no cache (atom_cache_bytes = 0).
+  /// that threshold refutation skipped.
   Executor::Stats executor_stats;
   AtomSelectionCache::Stats cache_stats;
 

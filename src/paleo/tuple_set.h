@@ -10,7 +10,6 @@
 #define PALEO_PALEO_TUPLE_SET_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "storage/column.h"
@@ -19,10 +18,6 @@ namespace paleo {
 
 /// Sorted, duplicate-free vector of local row ids into R'.
 using TupleSet = std::vector<RowId>;
-
-/// Intersection of two sorted row-id lists, such as tuple sets or
-/// index postings (linear merge with galloping for skewed sizes).
-TupleSet IntersectSorted(std::span<const RowId> a, std::span<const RowId> b);
 
 /// Number of distinct entities (by local entity index) covered by the
 /// rows of `set`. `row_entity` maps local row -> entity index,

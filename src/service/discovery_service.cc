@@ -6,18 +6,8 @@
 #include <utility>
 
 #include "common/fault_points.h"
-#include "common/random.h"
 
 namespace paleo {
-
-bool IsRetryableTransient(const Status& status) {
-  // Transient resource conditions only: an I/O hiccup or a momentary
-  // resource shortage can be outlived by a later attempt. kCancelled
-  // and kDeadlineExceeded are budget wind-downs (retrying would fight
-  // the client), and everything else is a deterministic hard error.
-  return status.code() == StatusCode::kIoError ||
-         status.code() == StatusCode::kResourceExhausted;
-}
 
 DiscoveryService::DiscoveryService(std::shared_ptr<TableCatalog> catalog,
                                    DiscoveryServiceOptions service_options)
@@ -28,14 +18,7 @@ DiscoveryService::DiscoveryService(std::shared_ptr<TableCatalog> catalog,
       service_metrics_(BindServiceMetrics()),
       pool_(service_options.num_workers > 0
                 ? service_options.num_workers
-                : ThreadPool::DefaultNumThreads()) {
-  // Fault injections anywhere in the process are mirrored into this
-  // service's registry while it is alive (detached in the destructor).
-  FaultPoints::AttachMetric(service_metrics_.faults_injected);
-  if (service_options_.watchdog_stall_ms > 0) {
-    watchdog_ = std::thread([this]() { WatchdogLoop(); });
-  }
-}
+                : ThreadPool::DefaultNumThreads()) {}
 
 DiscoveryService::ServiceMetrics DiscoveryService::BindServiceMetrics() {
   ServiceMetrics m;
@@ -65,31 +48,10 @@ DiscoveryService::ServiceMetrics DiscoveryService::BindServiceMetrics() {
   m.run_ms = metrics_.FindOrCreateHistogram(
       "paleo_service_run_ms",
       "Milliseconds a dispatched session spent running.");
-  m.retries = metrics_.FindOrCreateCounter(
-      "paleo_retries_total",
-      "Run attempts re-dispatched after a retryable transient failure.");
-  m.watchdog_kicks = metrics_.FindOrCreateCounter(
-      "paleo_watchdog_kicks_total",
-      "Wedged sessions cancelled by the stall watchdog.");
-  m.faults_injected = metrics_.FindOrCreateCounter(
-      "paleo_faults_injected_total",
-      "Faults fired by armed fault points (tests/chaos only; 0 in "
-      "production).");
   return m;
 }
 
 DiscoveryService::~DiscoveryService() {
-  // Stop mirroring fault injections into a registry that is about to
-  // die, and retire the watchdog before sessions start tearing down.
-  FaultPoints::DetachMetric(service_metrics_.faults_injected);
-  if (watchdog_.joinable()) {
-    {
-      MutexLock lock(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.NotifyAll();
-    watchdog_.join();
-  }
   // The shutdown flag is published under live_mutex_ so that it orders
   // against Submit's insertion into live_: a submitter that wins the
   // race into live_ is cancelled by CancelAll below, and one that
@@ -197,46 +159,13 @@ void DiscoveryService::Dispatch() {
     run_request.metrics = &metrics_;
     run_request.collect_trace = session->collect_trace();
     const auto run_started = std::chrono::steady_clock::now();
-    auto attempt_run = [&]() -> StatusOr<ReverseEngineerReport> {
-      // Chaos hook: an injected error here models a run attempt lost
-      // to infrastructure (not pipeline logic) and exercises the retry
-      // path below; injected delays wedge the worker for the watchdog.
-      FaultResult fault = PALEO_FAULT_POINT("service.dispatch.run");
-      if (fault.error()) return fault.status;
-      return session->snapshot().engine().Run(run_request);
-    };
-    auto result = attempt_run();
-    if (!result.ok() && IsRetryableTransient(result.status()) &&
-        service_options_.max_retries > 0) {
-      // Bounded exponential backoff with seeded jitter. The budget is
-      // re-checked before every attempt so cancellation and deadlines
-      // always beat another retry; jitter is forked per session id to
-      // keep replays deterministic while decorrelating workers.
-      Rng jitter_rng(service_options_.seed ^
-                     (static_cast<uint64_t>(session->id()) *
-                      0x9E3779B97F4A7C15ULL));
-      int attempt = 0;
-      while (!result.ok() && IsRetryableTransient(result.status()) &&
-             attempt < service_options_.max_retries &&
-             session->budget().Check(0) == TerminationReason::kCompleted) {
-        ++attempt;
-        obs::Inc(service_metrics_.retries);
-        int64_t base = std::max<int64_t>(service_options_.retry_backoff_ms, 1);
-        for (int doubling = 1;
-             doubling < attempt &&
-             base < service_options_.retry_backoff_max_ms;
-             ++doubling) {
-          base *= 2;
-        }
-        base = std::min(base,
-                        std::max<int64_t>(service_options_.retry_backoff_max_ms,
-                                          1));
-        const int64_t sleep_ms =
-            base / 2 + jitter_rng.UniformInt(0, base - base / 2);
-        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-        result = attempt_run();
-      }
-    }
+    // Chaos hook: an injected error here models a run lost to
+    // infrastructure rather than pipeline logic; like any failed run
+    // it fails the session. Injected delays stall the worker.
+    FaultResult fault = PALEO_FAULT_POINT("service.dispatch.run");
+    StatusOr<ReverseEngineerReport> result =
+        fault.error() ? StatusOr<ReverseEngineerReport>(fault.status)
+                      : session->snapshot().engine().Run(run_request);
     // Like CountTerminal, the latency sample is published before
     // Finish makes the terminal state visible (a client returning
     // from Wait() always finds it recorded), so it is measured here
@@ -280,42 +209,6 @@ void DiscoveryService::CountTerminal(SessionState state) {
   }
 }
 
-void DiscoveryService::WatchdogLoop() {
-  const auto poll = std::chrono::milliseconds(
-      std::max<int64_t>(service_options_.watchdog_poll_ms, 1));
-  while (true) {
-    {
-      MutexLock lock(watchdog_mutex_);
-      if (watchdog_stop_) return;
-      watchdog_cv_.WaitUntil(watchdog_mutex_,
-                             std::chrono::steady_clock::now() + poll);
-      if (watchdog_stop_) return;
-    }
-    // Snapshot under the lock, kick outside it: Cancel() is cheap but
-    // there is no reason to hold live_mutex_ across session calls.
-    std::vector<std::shared_ptr<Session>> running;
-    {
-      MutexLock lock(live_mutex_);
-      running.reserve(live_.size());
-      for (const std::weak_ptr<Session>& weak : live_) {
-        if (auto session = weak.lock()) running.push_back(std::move(session));
-      }
-    }
-    for (const std::shared_ptr<Session>& session : running) {
-      // Already winding down (cancelled or expired): the dispatch path
-      // owns its terminal state; kicking again would double-count.
-      if (session->budget().Check(0) != TerminationReason::kCompleted) {
-        continue;
-      }
-      if (session->RunningForMillis() >
-          static_cast<double>(service_options_.watchdog_stall_ms)) {
-        session->Cancel();
-        obs::Inc(service_metrics_.watchdog_kicks);
-      }
-    }
-  }
-}
-
 int64_t DiscoveryService::RetryAfterHintMs() const {
   // Mean observed run latency (a prior of 25ms before any sample)
   // times the backlog a newly admitted request would sit behind,
@@ -349,8 +242,6 @@ DiscoveryServiceStats DiscoveryService::stats() const {
   s.failed = m.failed->value();
   s.cancelled = m.cancelled->value();
   s.expired = m.expired->value();
-  s.retries = m.retries->value();
-  s.watchdog_kicks = m.watchdog_kicks->value();
   return s;
 }
 

@@ -22,9 +22,16 @@
 //   dispatch -> a pool worker pops the oldest session; if its budget
 //     is already exhausted (cancelled or expired while queued) the
 //     session is finalized without running, otherwise the worker runs
-//     Paleo::Run(RunRequest) governed by the session budget, with the
-//     service's MetricsRegistry and (when requested) a trace attached.
+//     Paleo::Run(RunRequest) once, governed by the session budget,
+//     with the service's MetricsRegistry and (when requested) a trace
+//     attached.
 //   Wait/Poll/Cancel -> on the Session handle, from any thread.
+//
+// A run sees only its pinned in-memory snapshot, so it has three
+// outcomes and no transient one: it completes, it fails on its input
+// (the run's Status becomes the session's, with no second attempt), or
+// it winds down on its budget. The deadline is the one bound on a run's
+// length; a run that stalls past it expires at the next budget poll.
 //
 // Scheduling: session dispatch runs at pool priority 0, validation
 // subtasks at priority 1, so admitted requests finish before new ones
@@ -38,7 +45,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "catalog/table_catalog.h"
@@ -68,40 +74,12 @@ struct DiscoveryServiceOptions {
   /// Deadline applied to requests whose options leave deadline_ms at
   /// 0; 0 = unlimited. Anchored at admission.
   int64_t default_deadline_ms = 0;
-
-  /// Re-run attempts (beyond the first) when a run fails with a
-  /// retryable transient status (see IsRetryableTransient). Each retry
-  /// re-checks the session budget first, so a deadline or cancellation
-  /// always wins over another attempt.
-  int max_retries = 2;
-  /// Exponential backoff between attempts: attempt n sleeps roughly
-  /// base << (n-1) ms, capped at retry_backoff_max_ms, with seeded
-  /// jitter in [base/2, base] to decorrelate colliding retries.
-  int64_t retry_backoff_ms = 5;
-  int64_t retry_backoff_max_ms = 200;
-  /// Seeds the per-session backoff jitter (forked by session id, so
-  /// retries are replayable per request).
-  uint64_t seed = 4242;
-
-  /// Watchdog: a session running longer than this is considered
-  /// wedged and its cancellation token is tripped, converting it to
-  /// the normal graceful TerminationReason wind-down. 0 disables the
-  /// watchdog (the default: healthy runs are bounded by deadlines).
-  int64_t watchdog_stall_ms = 0;
-  /// How often the watchdog sweeps live sessions.
-  int64_t watchdog_poll_ms = 50;
 };
 
-/// \brief True for Status codes worth re-running a request for:
-/// transient resource conditions (kIoError, kResourceExhausted) that a
-/// later attempt can outlive. Hard errors (invalid input, internal
-/// bugs) and budget wind-downs (kCancelled) are never retried.
-bool IsRetryableTransient(const Status& status);
-
 /// \brief Aggregate counters, read from the service's registry (the
-/// paleo_service_*, paleo_retries_total and paleo_watchdog_kicks_total
-/// series); a consistent-enough snapshot for monitoring (individual
-/// counters are exact, cross-counter skew is possible mid-flight).
+/// paleo_service_* series); a consistent-enough snapshot for
+/// monitoring (individual counters are exact, cross-counter skew is
+/// possible mid-flight).
 struct DiscoveryServiceStats {
   int64_t submitted = 0;  // admission attempts
   int64_t shed = 0;       // rejected at admission (queue full)
@@ -109,8 +87,10 @@ struct DiscoveryServiceStats {
   int64_t failed = 0;
   int64_t cancelled = 0;
   int64_t expired = 0;
-  int64_t retries = 0;         // transient-failure re-runs
-  int64_t watchdog_kicks = 0;  // wedged sessions cancelled by watchdog
+  /// Always 0: the service never re-runs a session (a failed run's
+  /// Status ends it). Kept because the benchmark harness still reads
+  /// it; goes when the benchmark drops its `service.retries` metric.
+  int64_t retries = 0;
   int64_t Finished() const { return done + failed + cancelled + expired; }
 };
 
@@ -171,15 +151,11 @@ class DiscoveryService {
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* queue_wait_ms = nullptr;
     obs::Histogram* run_ms = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* watchdog_kicks = nullptr;
-    obs::Counter* faults_injected = nullptr;
   };
 
   void Dispatch();  // runs on a pool worker: pop + run one session
   void CountTerminal(SessionState state);
   ServiceMetrics BindServiceMetrics();
-  void WatchdogLoop();
   /// Load-aware shed hint: observed mean run latency scaled by the
   /// backlog ahead of a would-be request, clamped to [1ms, 60s].
   int64_t RetryAfterHintMs() const;
@@ -202,13 +178,6 @@ class DiscoveryService {
   // Live sessions, for CancelAll; pruned on finish.
   Mutex live_mutex_;
   std::vector<std::weak_ptr<Session>> live_ GUARDED_BY(live_mutex_);
-
-  // Stall watchdog (runs only when watchdog_stall_ms > 0). Stopped and
-  // joined first in the destructor body, before sessions are torn down.
-  Mutex watchdog_mutex_;
-  CondVar watchdog_cv_;
-  bool watchdog_stop_ GUARDED_BY(watchdog_mutex_) = false;
-  std::thread watchdog_;
 
   // Last member: destroyed first, joining every dispatch and
   // validation task while the rest of the service is still alive.

@@ -13,24 +13,14 @@ bool RequestQueue::TryPush(std::shared_ptr<Session> session) {
   // Chaos hook: an injected error behaves exactly like a full queue —
   // the caller sheds the request through its normal path.
   if (PALEO_FAULT_POINT("request-queue.push").error()) return false;
-  {
-    MutexLock lock(mutex_);
-    if (closed_ || sessions_.size() >= capacity_) return false;
-    sessions_.push_back(std::move(session));
-  }
-  ready_.NotifyOne();
+  MutexLock lock(mutex_);
+  if (closed_ || sessions_.size() >= capacity_) return false;
+  sessions_.push_back(std::move(session));
   return true;
 }
 
 std::shared_ptr<Session> RequestQueue::Pop() {
   MutexLock lock(mutex_);
-  while (!closed_ && sessions_.empty()) {
-    // Chaos hook: injected spurious wakeup — re-check the predicate.
-    if (PALEO_FAULT_POINT("request-queue.pop.wait").spurious_wakeup()) {
-      continue;
-    }
-    ready_.Wait(mutex_);
-  }
   if (sessions_.empty()) return nullptr;
   std::shared_ptr<Session> session = std::move(sessions_.front());
   sessions_.pop_front();
@@ -38,11 +28,8 @@ std::shared_ptr<Session> RequestQueue::Pop() {
 }
 
 void RequestQueue::Close() {
-  {
-    MutexLock lock(mutex_);
-    closed_ = true;
-  }
-  ready_.NotifyAll();
+  MutexLock lock(mutex_);
+  closed_ = true;
 }
 
 size_t RequestQueue::size() const {

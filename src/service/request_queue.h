@@ -32,14 +32,15 @@ class RequestQueue {
   /// closed (the caller sheds the request).
   bool TryPush(std::shared_ptr<Session> session);
 
-  /// Oldest queued session; blocks while the queue is open and empty.
-  /// After Close(), drains the remaining sessions and then returns
-  /// nullptr forever.
+  /// Oldest queued session, or nullptr when the queue is empty; never
+  /// waits. The service pushes each session before it submits that
+  /// session's one dispatch job, and each job pops once, so a
+  /// dispatcher's Pop always finds a session, during teardown too.
   std::shared_ptr<Session> Pop();
 
-  /// Refuses further pushes and unblocks every waiting Pop. Sessions
-  /// already queued are still delivered (so their terminal state can
-  /// be assigned by the dispatcher).
+  /// Refuses further pushes (one racing teardown is shed). Sessions
+  /// already queued are still delivered, so the dispatcher assigns
+  /// their terminal states.
   void Close();
 
   size_t size() const;
@@ -48,7 +49,6 @@ class RequestQueue {
  private:
   const size_t capacity_;
   mutable Mutex mutex_;
-  CondVar ready_;
   std::deque<std::shared_ptr<Session>> sessions_ GUARDED_BY(mutex_);
   bool closed_ GUARDED_BY(mutex_) = false;
 };

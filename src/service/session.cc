@@ -103,14 +103,6 @@ double Session::run_ms() const {
   return run_ms_;
 }
 
-double Session::RunningForMillis() const {
-  MutexLock lock(mutex_);
-  if (state_ != SessionState::kRunning) return 0.0;
-  return std::chrono::duration<double, std::milli>(Clock::now() -
-                                                   started_at_)
-      .count();
-}
-
 void Session::MarkRunning() {
   MutexLock lock(mutex_);
   state_ = SessionState::kRunning;

@@ -12,8 +12,12 @@
 // that ran to completion or hit the execution budget (both carry
 // results), kExpired when the deadline passed (queued too long or
 // mid-run), kCancelled when the client's Cancel() won the race, and
-// kFailed for a hard error. kExpired/kCancelled sessions still expose
-// whatever degraded report the governed pipeline produced.
+// kFailed when the run returned an error Status. A session runs at
+// most once: its run sees only the snapshot pinned at admission, so a
+// failure is deterministic and is never retried, and the deadline is
+// the one bound on how long it runs. kExpired/kCancelled sessions
+// still expose whatever degraded report the governed pipeline
+// produced.
 
 #ifndef PALEO_SERVICE_SESSION_H_
 #define PALEO_SERVICE_SESSION_H_
@@ -143,11 +147,6 @@ class Session {
   /// the respective phase completes.
   double queue_wait_ms() const;
   double run_ms() const;
-
-  /// Milliseconds this session has been in kRunning so far; 0 in any
-  /// other state. The service watchdog polls this to detect wedged
-  /// work.
-  double RunningForMillis() const;
 
   // ---- Service-internal transitions (single writer) ----
 

@@ -387,14 +387,13 @@ TEST_F(CatalogTest, IngestedSnapshotsMatchFullBuildAndOracle) {
   const int k_col = schema.FieldIndex("k");
   Rng rng(20);
   const char* states[] = {"CA", "NY", "TX"};
-  Table base(schema);
+  Table base(schema, /*chunk_rows=*/64);
   for (int i = 0; i < 1100; ++i) {
     const int entity = static_cast<int>(rng.Uniform(30));
     const std::string s = states[rng.Uniform(3)];
     ASSERT_TRUE(base.AppendRow(MixedRow(&rng, entity, s, i % 1020)).ok());
   }
   PaleoOptions options;
-  options.chunk_rows = 64;
   options.use_dimension_index = true;
   auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
   Ingestor ingestor(catalog.get());
@@ -583,10 +582,9 @@ TEST_F(CatalogTest, AbortedBuildLeavesNoRowsBehindInTheNextVersion) {
   const auto aborted_rows = make_rows(70, 5000, "aborted");
   const auto good_rows = make_rows(45, 9000, "new1");
 
-  Table base(schema);
+  Table base(schema, /*chunk_rows=*/64);
   ASSERT_TRUE(base.AppendRows(base_rows).ok());
   PaleoOptions options;
-  options.chunk_rows = 64;
   options.use_dimension_index = true;
   auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
   Ingestor ingestor(catalog.get());
@@ -604,8 +602,8 @@ TEST_F(CatalogTest, AbortedBuildLeavesNoRowsBehindInTheNextVersion) {
 
   auto next = catalog->Current();
   const Table& t = next->table();
-  // The oracle sums per chunk_rows block, as the executor does.
-  Table reference(schema, options.chunk_rows);
+  // The oracle sums per 64-row chunk, as the executor does.
+  Table reference(schema, /*chunk_rows=*/64);
   ASSERT_TRUE(reference.AppendRows(base_rows).ok());
   ASSERT_TRUE(reference.AppendRows(good_rows).ok());
   ASSERT_EQ(t.num_rows(), reference.num_rows());
@@ -633,7 +631,7 @@ TEST_F(CatalogTest, AbortedBuildLeavesNoRowsBehindInTheNextVersion) {
   ExpectEntityIndexEqual(next->engine().index(), t, reference);
   ExpectAnswersLikeOracle(t, next->engine().dimension_index(), reference);
   // The pinned base version still answers for the base rows alone.
-  Table base_reference(schema, options.chunk_rows);
+  Table base_reference(schema, /*chunk_rows=*/64);
   ASSERT_TRUE(base_reference.AppendRows(base_rows).ok());
   ExpectAnswersLikeOracle(prev->table(), prev->engine().dimension_index(),
                           base_reference);
@@ -645,7 +643,7 @@ TEST_F(CatalogTest, PinnedSnapshotAnswersIdenticallyAcrossPublishes) {
   const Schema schema = MixedSchema();
   Rng rng(53);
   const char* states[] = {"CA", "NY", "TX"};
-  Table base(schema);
+  Table base(schema, /*chunk_rows=*/64);
   for (int i = 0; i < 1100; ++i) {
     const std::string s = states[rng.Uniform(3)];
     ASSERT_TRUE(base.AppendRow(MixedRow(&rng, static_cast<int>(rng.Uniform(30)),
@@ -653,7 +651,6 @@ TEST_F(CatalogTest, PinnedSnapshotAnswersIdenticallyAcrossPublishes) {
                     .ok());
   }
   PaleoOptions options;
-  options.chunk_rows = 64;
   options.use_dimension_index = true;
   auto catalog = std::make_shared<TableCatalog>(std::move(base), options);
   Ingestor ingestor(catalog.get());

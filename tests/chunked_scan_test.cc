@@ -16,7 +16,6 @@
 #include "engine/exec_context.h"
 #include "engine/executor.h"
 #include "storage/table.h"
-#include "storage/table_view.h"
 
 namespace paleo {
 namespace {

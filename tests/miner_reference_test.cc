@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "index/dimension_index.h"
 #include "paleo/predicate_miner.h"
 
 namespace paleo {

@@ -214,10 +214,10 @@ TEST_F(SnapshotIsolationTest, IngestStormDifferentialAgainstPinnedSnapshots) {
 TEST_F(SnapshotIsolationTest, IngestSealsChunksUnderPinnedScans) {
   // Small chunks so the append storm continuously fills the open tail
   // chunk, seals it, and opens the next one while pinned readers scan.
-  PaleoOptions chunked;
-  chunked.chunk_rows = 64;
+  Table chunked(table());
+  chunked.SetChunkRows(64);
   auto catalog =
-      std::make_shared<TableCatalog>(Table(table()), std::move(chunked));
+      std::make_shared<TableCatalog>(std::move(chunked), PaleoOptions{});
   Ingestor ingestor(catalog.get());
 
   auto pinned = catalog->Current();

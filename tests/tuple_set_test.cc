@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "index/dimension_index.h"
 #include "paleo/tuple_set.h"
 
 namespace paleo {

@@ -246,7 +246,7 @@ class Linter:
                         src, lineno, "fault-points",
                         f"fault point '{name}' must be dotted kebab-case "
                         "with >= 2 segments, e.g. "
-                        "'request-queue.pop.wait'")
+                        "'executor.execute.scan'")
                 seen = sites.get(name)
                 if seen is None:
                     sites[name] = (src.rel, lineno)
