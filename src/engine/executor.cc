@@ -84,37 +84,30 @@ struct ChunkOutcome {
   std::vector<AggState> partials;      // kGroups: parallel to `touched`
 };
 
-/// Per-worker reusable scan state: the dense group array is allocated
-/// once per worker and wiped back to zero after every chunk (only the
-/// touched slots are reset), so a scan's allocation cost is bounded by
-/// its worker count, not its chunk count.
-struct ChunkScratch {
-  std::vector<AggState> groups;
-};
-
 /// Moves the dense per-chunk aggregates into the outcome's compact
-/// (touched, partials) form and zeroes the touched scratch slots, so
-/// the scratch is clean for the next chunk. Runs even after an
-/// interrupt (the partial outcome is discarded by the caller, but the
-/// scratch must not leak state across chunks).
-void CompactGroups(ChunkScratch* scratch, ChunkOutcome* out) {
+/// (touched, partials) form and zeroes the touched slots of `groups`
+/// (a pooled array, engine/group_pool.h), so it is clean for the next
+/// chunk and for its next borrower. Runs even after an interrupt: the
+/// partial outcome is discarded by the caller, but the array must not
+/// carry state past it.
+void CompactGroups(AggState* groups, ChunkOutcome* out) {
   out->partials.reserve(out->touched.size());
   for (uint32_t code : out->touched) {
-    out->partials.push_back(scratch->groups[code]);
-    scratch->groups[code] = AggState{};
+    out->partials.push_back(groups[code]);
+    groups[code] = AggState{};
   }
 }
 
 /// \brief Chunk-granular scan engine of the full scan: everything
 /// invariant across the chunks of one scan. Const after construction;
 /// ProcessChunk is called concurrently by morsel workers (per-worker
-/// gate/scratch/outcome, internally synchronized cache).
+/// gate/group array/outcome, internally synchronized cache and pool).
 class ChunkScanner {
  public:
   ChunkScanner(const Table& table, const Predicate& predicate,
                const BoundPredicate& bound, ScanMode mode,
                const TopKQuery* query, bool zone_skip,
-               AtomSelectionCache* cache)
+               AtomSelectionCache* cache, GroupArrayPool* group_pool)
       : table_(table),
         predicate_(predicate),
         bound_(bound),
@@ -122,22 +115,36 @@ class ChunkScanner {
         query_(query),
         zone_skip_(zone_skip),
         cache_(cache),
+        group_pool_(group_pool),
         epoch_(table.epoch()),
         entity_codes_(table.entity_column().codes().data()),
         dict_size_(table.entity_column().dict()->size()) {}
 
-  /// Scans chunk `chunk_index` into `out`. Returns false when the gate
-  /// interrupted the scan; `out` is then partial and must be discarded
-  /// (its `visited` count remains meaningful for accounting).
-  bool ProcessChunk(size_t chunk_index, BudgetGate* gate,
-                    ChunkScratch* scratch, ChunkOutcome* out) const {
+  /// The dense group array one worker folds its chunks into: borrowed
+  /// from the executor's pool for a grouped scan, empty otherwise.
+  std::vector<AggState> BorrowGroups() const {
+    if (mode_ != ScanMode::kGroups) return {};
+    return group_pool_->Borrow(dict_size_);
+  }
+  /// Hands a worker's array back; every chunk left it zeroed.
+  void ReturnGroups(std::vector<AggState> groups) const {
+    if (mode_ == ScanMode::kGroups) group_pool_->Return(std::move(groups));
+  }
+
+  /// Scans chunk `chunk_index` into `out`, folding a grouped scan's
+  /// rows through `groups` (BorrowGroups), which it leaves zeroed.
+  /// Returns false when the gate interrupted the scan; `out` is then
+  /// partial and must be discarded (its `visited` count remains
+  /// meaningful for accounting).
+  bool ProcessChunk(size_t chunk_index, BudgetGate* gate, AggState* groups,
+                    ChunkOutcome* out) const {
     const Chunk& ch = table_.chunk(chunk_index);
     if (zone_skip_ && RefutedByZones(ch)) {
       out->skipped = true;
       out->completed = true;
       return true;
     }
-    out->completed = Scan(chunk_index, ch, gate, scratch, out);
+    out->completed = Scan(chunk_index, ch, gate, groups, out);
     return out->completed;
   }
 
@@ -193,7 +200,7 @@ class ChunkScanner {
   }
 
   bool Scan(size_t chunk_index, const Chunk& ch, BudgetGate* gate,
-            ChunkScratch* scratch, ChunkOutcome* out) const {
+            AggState* groups, ChunkOutcome* out) const {
     SelectionBitmap sel;
     if (!BuildChunkSelection(chunk_index, ch, gate, &sel)) return false;
     switch (mode_) {
@@ -217,15 +224,13 @@ class ChunkScanner {
         return true;
       }
       case ScanMode::kGroups: {
-        if (scratch->groups.size() < dict_size_) {
-          scratch->groups.resize(dict_size_);
-        }
         size_t visited = 0;
-        const bool done = FusedGroupAggregate(
-            sel, table_, query_->expr, entity_codes_, gate, &scratch->groups,
-            &out->touched, &visited, ch.begin_row);
+        const bool done =
+            FusedGroupAggregate(sel, table_, query_->expr, entity_codes_,
+                                gate, groups, &out->touched, &visited,
+                                ch.begin_row);
         out->visited += visited;
-        CompactGroups(scratch, out);
+        CompactGroups(groups, out);
         return done;
       }
     }
@@ -239,6 +244,7 @@ class ChunkScanner {
   const TopKQuery* query_;  // null for kCount
   const bool zone_skip_;
   AtomSelectionCache* cache_;
+  GroupArrayPool* group_pool_;
   const uint64_t epoch_;
   const uint32_t* entity_codes_;
   const size_t dict_size_;
@@ -264,7 +270,7 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
   std::atomic<TerminationReason> reason{TerminationReason::kCompleted};
   auto worker = [&]() {
     BudgetGate gate(budget, kChunkGateStride);
-    ChunkScratch scratch;
+    std::vector<AggState> groups = scanner.BorrowGroups();
     while (!abort.load(std::memory_order_relaxed)) {
       // Threshold refutation stops claiming but is not an interrupt:
       // the caller distinguishes the refuted outcome from the merged
@@ -272,7 +278,7 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
       if (threshold != nullptr && threshold->refuted()) break;
       const size_t i = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (i >= num_chunks) break;
-      if (!scanner.ProcessChunk(i, &gate, &scratch, &(*outcomes)[i])) {
+      if (!scanner.ProcessChunk(i, &gate, groups.data(), &(*outcomes)[i])) {
         // First interrupt wins; racing stores agree on "not completed"
         // and the exact reason is advisory.
         reason.store(gate.reason(), std::memory_order_relaxed);
@@ -288,6 +294,7 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
         }
       }
     }
+    scanner.ReturnGroups(std::move(groups));
   };
   if (pool != nullptr && workers > 1) {
     std::vector<std::future<void>> futures;
@@ -308,24 +315,32 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
 /// conjunction) into one outcome per chunk of `table`, in the full
 /// scan's shape: rows of one chunk aggregate from zero in row order and
 /// compact exactly as a scanned chunk does, so the caller's
-/// ascending-chunk merge gives the full scan's sums. Chunks without
-/// postings stay uncompleted. Returns false when the gate interrupted
-/// the loop.
+/// ascending-chunk merge gives the full scan's sums. A grouped query
+/// folds through an array borrowed from `group_pool` and handed back
+/// zeroed. Chunks without postings stay uncompleted. Returns false when
+/// the gate interrupted the loop.
 bool ScanPostings(const Table& table, const std::vector<RowId>& rows,
-                  const TopKQuery& query, BudgetGate* gate,
-                  std::vector<ChunkOutcome>* outcomes, size_t* visited) {
+                  const TopKQuery& query, GroupArrayPool* group_pool,
+                  BudgetGate* gate, std::vector<ChunkOutcome>* outcomes,
+                  size_t* visited) {
   const bool grouped = query.agg != AggFn::kNone;
   const uint32_t* entity_codes = table.entity_column().codes().data();
   const size_t chunk_rows = table.chunk_rows();
   outcomes->resize(table.num_chunks());
-  ChunkScratch scratch;
-  if (grouped) scratch.groups.resize(table.entity_column().dict()->size());
+  std::vector<AggState> groups;
+  if (grouped) {
+    groups = group_pool->Borrow(table.entity_column().dict()->size());
+  }
   ChunkOutcome* out = nullptr;
   auto close_chunk = [&]() {
-    if (out != nullptr && grouped) CompactGroups(&scratch, out);
+    if (out != nullptr && grouped) CompactGroups(groups.data(), out);
   };
+  bool completed = true;
   for (RowId r : rows) {
-    if (gate->Tick() != TerminationReason::kCompleted) return false;
+    if (gate->Tick() != TerminationReason::kCompleted) {
+      completed = false;
+      break;
+    }
     ++*visited;
     ChunkOutcome* chunk_out = &(*outcomes)[r / chunk_rows];
     if (chunk_out != out) {
@@ -335,15 +350,18 @@ bool ScanPostings(const Table& table, const std::vector<RowId>& rows,
     }
     if (grouped) {
       const uint32_t code = entity_codes[r];
-      AggState& g = scratch.groups[code];
+      AggState& g = groups[code];
       if (g.count == 0) out->touched.push_back(code);
       g.Add(query.expr.Eval(table, r));
     } else {
       out->row_entries.push_back(HeapEntry{query.expr.Eval(table, r), r});
     }
   }
+  // Also on interruption: compacting the open chunk zeroes its slots,
+  // so the array goes back to the pool clean.
   close_chunk();
-  return true;
+  if (grouped) group_pool->Return(std::move(groups));
+  return completed;
 }
 
 }  // namespace
@@ -371,7 +389,7 @@ Executor::ChunkScan Executor::ScanChunks(const Table& table,
   BoundPredicate bound(predicate, table);
   const size_t num_chunks = table.num_chunks();
   ChunkScanner scanner(table, predicate, bound, mode, query,
-                       ctx.zone_map_skipping, ctx.cache);
+                       ctx.zone_map_skipping, ctx.cache, &group_pool_);
   int workers = 1;
   if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
     workers = static_cast<int>(
@@ -384,7 +402,8 @@ Executor::ChunkScan Executor::ScanChunks(const Table& table,
   std::unique_ptr<ThresholdState> tstate;
   if (ctx.threshold != nullptr && mode == ScanMode::kGroups &&
       num_chunks > 1 && ctx.threshold->AppliesTo(*query)) {
-    tstate = std::make_unique<ThresholdState>(ctx.threshold, table, *query);
+    tstate = std::make_unique<ThresholdState>(ctx.threshold, table, *query,
+                                              &group_pool_);
   }
   ChunkScan scan;
   scan.outcomes.resize(num_chunks);
@@ -489,7 +508,7 @@ StatusOr<TopKList> Executor::Execute(const Table& table,
     index_assisted_.fetch_add(1, std::memory_order_relaxed);
     BudgetGate gate(ctx.budget, kPostingGateStride);
     if (!ScanPostings(table, dimension_index_->Match(query.predicate), query,
-                      &gate, &outcomes, &visited)) {
+                      &group_pool_, &gate, &outcomes, &visited)) {
       reason = gate.reason();
     }
   } else {
@@ -539,9 +558,8 @@ StatusOr<TopKList> Executor::Execute(const Table& table,
                      o.row_entries.end());
     }
   } else {
-    std::vector<AggState> groups(dict.size());
+    std::vector<AggState> groups = group_pool_.Borrow(dict.size());
     std::vector<uint32_t> touched;  // codes in canonical order
-    touched.reserve(dict.size());
     for (const ChunkOutcome& o : outcomes) {
       if (o.skipped || !o.completed) continue;
       for (size_t i = 0; i < o.touched.size(); ++i) {
@@ -558,7 +576,9 @@ StatusOr<TopKList> Executor::Execute(const Table& table,
     results.reserve(touched.size());
     for (uint32_t code : touched) {
       results.push_back(HeapEntry{groups[code].Finish(query.agg), code});
+      groups[code] = AggState{};
     }
+    group_pool_.Return(std::move(groups));
   }
 
   // Phase 3 — rank and truncate. A ranks before b when its score does

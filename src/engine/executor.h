@@ -36,6 +36,7 @@
 #include "common/run_budget.h"
 #include "common/status.h"
 #include "engine/exec_context.h"
+#include "engine/group_pool.h"
 #include "engine/query.h"
 #include "engine/topk_list.h"
 #include "storage/table.h"
@@ -45,7 +46,10 @@ namespace paleo {
 class AtomSelectionCache;
 class DimensionIndex;
 
-/// \brief Stateless query evaluation over columnar tables.
+/// \brief Query evaluation over columnar tables. Besides its
+/// configuration and counters, an executor holds only a pool of dense
+/// group arrays (engine/group_pool.h) that its executions borrow and
+/// hand back zeroed, so no execution's result depends on another's.
 ///
 /// Determinism: score ties are broken by entity name ascending (and by
 /// row id for no-aggregation queries), so repeated executions and
@@ -59,8 +63,8 @@ class DimensionIndex;
 /// from any number of threads — the tables they read are immutable,
 /// the counters behind stats() are relaxed atomics (totals over
 /// completed executions are exact, snapshots taken mid-flight and
-/// interrupted executions are not), and a shared AtomSelectionCache is
-/// internally synchronized. Configuration
+/// interrupted executions are not), and a shared AtomSelectionCache and
+/// the group-array pool are internally synchronized. Configuration
 /// (SetDimensionIndex, ResetStats) is not synchronized: call it before
 /// sharing the executor, never mid-flight.
 class Executor {
@@ -157,6 +161,9 @@ class Executor {
   std::atomic<int64_t> morsels_{0};
   std::atomic<int64_t> executions_aborted_early_{0};
   std::atomic<int64_t> rows_saved_{0};
+  /// Dense per-entity AggState arrays for the scan workers, the posting
+  /// loop, the merge and the threshold state of every execution.
+  GroupArrayPool group_pool_;
   const DimensionIndex* dimension_index_ = nullptr;
   const Table* indexed_table_ = nullptr;
 };

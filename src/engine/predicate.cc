@@ -63,8 +63,10 @@ bool Predicate::Matches(const Table& table, RowId row) const {
     if (a.is_range()) {
       if (!v.is_numeric() || !a.value.is_numeric() || !a.high.is_numeric())
         return false;
+      // As the scan kernels: by IEEE comparison, so NaN (a value or a
+      // bound) is in no range.
       double x = v.AsDouble();
-      if (x < a.value.AsDouble() || x > a.high.AsDouble()) return false;
+      if (!(x >= a.value.AsDouble() && x <= a.high.AsDouble())) return false;
     } else if (v.is_double()) {
       // As BoundPredicate: a DOUBLE column takes any numeric constant,
       // widened, and compares by IEEE == (NaN matches nothing).

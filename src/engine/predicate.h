@@ -18,7 +18,8 @@ namespace paleo {
 
 /// \brief One atomic predicate: column = constant, or (the range
 /// extension, opt-in in the miner) column BETWEEN low AND high with
-/// inclusive numeric bounds.
+/// inclusive numeric bounds. Comparisons follow IEEE, so a NaN value
+/// matches no atom, and a range with a NaN bound matches nothing.
 struct AtomicPredicate {
   enum class Kind : int { kEquals = 0, kRange = 1 };
 
@@ -154,8 +155,9 @@ class BoundPredicate {
           break;
         }
         case BoundAtom::kDoubleRange: {
+          // NaN (a value or a bound) is in no range.
           double v = a.doubles[row];
-          if (v < a.double_value || v > a.double_high) return false;
+          if (!(v >= a.double_value && v <= a.double_high)) return false;
           break;
         }
         case BoundAtom::kNever:

@@ -43,21 +43,14 @@ namespace paleo {
 /// bitmap slice comfortably inside L1.
 constexpr size_t kSelectionBatchRows = 2048;
 
-/// Evaluates `atom` over rows [0, n) of its bound column into `out`
-/// (which must cover exactly n rows), polling `gate` once per batch.
-/// Returns false when the budget interrupted the scan; `out` is then
-/// partial and must be discarded. `*rows_visited` (optional) receives
-/// the number of rows evaluated (n on completion).
-bool ComputeAtomSelection(const BoundAtom& atom, size_t n,
-                          SelectionBitmap* out, BudgetGate* gate,
-                          size_t* rows_visited = nullptr);
-
-/// Chunk-range variant: evaluates `atom` over ABSOLUTE rows
-/// [begin, end) of its bound column into `out`, whose bit i corresponds
-/// to row begin + i (out must cover exactly end - begin rows).
+/// Evaluates `atom` over ABSOLUTE rows [begin, end) of its bound column
+/// into `out`, whose bit i corresponds to row begin + i (out must cover
+/// exactly end - begin rows), polling `gate` once per batch. Returns
+/// false when the budget interrupted the scan; `out` is then partial
+/// and must be discarded. `*rows_visited` (optional) receives the
+/// number of rows evaluated (end - begin on completion).
 /// Precondition: begin is a multiple of 64 (chunk boundaries are
-/// word-aligned; see storage/table.h). Same gate/discard contract
-/// as ComputeAtomSelection.
+/// word-aligned; see storage/table.h).
 bool ComputeAtomSelectionRange(const BoundAtom& atom, RowId begin, RowId end,
                                SelectionBitmap* out, BudgetGate* gate,
                                size_t* rows_visited = nullptr);
@@ -77,12 +70,15 @@ bool CollectSelectedRows(const SelectionBitmap& sel, BudgetGate* gate,
 /// row_offset + i (bit i of a per-chunk bitmap) and folds the value
 /// into groups[entity_codes[row]], appending first-touched codes to
 /// `touched` (`entity_codes` points at the FULL column array, indexed
-/// by absolute row; `groups` must be pre-sized to the entity dictionary
-/// and zero-count). Polls `gate` once per batch; returns false on
+/// by absolute row; `groups` must span the entity dictionary, and a
+/// slot with count 0 is untouched). The expression's operand arrays
+/// and types are bound once per call, so the row loop is typed for
+/// {A, A + B, A * B} and its operand types and computes exactly what
+/// RankExpr::Eval does. Polls `gate` once per batch; returns false on
 /// interruption with `groups`/`touched` partial.
 bool FusedGroupAggregate(const SelectionBitmap& sel, const Table& table,
                          const RankExpr& expr, const uint32_t* entity_codes,
-                         BudgetGate* gate, std::vector<AggState>* groups,
+                         BudgetGate* gate, AggState* groups,
                          std::vector<uint32_t>* touched,
                          size_t* rows_visited = nullptr,
                          RowId row_offset = 0);

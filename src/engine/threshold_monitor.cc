@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "storage/zone_map.h"
 
@@ -152,49 +153,21 @@ ThresholdMonitor::ThresholdMonitor(const Table& table, const TopKList& input,
   active_ = true;
 }
 
-std::unique_ptr<ThresholdMonitor::GroupScratch>
-ThresholdMonitor::AcquireScratch(size_t dict_size) const {
-  std::unique_ptr<GroupScratch> scratch;
-  {
-    MutexLock lock(pool_mutex_);
-    if (!pool_.empty()) {
-      scratch = std::move(pool_.back());
-      pool_.pop_back();
-    }
-  }
-  if (scratch == nullptr) scratch = std::make_unique<GroupScratch>();
-  if (scratch->groups.size() < dict_size) {
-    scratch->groups.resize(dict_size);
-    scratch->stamps.resize(dict_size, 0);
-  }
-  // Advancing the generation invalidates every stale slot at once. On
-  // the (unreachable in practice) wraparound the stamps are rewound
-  // explicitly so no slot can alias the fresh generation.
-  if (++scratch->gen == 0) {
-    std::fill(scratch->stamps.begin(), scratch->stamps.end(), 0);
-    scratch->gen = 1;
-  }
-  scratch->touched.clear();
-  return scratch;
-}
-
-void ThresholdMonitor::ReleaseScratch(
-    std::unique_ptr<GroupScratch> scratch) const {
-  if (scratch == nullptr) return;
-  MutexLock lock(pool_mutex_);
-  pool_.push_back(std::move(scratch));
-}
-
 ThresholdState::ThresholdState(const ThresholdMonitor* monitor,
-                               const Table& table, const TopKQuery& query)
+                               const Table& table, const TopKQuery& query,
+                               GroupArrayPool* group_pool)
     : monitor_(monitor),
+      group_pool_(group_pool),
       agg_(query.agg),
       desc_(query.order == SortOrder::kDesc) {
   const size_t num_chunks = table.num_chunks();
   chunk_lo_.resize(num_chunks);
   chunk_hi_.resize(num_chunks);
   chunk_rows_.resize(num_chunks);
+  std::vector<AggState> groups =
+      group_pool->Borrow(table.entity_column().dict()->size());
   MutexLock lock(mutex_);
+  groups_ = std::move(groups);
   chunk_done_.assign(num_chunks, false);
   for (size_t i = 0; i < num_chunks; ++i) {
     const Chunk& ch = table.chunk(i);
@@ -207,7 +180,6 @@ ThresholdState::ThresholdState(const ThresholdMonitor* monitor,
     rem_his_.insert(chunk_hi_[i]);
     rem_los_.insert(chunk_lo_[i]);
   }
-  scratch_ = monitor->AcquireScratch(table.entity_column().dict()->size());
   foreign_stat_ = desc_ ? -kInf : kInf;
   // Integer tie-displacement rule (see the header): only for the
   // aggregates whose beat-side bound is exact AND changes only when
@@ -229,12 +201,13 @@ ThresholdState::ThresholdState(const ThresholdMonitor* monitor,
 }
 
 ThresholdState::~ThresholdState() {
-  std::unique_ptr<ThresholdMonitor::GroupScratch> scratch;
+  std::vector<AggState> groups;
   {
     MutexLock lock(mutex_);
-    scratch = std::move(scratch_);
+    for (uint32_t code : touched_) groups_[code] = AggState{};
+    groups = std::move(groups_);
   }
-  monitor_->ReleaseScratch(std::move(scratch));
+  group_pool_->Return(std::move(groups));
 }
 
 void ThresholdState::RetireChunkLocked(size_t chunk_index) {
@@ -261,15 +234,12 @@ void ThresholdState::NoteChunk(size_t chunk_index,
                                const std::vector<AggState>& partials) {
   MutexLock lock(mutex_);
   RetireChunkLocked(chunk_index);
-  const uint32_t gen = scratch_->gen;
   for (size_t i = 0; i < touched.size(); ++i) {
     const uint32_t code = touched[i];
-    AggState& g = scratch_->groups[code];
-    if (scratch_->stamps[code] != gen) {
-      scratch_->stamps[code] = gen;
-      g = AggState{};
-      scratch_->touched.push_back(code);
-    }
+    AggState& g = groups_[code];
+    // Every partial holds at least one row, so a touched group's count
+    // is positive from here on.
+    if (g.count == 0) touched_.push_back(code);
     // Merge order is morsel completion order, NOT the canonical chunk
     // order — fine for bounds (set semantics), absorbed by the slack
     // for float wobble.
@@ -371,8 +341,8 @@ void ThresholdState::CheckLocked() {
   // scan has not touched yet has no running value to test (its bounds
   // still span the whole remaining potential).
   for (const auto& [code, target] : monitor_->targets()) {
-    if (scratch_->stamps[code] != scratch_->gen) continue;
-    const AggState& s = scratch_->groups[code];
+    const AggState& s = groups_[code];
+    if (s.count == 0) continue;
     double lb;
     double ub;
     BoundsLocked(s, rem_hi, rem_lo, &lb, &ub);
@@ -425,9 +395,9 @@ void ThresholdState::VerifyForeignLocked(double rem_hi, double rem_lo) {
   const double slack = monitor_->slack();
   const double worst = monitor_->worst_value();
   double tight = desc_ ? -kInf : kInf;
-  for (uint32_t code : scratch_->touched) {
+  for (uint32_t code : touched_) {
     if (monitor_->IsTarget(code)) continue;
-    const AggState& s = scratch_->groups[code];
+    const AggState& s = groups_[code];
     double stat;
     if (!ForeignStat(s, &stat)) continue;
     double lb;

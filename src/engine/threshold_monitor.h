@@ -66,14 +66,15 @@
 // synchronized (morsel workers call them concurrently in completion
 // order — the bounds above are set-of-chunks semantics, so completion
 // order does not matter); refuted() is a lock-free flag cheap enough
-// to poll between chunks.
+// to poll between chunks. Its dense running aggregates are an array
+// borrowed from the executor's GroupArrayPool (engine/group_pool.h)
+// and handed back zeroed on destruction, refuted or not.
 
 #ifndef PALEO_ENGINE_THRESHOLD_MONITOR_H_
 #define PALEO_ENGINE_THRESHOLD_MONITOR_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -81,6 +82,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "engine/aggregate.h"
+#include "engine/group_pool.h"
 #include "engine/query.h"
 #include "engine/topk_list.h"
 #include "storage/table.h"
@@ -150,23 +152,6 @@ class ThresholdMonitor {
     return code < precedes_worst_.size() && precedes_worst_[code] != 0;
   }
 
-  /// \brief Reusable dense per-group accumulation buffers.
-  ///
-  /// A ThresholdState needs a dict-sized dense AggState array; zeroing
-  /// one per execution costs more than the whole incremental check, so
-  /// states borrow generation-stamped buffers from this pool (slots
-  /// whose stamp is stale read as untouched) and return them on
-  /// destruction. Buffers are handed to one state at a time; the pool
-  /// itself is internally synchronized.
-  struct GroupScratch {
-    std::vector<AggState> groups;
-    std::vector<uint32_t> stamps;
-    uint32_t gen = 0;
-    std::vector<uint32_t> touched;
-  };
-  std::unique_ptr<GroupScratch> AcquireScratch(size_t dict_size) const;
-  void ReleaseScratch(std::unique_ptr<GroupScratch> scratch) const;
-
  private:
   bool active_ = false;
   SortOrder order_ = SortOrder::kDesc;
@@ -176,10 +161,6 @@ class ThresholdMonitor {
   std::unordered_map<uint32_t, double> targets_;
   std::vector<uint8_t> is_target_;
   std::vector<uint8_t> precedes_worst_;
-
-  mutable Mutex pool_mutex_;
-  mutable std::vector<std::unique_ptr<GroupScratch>> pool_
-      GUARDED_BY(pool_mutex_);
 };
 
 /// \brief Per-execution running aggregates + remaining-chunk bounds.
@@ -190,10 +171,11 @@ class ThresholdMonitor {
 class ThresholdState {
  public:
   /// Precomputes per-chunk expression bounds from `table`'s zone maps
-  /// (O(num_chunks), trivially cheaper than scanning one chunk).
+  /// (O(num_chunks), trivially cheaper than scanning one chunk) and
+  /// borrows a dense group array from `group_pool`.
   ThresholdState(const ThresholdMonitor* monitor, const Table& table,
-                 const TopKQuery& query);
-  /// Returns the borrowed group scratch to the monitor's pool.
+                 const TopKQuery& query, GroupArrayPool* group_pool);
+  /// Zeroes the touched slots and hands the array back to the pool.
   ~ThresholdState();
 
   ThresholdState(const ThresholdState&) = delete;
@@ -242,6 +224,7 @@ class ThresholdState {
   void VerifyForeignLocked(double rem_hi, double rem_lo) REQUIRES(mutex_);
 
   const ThresholdMonitor* monitor_;
+  GroupArrayPool* group_pool_;
   AggFn agg_;
   bool desc_;
   /// Integer tie-displacement rule enabled (set once in the ctor):
@@ -278,12 +261,11 @@ class ThresholdState {
   /// max/min maintenance under chunk retirement (MAX/MIN/AVG bounds).
   std::multiset<double> rem_his_ GUARDED_BY(mutex_);
   std::multiset<double> rem_los_ GUARDED_BY(mutex_);
-  /// Dense running per-group aggregates + the touched-code list,
-  /// borrowed from the monitor's pool (generation-stamped, so no
-  /// per-execution zeroing). Guarded by mutex_ like the inline state
-  /// it replaced.
-  std::unique_ptr<ThresholdMonitor::GroupScratch> scratch_
-      GUARDED_BY(mutex_);
+  /// Dense running per-group aggregates (a borrowed pool array, so a
+  /// group with count 0 is untouched) and the touched codes in
+  /// first-touch order.
+  std::vector<AggState> groups_ GUARDED_BY(mutex_);
+  std::vector<uint32_t> touched_ GUARDED_BY(mutex_);
   /// Foreign-group extremum tracker over the refutation-relevant
   /// running statistic (max under desc, min under asc): s.max / s.min /
   /// s.sum / s.count by aggregate kind. For MAX-desc, MIN-asc and

@@ -1,25 +1,35 @@
 // The executor against the naive oracle (tests/oracle/naive_executor.h):
 // one randomized sweep over adversarial tables that checks every
-// execution context, and the dimension-index path, bit for bit.
+// execution context, and the dimension-index path, bit for bit; and a
+// check that executions stopped early leave no state behind for the
+// next one.
 //
 // Tables are 1-5000 rows in 64-, 128- and 256-row chunks or the default
 // single chunk, so sums fold across many chunk boundaries. The double
 // measure holds NaN, +-inf, -0.0, denormals and 1e8 / 1e-3 mixes whose
-// sum depends on the order; some entities hold only NaN. The int
-// measure has few distinct values, so ranks tie at the k-th value and
-// names break the ties, and k ranges past the number of groups.
+// sum depends on the order; some entities hold only NaN, and the sweep
+// also filters on it. The int measure has few distinct values, so ranks
+// tie at the k-th value and names break the ties, and k ranges past the
+// number of groups.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/run_budget.h"
 #include "common/thread_pool.h"
 #include "engine/atom_cache.h"
 #include "engine/executor.h"
+#include "engine/threshold_monitor.h"
 #include "index/dimension_index.h"
 #include "oracle/naive_executor.h"
 
@@ -88,16 +98,33 @@ Table AdversarialTable(Rng& rng, size_t num_rows, int num_entities) {
   return t;
 }
 
-/// 0-3 atoms (equality on the string dims, equality or BETWEEN on the
-/// int dim, sometimes a value no row holds), any ranking expression,
-/// aggregate and order, and k up to past the number of groups.
-TopKQuery RandomQuery(Rng& rng, int num_entities) {
+/// A constant for an atom over the double measure: a signed zero, NaN,
+/// an infinity, or a value some row of `t` holds.
+double DoubleConstant(Rng& rng, const Table& t) {
+  switch (rng.Uniform(6)) {
+    case 0: return -0.0;
+    case 1: return 0.0;
+    case 2: return kNaN;
+    case 3: return kInf;
+    case 4: return -kInf;
+    default:
+      return t.column(5).DoubleAt(
+          static_cast<RowId>(rng.Uniform(t.num_rows())));
+  }
+}
+
+/// 0-4 atoms (equality on the string dims, equality or BETWEEN on the
+/// int dim, sometimes a value no row holds, and equality or BETWEEN on
+/// the double measure with signed zeros, NaN, infinities, held values
+/// and infinite bounds), any ranking expression, aggregate and order,
+/// and k up to past the number of groups.
+TopKQuery RandomQuery(Rng& rng, const Table& t, int num_entities) {
   TopKQuery q;
   std::vector<AtomicPredicate> atoms;
-  bool used[3] = {false, false, false};
-  const int num_atoms = static_cast<int>(rng.Uniform(4));
+  bool used[4] = {false, false, false, false};
+  const int num_atoms = static_cast<int>(rng.Uniform(5));
   for (int i = 0; i < num_atoms; ++i) {
-    const int pick = static_cast<int>(rng.Uniform(3));
+    const int pick = static_cast<int>(rng.Uniform(4));
     if (used[pick]) continue;
     used[pick] = true;
     switch (pick) {
@@ -117,6 +144,19 @@ TopKQuery RandomQuery(Rng& rng, int num_entities) {
           const int64_t lo = rng.UniformInt(0, 8);
           atoms.push_back(AtomicPredicate::Range(
               3, Value::Int64(lo), Value::Int64(rng.UniformInt(lo, 10))));
+        }
+        break;
+      case 3:
+        if (rng.Bernoulli(0.5)) {
+          atoms.emplace_back(5, Value::Double(DoubleConstant(rng, t)));
+        } else {
+          // Bounds drawn like the constants: held values, signed
+          // zeros, NaN or infinities.
+          double lo = DoubleConstant(rng, t);
+          double hi = DoubleConstant(rng, t);
+          if (hi < lo) std::swap(lo, hi);
+          atoms.push_back(AtomicPredicate::Range(5, Value::Double(lo),
+                                                 Value::Double(hi)));
         }
         break;
     }
@@ -175,7 +215,7 @@ TEST(ExecutorOracleTest, EveryContextMatchesOracleBitForBit) {
         {"dimension index", &indexed, {}},
     };
     for (int qi = 0; qi < 4; ++qi) {
-      const TopKQuery q = RandomQuery(rng, num_entities);
+      const TopKQuery q = RandomQuery(rng, t, num_entities);
       const TopKList want = oracle::NaiveExecute(t, q);
       const size_t want_count = oracle::NaiveCountMatching(t, q.predicate);
       const std::string where =
@@ -221,6 +261,171 @@ TEST(ExecutorOracleTest, EveryContextMatchesOracleBitForBit) {
   EXPECT_GT(signed_zeros, 0);
   EXPECT_GT(short_lists, 0);
   EXPECT_GT(tied_cuts, 0);
+}
+
+// The executor's dense group arrays (engine/group_pool.h) come back
+// zeroed from every early stop. On one executor, grouped executions that
+// a token interrupts mid-scan (sequential and morsel-parallel full scans
+// under a threshold monitor, and index-assisted posting loops) or that
+// threshold bounds refute alternate with clean executions of both paths.
+// A slot an early stop left dirty would corrupt the next execution that
+// borrows its array, so every clean execution must equal the oracle bit
+// for bit.
+TEST(ExecutorOracleTest, EarlyStopsHandBackZeroedGroupArrays) {
+  Rng rng(20261020);
+  constexpr int kEntities = 30;
+  // Chunks of 8192 rows: a chunk's group-by pass spans four 2048-row
+  // batches, so the scan's budget polls also land after a chunk's first
+  // rows were folded. s1 = 'CA' holds ~25,000 rows, many 4096-row poll
+  // strides of the posting loop.
+  Table t = AdversarialTable(rng, 100000, kEntities);
+  t.SetChunkRows(8192);
+  const DimensionIndex index = DimensionIndex::Build(t);
+  Executor ex;
+  ex.SetDimensionIndex(&index, &t);
+  ThreadPool pool(4);
+
+  auto grouped = [](std::vector<AtomicPredicate> atoms, RankExpr expr,
+                    AggFn agg, int k) {
+    TopKQuery q;
+    q.predicate = Predicate(std::move(atoms));
+    q.expr = expr;
+    q.agg = agg;
+    q.k = k;
+    return q;
+  };
+  // The range atom keeps a query off the dimension index.
+  const AtomicPredicate all_rows =
+      AtomicPredicate::Range(3, Value::Int64(0), Value::Int64(10));
+  const AtomicPredicate ca(1, Value::String("CA"));
+  const TopKQuery scan_q = grouped({all_rows}, RankExpr::Column(4),
+                                   AggFn::kSum, 10);
+  const TopKQuery index_q = grouped({ca}, RankExpr::Column(4), AggFn::kSum,
+                                    10);
+  // Clean checks list every group (k past the number of entities).
+  const TopKQuery clean[] = {
+      grouped({all_rows}, RankExpr::Column(5), AggFn::kSum, kEntities + 5),
+      grouped({ca}, RankExpr::Add(4, 5), AggFn::kMax, kEntities + 5),
+      grouped({}, RankExpr::Column(4), AggFn::kCount, kEntities + 5)};
+  std::vector<TopKList> want;
+  for (const TopKQuery& q : clean) want.push_back(oracle::NaiveExecute(t, q));
+
+  // A monitor of the scan query's own list never refutes it but keeps a
+  // threshold state, with its borrowed array, on every scan; one of a
+  // list far past any reachable sum refutes after the first chunk.
+  const TopKList truth = oracle::NaiveExecute(t, scan_q);
+  ASSERT_EQ(truth.size(), 10u);
+  ThresholdMonitor truth_monitor(t, truth, scan_q.order, 1e-9);
+  TopKList impossible;
+  for (const TopKEntry& e : truth.entries()) {
+    impossible.Append(e.entity, e.value + 1e12);
+  }
+  ThresholdMonitor impossible_monitor(t, impossible, scan_q.order, 1e-9);
+  ASSERT_TRUE(truth_monitor.AppliesTo(scan_q));
+  ASSERT_TRUE(impossible_monitor.AppliesTo(scan_q));
+
+  int clean_checks = 0;
+  auto check_clean = [&](const std::string& after) {
+    for (size_t i = 0; i < std::size(clean); ++i) {
+      for (const ExecContext& ctx :
+           {ExecContext{}, ExecContext{.pool = &pool, .scan_threads = 4}}) {
+        auto got = ex.Execute(t, clean[i], ctx);
+        ASSERT_TRUE(got.ok()) << after;
+        EXPECT_EQ(oracle::BitwiseDiff(*got, want[i]), "")
+            << "clean query " << i << " after " << after;
+        ++clean_checks;
+      }
+    }
+  };
+
+  struct Stop {
+    const char* name;
+    const TopKQuery* query;
+    ExecContext ctx;
+  };
+  const Stop interrupted[] = {
+      {"interrupted full scan", &scan_q, {.threshold = &truth_monitor}},
+      {"interrupted morsel-parallel scan",
+       &scan_q,
+       {.pool = &pool, .scan_threads = 4, .threshold = &truth_monitor}},
+      {"interrupted posting loop", &index_q, {}},
+  };
+  const Stop refuted[] = {
+      {"refuted full scan", &scan_q, {.threshold = &impossible_monitor}},
+      {"refuted morsel-parallel scan",
+       &scan_q,
+       {.pool = &pool, .scan_threads = 4, .threshold = &impossible_monitor}},
+  };
+
+  // Runs `stop` with a token another thread trips `delay` after the
+  // execution starts. Returns the rows it scanned when the token stopped
+  // it, or -1 when it finished first.
+  using Clock = std::chrono::steady_clock;
+  auto run_tripped = [&](const Stop& stop, Clock::duration delay) {
+    CancellationToken token;
+    RunBudget budget;
+    budget.set_cancellation_token(&token);
+    ExecContext ctx = stop.ctx;
+    ctx.budget = &budget;
+    // The tripper spins from its own start, not its creation, so the
+    // delay counts from the execution's start.
+    std::atomic<bool> ready{false};
+    std::atomic<bool> started{false};
+    std::thread tripper([&] {
+      ready.store(true);
+      while (!started.load()) {
+      }
+      const Clock::time_point until = Clock::now() + delay;
+      while (Clock::now() < until) {
+      }
+      token.Cancel();
+    });
+    while (!ready.load()) {
+    }
+    const int64_t before = ex.stats().rows_scanned;
+    started.store(true);
+    auto got = ex.Execute(t, *stop.query, ctx);
+    tripper.join();
+    if (got.ok()) return int64_t{-1};
+    EXPECT_TRUE(got.status().IsCancelled()) << got.status().ToString();
+    return ex.stats().rows_scanned - before;
+  };
+
+  // Trip each interruptible stop at several points of its clean running
+  // time, until each has been stopped after folding rows a few times.
+  constexpr int kFoldedStops = 3;
+  int folded[std::size(interrupted)] = {};
+  for (int round = 0; round < 20; ++round) {
+    bool done = true;
+    for (size_t s = 0; s < std::size(interrupted); ++s) {
+      const Stop& stop = interrupted[s];
+      if (folded[s] >= kFoldedStops) continue;
+      done = false;
+      const Clock::time_point t0 = Clock::now();
+      ASSERT_TRUE(ex.Execute(t, *stop.query, stop.ctx).ok()) << stop.name;
+      const Clock::duration full = Clock::now() - t0;
+      for (int eighth = 1; eighth < 8; ++eighth) {
+        const int64_t rows = run_tripped(stop, full * eighth / 8);
+        if (rows > 0) ++folded[s];
+        check_clean(std::string(stop.name) + " at " +
+                    std::to_string(eighth) + "/8 of its time");
+      }
+    }
+    if (done) break;
+  }
+  for (size_t s = 0; s < std::size(interrupted); ++s) {
+    EXPECT_GE(folded[s], kFoldedStops) << interrupted[s].name;
+  }
+  for (const Stop& stop : refuted) {
+    const int64_t before = ex.stats().rows_scanned;
+    auto got = ex.Execute(t, *stop.query, stop.ctx);
+    ASSERT_FALSE(got.ok()) << stop.name;
+    EXPECT_TRUE(got.status().IsQueryRefuted()) << stop.name;
+    EXPECT_GT(ex.stats().rows_scanned, before) << stop.name;
+    check_clean(stop.name);
+  }
+  EXPECT_GT(ex.stats().executions_aborted_early, 0);
+  EXPECT_GT(clean_checks, 0);
 }
 
 // An equality atom on a DOUBLE column takes an INT64 constant, widened,
